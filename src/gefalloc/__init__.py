@@ -2,7 +2,7 @@
 graph-based envy-freeness, with routing to the fastest applicable
 algorithm, hardness-style instance generators, and a CLI."""
 
-from .dispatch import ALGORITHMS, select_algorithm, solve
+from .dispatch import ALGORITHMS, ROUTES, analyze, select_algorithm, solve
 from .efficiency import is_pareto_efficient, max_welfare_bound, solve_efficient
 from .errors import BudgetExceededError, GuardError, ValidationError
 from .exact import (
@@ -48,7 +48,6 @@ from .model import (
     SolveResult,
     Status,
     allocation_document,
-    bundle_utility,
     classify_preferences,
     dominates,
     is_complete,

@@ -1,4 +1,4 @@
-"""Command-line surface: solve / verify / generate / bench.
+"""Command-line surface: solve / verify / generate.
 
 Exit codes: 0 feasible (or verification passed), 1 infeasible (or
 verification failed), 3 node budget exceeded, 2 malformed input or a
@@ -8,16 +8,13 @@ violated algorithm guard.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-import time
 
-from . import _kernels
-from .dispatch import ALGORITHMS, select_algorithm, solve  # noqa: F401
-from .efficiency import is_pareto_efficient, solve_efficient
+from .dispatch import ALGORITHMS, solve
+from .efficiency import is_pareto_efficient
 from .errors import BudgetExceededError, GuardError, ValidationError
-from .exact import DEFAULT_BUDGET, brute_force
+from .exact import DEFAULT_BUDGET
 from .generators import (
     BINPACKING_VARIANTS,
     CLIQUE_VARIANTS,
@@ -61,7 +58,7 @@ def _dump(doc, path):
         sys.stdout.write(text)
 
 
-def _result_document(inst, res, algorithm: str) -> dict:
+def _result_document(inst, res) -> dict:
     return {
         "verdict": res.status.value,
         "allocation": (
@@ -70,36 +67,21 @@ def _result_document(inst, res, algorithm: str) -> dict:
             else None
         ),
         "welfare": res.welfare,
-        "algorithm": algorithm,
+        "algorithm": res.route,
         "nodes": res.nodes,
     }
 
 
 def _cmd_solve(args) -> int:
     inst = parse_validate(_load_json(args.instance))
-    notion = FairnessNotion(args.notion)
-    goal = EfficiencyGoal(args.goal)
-    algorithm = args.algo
-    if algorithm == "auto":
-        if goal is EfficiencyGoal.COMPLETE:
-            algorithm = select_algorithm(inst, notion, goal)
-        else:
-            algorithm = "efficiency"
-    try:
-        res = solve(inst, notion, goal, args.algo, budget=args.budget)
-    except BudgetExceededError as exc:
-        _dump(
-            {
-                "verdict": "budget",
-                "allocation": None,
-                "welfare": 0,
-                "algorithm": algorithm,
-                "nodes": exc.nodes,
-            },
-            args.out,
-        )
-        return EXIT_BUDGET
-    _dump(_result_document(inst, res, algorithm), args.out)
+    res = solve(
+        inst,
+        FairnessNotion(args.notion),
+        EfficiencyGoal(args.goal),
+        args.algo,
+        budget=args.budget,
+    )
+    _dump(_result_document(inst, res), args.out)
     if res.status is Status.FEASIBLE:
         return EXIT_FEASIBLE
     if res.status is Status.BUDGET:
@@ -128,7 +110,9 @@ def _cmd_verify(args) -> int:
             print("allocation is not Pareto-efficient", file=sys.stderr)
             return EXIT_INFEASIBLE
     else:
-        best = solve_efficient(inst, notion, goal, args.budget)
+        best = solve(inst, notion, goal, budget=args.budget)
+        if best.status is Status.BUDGET:
+            raise BudgetExceededError(best.nodes)
         if (
             best.status is not Status.FEASIBLE
             or utilitarian_welfare(inst, alloc) != best.welfare
@@ -179,58 +163,6 @@ def _cmd_generate(args) -> int:
     return EXIT_FEASIBLE
 
 
-def _bench_corpus():
-    specs = [
-        ("id01-scc", PreferenceKind.IDENTICAL_ZERO_ONE, GraphKind.STRONGLY_CONNECTED),
-        ("ident-acyclic", PreferenceKind.IDENTICAL, GraphKind.ACYCLIC),
-        ("zeroone-any", PreferenceKind.ZERO_ONE, None),
-        ("general-any", PreferenceKind.GENERAL, None),
-    ]
-    for name, pref, graph in specs:
-        for seed in range(3):
-            yield f"{name}-s{seed}", gen_random(4, 7, pref, graph, 3, seed)
-
-
-def _cmd_bench(args) -> int:
-    rows = [["instance-id", "algorithm", "verdict", "nodes", "wall-time"]]
-    for inst_id, inst in _bench_corpus():
-        runs = [("auto", None)]
-        # the brute kernel runs under both backends for comparison
-        runs.append(("brute-" + _kernels.backend(), _kernels.USE_NUMBA))
-        if _kernels.HAS_NUMBA and _kernels.USE_NUMBA:
-            runs.append(("brute-numpy", False))
-        for label, backend in runs:
-            saved = _kernels.USE_NUMBA
-            if backend is not None:
-                _kernels.USE_NUMBA = backend
-            start = time.perf_counter()
-            try:
-                if label == "auto":
-                    res = solve(
-                        inst,
-                        FairnessNotion.WEAK,
-                        EfficiencyGoal.COMPLETE,
-                        budget=args.budget,
-                    )
-                else:
-                    res = brute_force(
-                        inst,
-                        FairnessNotion.WEAK,
-                        EfficiencyGoal.COMPLETE,
-                        args.budget,
-                    )
-            finally:
-                _kernels.USE_NUMBA = saved
-            wall = time.perf_counter() - start
-            rows.append([inst_id, label, res.status.value, res.nodes, f"{wall:.6f}"])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-    else:
-        csv.writer(sys.stdout).writerows(rows)
-    return EXIT_FEASIBLE
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gefalloc",
@@ -248,12 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an instance file")
     common(p_solve)
     p_solve.add_argument("--algo", choices=ALGORITHMS, default="auto")
-    p_solve.add_argument(
-        "--canonical",
-        action="store_true",
-        help="force the sequential canonical search order (always on here; "
-        "accepted for forward compatibility)",
-    )
     p_solve.add_argument("--out")
     p_solve.add_argument("instance")
     p_solve.set_defaults(func=_cmd_solve)
@@ -295,13 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=_cmd_generate)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the generator/solver matrix, write CSV"
-    )
-    p_bench.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_bench.add_argument("--out")
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -310,10 +229,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, GuardError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except (json.JSONDecodeError, OSError, ValueError, KeyError) as exc:
+        return EXIT_BUDGET
+    except (GuardError, OSError, ValueError, KeyError) as exc:
+        # ValueError covers ValidationError and json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -1,23 +1,46 @@
-"""Algorithm selection and the top-level solve entry point."""
+"""The route table and the top-level solve entry point.
+
+``analyze`` computes the facts routing needs once per solve.  ``ROUTES``
+lists every solver with the condition under which it is correct for an
+(instance, notion, goal) triple; a forced route must meet its condition and
+the automatic route takes the first row that meets it.
+
+Complete-goal rows also serve Pareto and MaxWelfare under identical
+preferences: there a fair allocation is complete (once worthless resources
+are stripped) iff it is Pareto-efficient iff it is welfare-maximal.  Under
+0/1 preferences the type program with every non-maximiser pair forbidden
+finds exactly the fair allocations that reach the column-maximum bound,
+which are welfare-maximal and Pareto-efficient; when there are none, no
+fair allocation is Pareto-efficient, while a welfare optimum may still exist
+below the bound.  So a MaxWelfare solve whose route answers infeasible falls
+through to brute force.
+"""
 
 from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable
 
 from .errors import GuardError
 from .exact import (
     DEFAULT_BUDGET,
+    ResourceTypeTable,
     brute_force,
     sgef_fpt_search_size,
     solve_identical_enum,
     solve_ilp,
     solve_sgef_fpt_resources,
 )
-from .graphs import GraphKind, classify_graph
+from .graphs import GraphClass, GraphKind, classify_graph
 from .model import (
     Allocation,
     EfficiencyGoal,
     FairnessNotion,
     Instance,
+    PreferenceClass,
     SolveResult,
+    Status,
     classify_preferences,
     strip_zero_resources,
 )
@@ -30,86 +53,138 @@ from .poly import (
 )
 from .structures import solve_gef_identical_structures
 
-ALGORITHMS = (
-    "auto",
-    "brute",
-    "ilp",
-    "dag",
-    "scc-id01",
-    "alg1",
-    "ident-enum",
-    "sgef-fpt",
-    "struct-fpt",
-    "alg2",
-)
+WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
+COMPLETE = EfficiencyGoal.COMPLETE
 
 # beyond this many enumeration nodes the strict case split defers to the ILP
 SGEF_FPT_LIMIT = 10**6
 
 
-def select_algorithm(
-    inst: Instance, notion: FairnessNotion, goal: EfficiencyGoal
-) -> str:
-    """Name of the solver the auto route would use (an internal id; it may
-    be finer-grained than the requestable --algo values)."""
-    stripped, _ = strip_zero_resources(inst)
-    prefs = classify_preferences(stripped)
-    graph = classify_graph(stripped)
-    scc_like = graph.kind is GraphKind.STRONGLY_CONNECTED or stripped.n <= 1
+@dataclass(frozen=True)
+class Analysis:
+    """Routing facts of one instance: the instance with worthless resources
+    stripped, the kept-column map (new index -> old index), the preference
+    class of the stripped instance and, on first use, its graph class."""
 
-    if goal is not EfficiencyGoal.COMPLETE:
-        if inst.n == 0 or inst.m == 0:
-            return "brute"
-        if prefs.identical:
-            return select_algorithm(inst, notion, EfficiencyGoal.COMPLETE)
-        if prefs.zero_one:
-            return "ilp"
-        if (
-            notion is FairnessNotion.WEAK
-            and goal is EfficiencyGoal.PARETO
-            and graph.kind is GraphKind.ACYCLIC
-        ):
-            return "alg2"
+    inst: Instance
+    stripped: Instance
+    keep: tuple[int, ...]
+    prefs: PreferenceClass
+
+    @cached_property
+    def graph(self) -> GraphClass:
+        return classify_graph(self.stripped)
+
+    @property
+    def acyclic(self) -> bool:
+        return self.graph.kind is GraphKind.ACYCLIC
+
+    @property
+    def scc_like(self) -> bool:
+        return self.graph.kind is GraphKind.STRONGLY_CONNECTED or self.stripped.n <= 1
+
+    def lift(self, res: SolveResult) -> SolveResult:
+        """Carry a result on the stripped instance back to the original one;
+        worthless resources go to agent 0, and with no agent to hold them
+        the instance has no complete allocation."""
+        if res.allocation is None or len(self.keep) == self.inst.m:
+            return res
+        if not self.inst.n:
+            return SolveResult.infeasible(res.nodes)
+        assignment = dict.fromkeys(range(self.inst.m), 0)
+        assignment.update((self.keep[r], a) for r, a in res.allocation.assignment.items())
+        return SolveResult(res.status, Allocation(assignment), res.welfare, res.nodes)
+
+
+def analyze(inst: Instance) -> Analysis:
+    stripped, keep = strip_zero_resources(inst)
+    return Analysis(inst, stripped, tuple(keep), classify_preferences(stripped))
+
+
+def _serves(a: Analysis, goal: EfficiencyGoal) -> bool:
+    """Whether a complete-goal route answers ``goal`` for this instance."""
+    return goal is COMPLETE or (a.prefs.identical and a.inst.n > 0)
+
+
+def _non_maximisers(inst: Instance) -> list[tuple[int, int]]:
+    """(agent, resource type) pairs where the agent is not a column maximiser."""
+    forbidden = []
+    for t, col in enumerate(ResourceTypeTable.build(inst).types):
+        top = max(col, default=0)
+        forbidden.extend((i, t) for i, v in enumerate(col) if v < top)
+    return forbidden
+
+
+def _ilp(a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal) -> SolveResult:
+    forbidden = () if goal is COMPLETE else _non_maximisers(a.stripped)
+    return a.lift(solve_ilp(a.stripped, notion, forbidden))
+
+
+@dataclass(frozen=True)
+class Route:
+    name: str
+    applies: Callable[[Analysis, FairnessNotion, EfficiencyGoal], bool]
+    run: Callable[[Analysis, FairnessNotion, EfficiencyGoal, int], SolveResult]
+
+
+# In automatic order.  The run functions look solvers up by module name at
+# call time, so a wrapper installed on this module's attribute sees the call.
+ROUTES = (
+    Route("immediate-infeasible",
+          lambda a, notion, goal: notion is STRICT and _serves(a, goal)
+          and a.prefs.identical and not a.acyclic,
+          lambda a, notion, goal, budget: SolveResult.infeasible()),
+    Route("alg1",
+          lambda a, notion, goal: notion is STRICT and _serves(a, goal)
+          and a.prefs.identical and a.prefs.zero_one,
+          lambda a, notion, goal, budget: a.lift(solve_sgef_id01(a.stripped))),
+    Route("dag",
+          lambda a, notion, goal: notion is WEAK and _serves(a, goal) and a.acyclic,
+          lambda a, notion, goal, budget: solve_gef_dag(a.inst)),
+    Route("manyvalues",
+          lambda a, notion, goal: _serves(a, goal) and a.prefs.identical
+          and a.acyclic and a.prefs.u_diff > a.stripped.n,
+          lambda a, notion, goal, budget: a.lift(solve_sgef_identical_manyvalues(a.stripped))),
+    Route("sgef-fpt",
+          lambda a, notion, goal: notion is STRICT and _serves(a, goal),
+          lambda a, notion, goal, budget: a.lift(solve_sgef_fpt_resources(a.stripped, budget))),
+    Route("scc-id01",
+          lambda a, notion, goal: notion is WEAK and _serves(a, goal)
+          and a.prefs.identical and a.prefs.zero_one and a.scc_like,
+          lambda a, notion, goal, budget: a.lift(solve_gef_id01_scc(a.stripped))),
+    Route("ident-enum",
+          lambda a, notion, goal: _serves(a, goal) and a.prefs.identical and a.scc_like,
+          lambda a, notion, goal, budget: a.lift(solve_identical_enum(a.stripped, notion))),
+    Route("struct-fpt",
+          lambda a, notion, goal: notion is WEAK and _serves(a, goal) and a.prefs.identical,
+          lambda a, notion, goal, budget: solve_gef_identical_structures(a.inst)),
+    Route("ilp",
+          lambda a, notion, goal: _serves(a, goal) or (a.prefs.zero_one and a.inst.n > 0),
+          lambda a, notion, goal, budget: _ilp(a, notion, goal)),
+    Route("alg2",
+          lambda a, notion, goal: notion is WEAK and goal is EfficiencyGoal.PARETO
+          and a.acyclic,
+          lambda a, notion, goal, budget: solve_efficient_dag(a.inst)),
+    Route("brute",
+          lambda a, notion, goal: True,
+          lambda a, notion, goal, budget: brute_force(a.inst, notion, goal, budget)),
+)
+ROUTE = {route.name: route for route in ROUTES}
+ALGORITHMS = ("auto",) + tuple(ROUTE)
+
+
+def select_algorithm(a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal) -> str:
+    """Name of the first route the automatic solve runs."""
+    if goal is not COMPLETE and (a.inst.n == 0 or a.inst.m == 0):
+        # with nothing to hand out or no one to hold it, the empty
+        # allocation can be the answer, which no class-based route reports
         return "brute"
-
-    if notion is FairnessNotion.STRICT:
-        if prefs.identical and graph.kind is not GraphKind.ACYCLIC and stripped.n > 1:
-            return "immediate-infeasible"
-        if prefs.identical and prefs.zero_one:
-            return "alg1"
-        if (
-            prefs.identical
-            and graph.kind is GraphKind.ACYCLIC
-            and prefs.u_diff > stripped.n
-            and (not stripped.m or int(stripped.utilities.min()) > 0)
-        ):
-            return "manyvalues"
-        if sgef_fpt_search_size(stripped) <= SGEF_FPT_LIMIT:
-            return "sgef-fpt"
-        return "ilp"
-
-    # weak notion, complete goal
-    if graph.kind is GraphKind.ACYCLIC:
-        return "dag"
-    if prefs.identical and prefs.zero_one and scc_like:
-        return "scc-id01"
-    if prefs.identical and scc_like:
-        return "ident-enum"
-    if prefs.identical:
-        return "struct-fpt"
-    return "ilp"
-
-
-def _reexpand(inst: Instance, keep: list[int], res: SolveResult) -> SolveResult:
-    """Lift a stripped-instance result; worthless resources go to agent 0."""
-    if res.allocation is None or len(keep) == inst.m:
-        return res
-    assignment = {keep[r]: a for r, a in res.allocation.assignment.items()}
-    if inst.n:
-        for r in range(inst.m):
-            if r not in assignment:
-                assignment[r] = 0
-    return SolveResult(res.status, Allocation(assignment), res.welfare, res.nodes)
+    return next(
+        route.name
+        for route in ROUTES
+        if route.applies(a, notion, goal)
+        and (route.name != "sgef-fpt" or sgef_fpt_search_size(a.stripped) <= SGEF_FPT_LIMIT)
+    )
 
 
 def solve(
@@ -119,65 +194,25 @@ def solve(
     algorithm: str = "auto",
     budget: int = DEFAULT_BUDGET,
 ) -> SolveResult:
-    if algorithm not in ALGORITHMS and algorithm not in ("manyvalues",):
+    """Solve with the named route, or the automatic one; ``route`` of the
+    result names every route that ran."""
+    if algorithm not in ALGORITHMS:
         raise GuardError(f"unknown algorithm: {algorithm}")
-
+    a = analyze(inst)
     if algorithm == "auto":
-        if goal is not EfficiencyGoal.COMPLETE:
-            from .efficiency import solve_efficient
-
-            return solve_efficient(inst, notion, goal, budget)
-        algorithm = select_algorithm(inst, notion, goal)
-        if algorithm == "immediate-infeasible":
-            return SolveResult.infeasible()
-        return _run(inst, notion, goal, algorithm, budget)
-
-    return _run(inst, notion, goal, algorithm, budget)
-
-
-def _run(
-    inst: Instance,
-    notion: FairnessNotion,
-    goal: EfficiencyGoal,
-    algorithm: str,
-    budget: int,
-) -> SolveResult:
-    if algorithm == "brute":
-        return brute_force(inst, notion, goal, budget)
-    if algorithm == "alg2":
-        if notion is not FairnessNotion.WEAK:
-            raise GuardError("alg2 serves the weak notion")
-        if goal is EfficiencyGoal.COMPLETE:
-            raise GuardError("alg2 serves Pareto and MaxWelfare goals")
-        return solve_efficient_dag(inst)
-    if goal is not EfficiencyGoal.COMPLETE:
-        raise GuardError(f"algorithm {algorithm} serves goal=Complete")
-
-    stripped, keep = strip_zero_resources(inst)
-    if algorithm == "ilp":
-        return _reexpand(inst, keep, solve_ilp(stripped, notion))
-    if algorithm == "dag":
-        if notion is not FairnessNotion.WEAK:
-            raise GuardError("dag serves the weak notion")
-        return solve_gef_dag(inst)
-    if algorithm == "scc-id01":
-        if notion is not FairnessNotion.WEAK:
-            raise GuardError("scc-id01 serves the weak notion")
-        return _reexpand(inst, keep, solve_gef_id01_scc(stripped))
-    if algorithm == "alg1":
-        if notion is not FairnessNotion.STRICT:
-            raise GuardError("alg1 serves the strict notion")
-        return _reexpand(inst, keep, solve_sgef_id01(stripped))
-    if algorithm == "ident-enum":
-        return _reexpand(inst, keep, solve_identical_enum(stripped, notion))
-    if algorithm == "sgef-fpt":
-        if notion is not FairnessNotion.STRICT:
-            raise GuardError("sgef-fpt serves the strict notion")
-        return _reexpand(inst, keep, solve_sgef_fpt_resources(stripped, budget))
-    if algorithm == "struct-fpt":
-        if notion is not FairnessNotion.WEAK:
-            raise GuardError("struct-fpt serves the weak notion")
-        return solve_gef_identical_structures(inst)
-    if algorithm == "manyvalues":
-        return _reexpand(inst, keep, solve_sgef_identical_manyvalues(stripped))
-    raise GuardError(f"unknown algorithm: {algorithm}")
+        algorithm = select_algorithm(a, notion, goal)
+    elif not ROUTE[algorithm].applies(a, notion, goal):
+        raise GuardError(
+            f"{algorithm} does not serve this instance with "
+            f"notion={notion.value}, goal={goal.value}"
+        )
+    res = ROUTE[algorithm].run(a, notion, goal, budget)
+    chain = algorithm
+    if (
+        goal is EfficiencyGoal.MAX_WELFARE
+        and res.status is Status.INFEASIBLE
+        and algorithm != "brute"
+    ):
+        res = brute_force(inst, notion, goal, budget)
+        chain += "->brute"
+    return replace(res, route=chain)

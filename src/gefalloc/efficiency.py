@@ -1,32 +1,20 @@
-"""Pareto-efficiency and welfare-maximization goals.
-
-For identical preferences the three efficiency targets coincide on fair
-allocations: a fair allocation is welfare-maximal iff it is
-Pareto-efficient iff it is complete (once worthless resources are
-stripped).  Under 0/1 preferences welfare-maximal and Pareto-efficient
-coincide and imply complete, and a welfare-maximal fair allocation is a
-complete fair allocation that hands every resource to a column maximizer,
-which is exactly the type program with the non-maximizer pairs forbidden.
-"""
+"""Pareto-efficiency and welfare-maximization goals: the checks, and the
+solve entry point for these goals (routing lives in ``dispatch``)."""
 
 from __future__ import annotations
 
+from .dispatch import solve
 from .errors import BudgetExceededError
-from .exact import DEFAULT_BUDGET, brute_force, solve_ilp
-from .graphs import GraphKind, classify_graph
+from .exact import DEFAULT_BUDGET
 from .model import (
     Allocation,
     EfficiencyGoal,
     FairnessNotion,
     Instance,
     SolveResult,
-    Status,
-    classify_preferences,
     enumerate_partial_allocations,
-    strip_zero_resources,
     utility_profile,
 )
-from .poly import solve_efficient_dag
 
 
 def max_welfare_bound(inst: Instance) -> int:
@@ -50,73 +38,13 @@ def is_pareto_efficient(inst: Instance, alloc: Allocation, budget: int = DEFAULT
     return True
 
 
-def _zero_one_forbidden(inst: Instance) -> list[tuple[int, int]]:
-    from .exact import ResourceTypeTable
-
-    table = ResourceTypeTable.build(inst)
-    forbidden = []
-    for t, col in enumerate(table.types):
-        top = max(col) if col else 0
-        for i, v in enumerate(col):
-            if v < top:
-                forbidden.append((i, t))
-    return forbidden
-
-
 def solve_efficient(
     inst: Instance,
     notion: FairnessNotion,
     goal: EfficiencyGoal,
     budget: int = DEFAULT_BUDGET,
 ) -> SolveResult:
-    """Route a Pareto or MaxWelfare request to the cheapest valid solver."""
+    """Automatic solve of a Pareto or MaxWelfare request."""
     if goal is EfficiencyGoal.COMPLETE:
         raise ValueError("solve_efficient handles Pareto and MaxWelfare goals")
-    if inst.n == 0 or inst.m == 0:
-        # degenerate shapes where the class-based shortcuts below break down
-        # (with no agents the empty allocation is trivially undominated)
-        return brute_force(inst, notion, goal, budget)
-    prefs = classify_preferences(inst)
-
-    if prefs.identical:
-        from .dispatch import solve as dispatch_solve
-
-        res = dispatch_solve(inst, notion, EfficiencyGoal.COMPLETE, budget=budget)
-        if res.status is not Status.INFEASIBLE:
-            return res
-        if goal is EfficiencyGoal.PARETO:
-            # no fair complete allocation means no fair Pareto-efficient one
-            return SolveResult.infeasible(res.nodes)
-        return brute_force(inst, notion, goal, budget)
-
-    if prefs.zero_one:
-        stripped, keep = strip_zero_resources(inst)
-        res = solve_ilp(stripped, notion, _zero_one_forbidden(stripped))
-        if res.status is Status.FEASIBLE:
-            return _reexpand(inst, stripped, keep, res)
-        if goal is EfficiencyGoal.PARETO:
-            return SolveResult.infeasible(res.nodes)
-        return brute_force(inst, notion, goal, budget)
-
-    if notion is FairnessNotion.WEAK and goal is EfficiencyGoal.PARETO:
-        if classify_graph(inst).kind is GraphKind.ACYCLIC:
-            return solve_efficient_dag(inst)
-
-    return brute_force(inst, notion, goal, budget)
-
-
-def _reexpand(
-    inst: Instance, stripped: Instance, keep: list[int], res: SolveResult
-) -> SolveResult:
-    """Lift a result on the stripped instance back to the original one,
-    appending worthless resources to agent 0 to preserve completeness."""
-    if stripped is inst or res.allocation is None:
-        return res
-    assignment = {keep[r]: a for r, a in res.allocation.assignment.items()}
-    if inst.n:
-        for r in range(inst.m):
-            if r not in assignment:
-                assignment[r] = 0
-    return SolveResult(
-        res.status, Allocation(assignment), res.welfare, res.nodes
-    )
+    return solve(inst, notion, goal, budget=budget)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import GuardError
+from .errors import require
 from .graphs import GraphKind, classify_graph, reachable_from, scc_condensation
 from .model import (
     Allocation,
@@ -282,11 +282,6 @@ def solve_ilp(
 # identical preferences
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise GuardError(msg)
-
-
 def solve_identical_enum(
     inst: Instance, notion: FairnessNotion = FairnessNotion.WEAK
 ) -> SolveResult:
@@ -296,14 +291,14 @@ def solve_identical_enum(
     infeasible and otherwise n^m enumeration is affordable.
     """
     prefs = classify_preferences(inst)
-    _require(prefs.identical, "identical preferences required")
+    require(prefs.identical, "identical preferences required")
     graph = classify_graph(inst)
-    _require(
+    require(
         graph.kind is GraphKind.STRONGLY_CONNECTED or inst.n <= 1,
         "strongly connected graph required",
     )
     if inst.n and inst.m:
-        _require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
+        require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
     if inst.m == 0:
         if inst.n == 0:
             return SolveResult.feasible(inst, Allocation({}), 1)
@@ -331,7 +326,7 @@ def prune_large_sccs(inst: Instance) -> PruneResult:
     anything it watches, so removed agents hold nothing in any witness.
     """
     prefs = classify_preferences(inst)
-    _require(prefs.identical, "identical preferences required")
+    require(prefs.identical, "identical preferences required")
     m = inst.m
     alive = set(range(inst.n))
     while True:

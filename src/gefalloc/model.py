@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -129,12 +129,6 @@ class Instance:
             self._arc_pairs = tuple((int(a), int(b)) for a, b in self.arcs)
         return self._arc_pairs
 
-    def utility(self, agent: int, resource: int) -> int:
-        return int(self.utilities[agent, resource])
-
-    def out_neighbors(self, agent: int) -> list[int]:
-        return [b for a, b in self.arc_pairs() if a == agent]
-
     def to_document(self) -> dict:
         return {
             "agents": list(self.agents),
@@ -196,6 +190,8 @@ class SolveResult:
     allocation: Optional[Allocation]
     welfare: int
     nodes: int
+    # the routes that ran, joined by "->" (set by dispatch.solve)
+    route: str = field(default="", compare=False)
 
     @staticmethod
     def feasible(inst: "Instance", alloc: Allocation, nodes: int = 0) -> "SolveResult":
@@ -275,12 +271,6 @@ def allocation_document(inst: Instance, alloc: Allocation) -> dict:
     }
 
 
-def bundle_utility(inst: Instance, agent: int, bundle: Iterable[int]) -> int:
-    """Value of a set of resources from one agent's point of view."""
-    row = inst.utilities[agent]
-    return int(sum(int(row[r]) for r in bundle))
-
-
 def _own_values(inst: Instance, alloc: Allocation) -> np.ndarray:
     vals = np.zeros(inst.n, dtype=np.int64)
     for r, a in alloc.assignment.items():
@@ -337,7 +327,7 @@ def strip_zero_resources(inst: Instance) -> tuple[Instance, list[int]]:
     """
     if inst.m == 0:
         return inst, []
-    keep = [j for j in range(inst.m) if inst.n and int(inst.utilities[:, j].max()) > 0]
+    keep = np.flatnonzero(inst.utilities.max(axis=0)).tolist() if inst.n else []
     if len(keep) == inst.m:
         return inst, list(range(inst.m))
     reduced = Instance(
@@ -354,10 +344,10 @@ def classify_preferences(inst: Instance) -> PreferenceClass:
     util = inst.utilities
     if util.size == 0:
         return PreferenceClass(PreferenceKind.IDENTICAL_ZERO_ONE, 0)
-    values = np.unique(util)
+    identical = bool((util == util[0]).all())
+    values = np.unique(util[0] if identical else util)
     u_diff = int(values.size)
-    identical = all(np.array_equal(util[0], util[i]) for i in range(1, inst.n))
-    zero_one = bool(np.all((util == 0) | (util == 1)))
+    zero_one = bool(np.all(values <= 1))
     if identical and zero_one:
         kind = PreferenceKind.IDENTICAL_ZERO_ONE
     elif identical:

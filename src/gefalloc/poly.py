@@ -7,7 +7,7 @@ instances here.  All solvers produce complete allocations.
 
 from __future__ import annotations
 
-from .errors import GuardError
+from .errors import require
 from .graphs import (
     GraphKind,
     classify_graph,
@@ -24,11 +24,6 @@ from .model import (
 )
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise GuardError(msg)
-
-
 def solve_gef_dag(inst: Instance) -> SolveResult:
     """Weak notion on an acyclic graph: hand everything to one source.
 
@@ -37,7 +32,7 @@ def solve_gef_dag(inst: Instance) -> SolveResult:
     Always feasible (unless there are resources but no agents).
     """
     graph = classify_graph(inst)
-    _require(graph.kind is GraphKind.ACYCLIC, "acyclic graph required")
+    require(graph.kind is GraphKind.ACYCLIC, "acyclic graph required")
     if inst.n == 0:
         if inst.m == 0:
             return SolveResult.feasible(inst, Allocation({}))
@@ -57,14 +52,14 @@ def solve_gef_id01_scc(inst: Instance) -> SolveResult:
     resources out in contiguous runs of m/n.
     """
     prefs = classify_preferences(inst)
-    _require(prefs.identical and prefs.zero_one, "identical 0/1 preferences required")
+    require(prefs.identical and prefs.zero_one, "identical 0/1 preferences required")
     graph = classify_graph(inst)
-    _require(
+    require(
         graph.kind is GraphKind.STRONGLY_CONNECTED or inst.n <= 1,
         "strongly connected graph required",
     )
     if inst.n and inst.m:
-        _require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
+        require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
     if inst.n == 0:
         return (
             SolveResult.feasible(inst, Allocation({}))
@@ -89,9 +84,9 @@ def solve_sgef_id01(inst: Instance) -> SolveResult:
     Leftover resources go to the lowest-index agent with no incoming arc.
     """
     prefs = classify_preferences(inst)
-    _require(prefs.identical and prefs.zero_one, "identical 0/1 preferences required")
+    require(prefs.identical and prefs.zero_one, "identical 0/1 preferences required")
     if inst.n and inst.m:
-        _require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
+        require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
     if inst.n == 0:
         return (
             SolveResult.feasible(inst, Allocation({}))
@@ -126,9 +121,9 @@ def solve_sgef_identical_manyvalues(inst: Instance) -> SolveResult:
     lowest-index source.
     """
     prefs = classify_preferences(inst)
-    _require(prefs.identical, "identical preferences required")
+    require(prefs.identical, "identical preferences required")
     if inst.n and inst.m:
-        _require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
+        require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
     if inst.n == 0:
         return (
             SolveResult.feasible(inst, Allocation({}))
@@ -138,9 +133,9 @@ def solve_sgef_identical_manyvalues(inst: Instance) -> SolveResult:
     if inst.n == 1:
         return SolveResult.feasible(inst, Allocation({r: 0 for r in range(inst.m)}))
     graph = classify_graph(inst)
-    _require(graph.kind is GraphKind.ACYCLIC, "acyclic graph required")
+    require(graph.kind is GraphKind.ACYCLIC, "acyclic graph required")
     row = [int(v) for v in inst.utilities[0]]
-    _require(len(set(row)) > inst.n, "needs more distinct values than agents")
+    require(len(set(row)) > inst.n, "needs more distinct values than agents")
 
     chosen: dict[int, int] = {}  # value -> lowest-index resource carrying it
     for r, v in enumerate(row):
@@ -174,7 +169,7 @@ def solve_efficient_dag(inst: Instance) -> SolveResult:
     meets the column-maximum bound.
     """
     graph = classify_graph(inst)
-    _require(graph.kind is GraphKind.ACYCLIC, "acyclic graph required")
+    require(graph.kind is GraphKind.ACYCLIC, "acyclic graph required")
     n, m = inst.n, inst.m
     remaining = list(range(m))
     assignment: dict[int, int] = {}

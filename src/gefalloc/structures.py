@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import GuardError
+from .errors import GuardError, require
 from .exact import prune_large_sccs, solve_identical_enum
 from .graphs import scc_condensation
 from .model import (
@@ -64,11 +64,6 @@ class UndirectedGraph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise GuardError(msg)
 
 
 def _partitions(items: list[int]):
@@ -123,7 +118,7 @@ def enumerate_structures(inst: Instance):
     restricted-growth string, weight vectors lexicographically over
     [1, m]^q, then arc subsets in bitmask order (acyclic ones only)."""
     prefs = classify_preferences(inst)
-    _require(prefs.identical, "identical preferences required")
+    require(prefs.identical, "identical preferences required")
     m = inst.m
     if m == 0:
         return
@@ -165,7 +160,7 @@ def check_structure_sanity(inst: Instance, structure: Structure) -> bool:
     worth of agents and every comparison arc points from a pack with at
     least as large a per-agent share."""
     prefs = classify_preferences(inst)
-    _require(prefs.identical, "identical preferences required")
+    require(prefs.identical, "identical preferences required")
     row = inst.utilities[0]
     shares = []
     for pack, rho in zip(structure.packs, structure.weights):
@@ -368,7 +363,7 @@ def solve_gef_identical_structures(inst: Instance) -> SolveResult:
     hold nothing.
     """
     prefs = classify_preferences(inst)
-    _require(prefs.identical, "identical preferences required")
+    require(prefs.identical, "identical preferences required")
     stripped, keep = strip_zero_resources(inst)
     pruned = prune_large_sccs(stripped)
     work = pruned.instance

@@ -8,12 +8,14 @@ import itertools
 import random
 
 from gefalloc import (
+    ROUTES,
     Allocation,
     EfficiencyGoal,
     FairnessNotion,
     GraphKind,
     GuardError,
     Instance,
+    analyze,
     brute_force,
     classify_graph,
     classify_preferences,
@@ -81,33 +83,9 @@ def test_ac01_worked_example():
 
 
 def _applicable_routes(inst, notion):
-    """Algorithm names whose guards the instance satisfies, dispatch-style."""
-    stripped, _ = strip_zero_resources(inst)
-    prefs = classify_preferences(stripped)
-    graph = classify_graph(stripped)
-    scc_like = graph.kind is GraphKind.STRONGLY_CONNECTED or stripped.n <= 1
-    routes = ["auto", "ilp"]
-    if notion is WEAK:
-        if graph.kind is GraphKind.ACYCLIC:
-            routes.append("dag")
-        if prefs.identical and prefs.zero_one and scc_like:
-            routes.append("scc-id01")
-        if prefs.identical and scc_like:
-            routes.append("ident-enum")
-        if prefs.identical:
-            routes.append("struct-fpt")
-    else:
-        if prefs.identical and prefs.zero_one:
-            routes.append("alg1")
-        routes.append("sgef-fpt")
-        if (
-            prefs.identical
-            and graph.kind is GraphKind.ACYCLIC
-            and prefs.u_diff > stripped.n
-            and (not stripped.m or int(stripped.utilities.min()) > 0)
-        ):
-            routes.append("manyvalues")
-    return routes
+    """Route names the table accepts for the instance under the complete goal."""
+    a = analyze(inst)
+    return ["auto"] + [r.name for r in ROUTES if r.applies(a, notion, COMPLETE)]
 
 
 def test_ac02_oracle_equivalence_all_solvers():
@@ -172,7 +150,7 @@ def test_ac04_strict_identical_cycle_infeasible_every_route():
         if classify_graph(inst).kind is GraphKind.ACYCLIC:
             continue
         done += 1
-        assert select_algorithm(inst, STRICT, COMPLETE) == "immediate-infeasible"
+        assert select_algorithm(analyze(inst), STRICT, COMPLETE) == "immediate-infeasible"
         assert solve(inst, STRICT, COMPLETE).status is Status.INFEASIBLE
         assert brute_force(inst, STRICT, COMPLETE).status is Status.INFEASIBLE
         stripped, _ = strip_zero_resources(inst)

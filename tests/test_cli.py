@@ -1,4 +1,3 @@
-import csv
 import json
 import os
 import subprocess
@@ -72,6 +71,31 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["welfare"] == 4
 
+    def test_no_agents_with_resources_is_infeasible(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(
+            {"agents": [], "resources": ["r0"], "utilities": [], "arcs": []}
+        ))
+        for notion in ("weak", "strict"):
+            assert main(["solve", "--notion", notion, str(path)]) == 1
+            assert json.loads(capsys.readouterr().out)["verdict"] == "infeasible"
+
+    def test_forced_alg2_rejects_welfare(self, tmp_path, capsys):
+        path = write_instance(tmp_path, "i.json", [[1, 3, 2, 3], [3, 3, 3, 1]], [(0, 1)])
+        assert main(["solve", "--goal", "welfare", "--algo", "alg2", path]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert main(["solve", "--goal", "welfare", path]) == 0
+        assert json.loads(capsys.readouterr().out)["welfare"] == 12
+
+    def test_algorithm_names_the_route_that_ran(self, tmp_path, capsys):
+        dag = write_instance(tmp_path, "dag.json", [[1, 3, 2, 3], [3, 3, 3, 1]], [(0, 1)])
+        assert main(["solve", "--goal", "pareto", dag]) == 0
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "alg2"
+        # no fair complete allocation, so the welfare solve falls back
+        cycle = write_instance(tmp_path, "cycle.json", [[1], [1]], [(0, 1), (1, 0)])
+        assert main(["solve", "--goal", "welfare", cycle]) == 0
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "scc-id01->brute"
+
 
 class TestVerify:
     def write_alloc(self, tmp_path, mapping):
@@ -109,6 +133,20 @@ class TestVerify:
         assert main(["verify", "--goal", "welfare", inst, best]) == 0
         worse = self.write_alloc(tmp_path, {"r0": "a1", "r1": "a0"})
         assert main(["verify", "--goal", "welfare", inst, worse]) == 1
+
+    def test_pareto_check_over_budget(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, "i.json", [[2, 1, 2], [1, 2, 1]], [])
+        alloc = self.write_alloc(tmp_path, {"r0": "a0", "r1": "a1", "r2": "a0"})
+        assert main(["verify", "--goal", "pareto", inst, alloc]) == 0
+        assert main(["verify", "--goal", "pareto", "--budget", "10", inst, alloc]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_welfare_reference_over_budget(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, "i.json", [[2, 1, 1, 1], [1, 2, 1, 1]], [])
+        alloc = self.write_alloc(tmp_path, {"r0": "a0", "r1": "a1"})
+        assert main(["verify", "--goal", "welfare", "--budget", "5", inst, alloc]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert main(["verify", "--goal", "welfare", inst, alloc]) == 1
 
     def test_unknown_names_malformed(self, tmp_path):
         inst = write_instance(tmp_path, "i.json", [[1]], [])
@@ -165,23 +203,6 @@ class TestGenerate:
 
     def test_unknown_variant(self, capsys):
         assert main(["generate", "--variant", "bogus"]) == 2
-
-
-class TestBench:
-    def test_csv_shape(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--out", str(out)]) == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["instance-id", "algorithm", "verdict", "nodes", "wall-time"]
-        assert len(rows) > 12
-        labels = {r[1] for r in rows[1:]}
-        assert "auto" in labels
-        assert any(l.startswith("brute-") for l in labels)
-        for row in rows[1:]:
-            assert row[2] in ("feasible", "infeasible", "budget")
-            int(row[3])
-            float(row[4])
 
 
 def test_numba_env_flag_subprocess(tmp_path):

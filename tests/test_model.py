@@ -176,6 +176,19 @@ class TestClassification:
             classify_preferences(inst).kind is PreferenceKind.IDENTICAL_ZERO_ONE
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3), st.data())
+    def test_matches_elementwise_definition(self, n, m, top, data):
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, top), min_size=m, max_size=m), min_size=1, max_size=n,
+        ))
+        rows = rows + [rows[0]] * (n - len(rows))  # often identical rows
+        prefs = classify_preferences(make(rows, []))
+        identical = all(row == rows[0] for row in rows)
+        zero_one = all(v in (0, 1) for row in rows for v in row)
+        assert prefs.identical == identical and prefs.zero_one == zero_one
+        assert prefs.u_diff == len({v for row in rows for v in row})
+
 
 class TestStripZeros:
     def test_drops_worthless_columns(self):
@@ -189,6 +202,16 @@ class TestStripZeros:
         inst = make([[1, 1]], [])
         stripped, keep = strip_zero_resources(inst)
         assert stripped.m == 2 and keep == [0, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 6), st.data())
+    def test_matches_per_column_definition(self, n, m, data):
+        rows = [data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)) for _ in range(n)]
+        inst = Instance([f"a{i}" for i in range(n)], [f"r{j}" for j in range(m)],
+                        np.array(rows, dtype=np.int64).reshape(n, m), [])
+        stripped, keep = strip_zero_resources(inst)
+        assert keep == [j for j in range(m) if any(row[j] > 0 for row in rows)]
+        assert stripped.resources == tuple(inst.resources[j] for j in keep)
 
 
 class TestEnumerationOrder:

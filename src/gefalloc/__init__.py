@@ -11,10 +11,7 @@ from .exact import (
     ResourceTypeTable,
     brute_force,
     build_type_ilp,
-    prune_large_sccs,
-    solve_identical_enum,
     solve_ilp,
-    solve_sgef_fpt_resources,
     solve_type_ilp,
 )
 from .generators import (
@@ -58,13 +55,6 @@ from .model import (
     utility_profile,
     verify_fairness,
 )
-from .poly import (
-    solve_efficient_dag,
-    solve_gef_dag,
-    solve_gef_id01_scc,
-    solve_sgef_id01,
-    solve_sgef_identical_manyvalues,
-)
 from .structures import (
     ColoredDigraph,
     Structure,
@@ -72,7 +62,6 @@ from .structures import (
     directed_colored_subiso,
     enumerate_structures,
     gadget_reduce,
-    solve_gef_identical_structures,
     undirected_subiso,
 )
 

@@ -6,7 +6,7 @@ Two interchangeable backends implement the same search contract:
 * a chunked, vectorized numpy fallback.
 
 The numba path is used when available; set ``GEFALLOC_NO_NUMBA=1`` to force
-the numpy path (the benchmark subcommand compares the two).
+the numpy path.
 
 Search contract
 ---------------
@@ -180,18 +180,28 @@ def _search_numpy(util, arc_a, arc_b, delta, cands, mode, limit):
     return 1, best, best_wel, nodes
 
 
+def _backend_args(utilities, arcs, delta, candidates, mode, limit):
+    """Arguments of either backend: contiguous int64 arrays with the arcs
+    split into tail and head columns, and int64 scalars."""
+    arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
+    return (
+        np.ascontiguousarray(utilities, dtype=np.int64),
+        np.ascontiguousarray(arcs[:, 0]),
+        np.ascontiguousarray(arcs[:, 1]),
+        np.int64(delta),
+        np.ascontiguousarray(candidates, dtype=np.int64),
+        np.int64(mode),
+        np.int64(limit),
+    )
+
+
 def search(utilities, arcs, delta, candidates, mode, limit):
     """Dispatch to the selected backend; see the module docstring."""
-    util = np.ascontiguousarray(utilities, dtype=np.int64)
-    arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
-    cands = np.ascontiguousarray(candidates, dtype=np.int64)
-    if cands.size == 0 and util.shape[1] > 0:
+    args = _backend_args(utilities, arcs, delta, candidates, mode, limit)
+    m, cands = args[0].shape[1], args[4]
+    if cands.size == 0 and m > 0:
         # no candidate owners but resources to place: nothing to enumerate
-        return 1, np.full(util.shape[1], -1, dtype=np.int64), -1, 0
-    arc_a = np.ascontiguousarray(arcs[:, 0])
-    arc_b = np.ascontiguousarray(arcs[:, 1])
+        return 1, np.full(m, -1, dtype=np.int64), -1, 0
     fn = _search_njit if USE_NUMBA else _search_numpy
-    status, assignment, wel, nodes = fn(
-        util, arc_a, arc_b, np.int64(delta), cands, np.int64(mode), np.int64(limit)
-    )
+    status, assignment, wel, nodes = fn(*args)
     return int(status), np.asarray(assignment, dtype=np.int64), int(wel), int(nodes)

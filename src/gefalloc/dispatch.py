@@ -3,7 +3,11 @@
 ``analyze`` computes the facts routing needs once per solve.  ``ROUTES``
 lists every solver with the condition under which it is correct for an
 (instance, notion, goal) triple; a forced route must meet its condition and
-the automatic route takes the first row that meets it.
+the automatic route takes the first row that meets it.  A row is the only
+place its solver's condition is checked: the solvers assume it and read
+graph facts from the one ``Analysis``.  Every row but ``brute`` (and
+``alg2``, whose greedy pass needs no agent) wants at least one agent, and
+the automatic route sends every instance without agents to ``brute``.
 
 Complete-goal rows also serve Pareto and MaxWelfare under identical
 preferences: there a fair allocation is complete (once worthless resources
@@ -85,12 +89,9 @@ class Analysis:
 
     def lift(self, res: SolveResult) -> SolveResult:
         """Carry a result on the stripped instance back to the original one;
-        worthless resources go to agent 0, and with no agent to hold them
-        the instance has no complete allocation."""
+        worthless resources go to agent 0, so the instance needs an agent."""
         if res.allocation is None or len(self.keep) == self.inst.m:
             return res
-        if not self.inst.n:
-            return SolveResult.infeasible(res.nodes)
         assignment = dict.fromkeys(range(self.inst.m), 0)
         assignment.update((self.keep[r], a) for r, a in res.allocation.assignment.items())
         return SolveResult(res.status, Allocation(assignment), res.welfare, res.nodes)
@@ -103,7 +104,7 @@ def analyze(inst: Instance) -> Analysis:
 
 def _serves(a: Analysis, goal: EfficiencyGoal) -> bool:
     """Whether a complete-goal route answers ``goal`` for this instance."""
-    return goal is COMPLETE or (a.prefs.identical and a.inst.n > 0)
+    return a.inst.n > 0 and (goal is COMPLETE or a.prefs.identical)
 
 
 def _non_maximisers(inst: Instance) -> list[tuple[int, int]]:
@@ -137,27 +138,31 @@ ROUTES = (
     Route("alg1",
           lambda a, notion, goal: notion is STRICT and _serves(a, goal)
           and a.prefs.identical and a.prefs.zero_one,
-          lambda a, notion, goal, budget: a.lift(solve_sgef_id01(a.stripped))),
+          lambda a, notion, goal, budget: a.lift(solve_sgef_id01(a.stripped, a.graph))),
     Route("dag",
           lambda a, notion, goal: notion is WEAK and _serves(a, goal) and a.acyclic,
-          lambda a, notion, goal, budget: solve_gef_dag(a.inst)),
+          lambda a, notion, goal, budget: solve_gef_dag(a.inst, a.graph)),
     Route("manyvalues",
           lambda a, notion, goal: _serves(a, goal) and a.prefs.identical
           and a.acyclic and a.prefs.u_diff > a.stripped.n,
-          lambda a, notion, goal, budget: a.lift(solve_sgef_identical_manyvalues(a.stripped))),
+          lambda a, notion, goal, budget:
+          a.lift(solve_sgef_identical_manyvalues(a.stripped, a.graph))),
     Route("sgef-fpt",
           lambda a, notion, goal: notion is STRICT and _serves(a, goal),
-          lambda a, notion, goal, budget: a.lift(solve_sgef_fpt_resources(a.stripped, budget))),
+          lambda a, notion, goal, budget:
+          a.lift(solve_sgef_fpt_resources(a.stripped, a.graph, budget))),
     Route("scc-id01",
           lambda a, notion, goal: notion is WEAK and _serves(a, goal)
           and a.prefs.identical and a.prefs.zero_one and a.scc_like,
           lambda a, notion, goal, budget: a.lift(solve_gef_id01_scc(a.stripped))),
     Route("ident-enum",
           lambda a, notion, goal: _serves(a, goal) and a.prefs.identical and a.scc_like,
-          lambda a, notion, goal, budget: a.lift(solve_identical_enum(a.stripped, notion))),
+          lambda a, notion, goal, budget:
+          a.lift(solve_identical_enum(a.stripped, notion, budget))),
     Route("struct-fpt",
           lambda a, notion, goal: notion is WEAK and _serves(a, goal) and a.prefs.identical,
-          lambda a, notion, goal, budget: solve_gef_identical_structures(a.inst)),
+          lambda a, notion, goal, budget:
+          a.lift(solve_gef_identical_structures(a.stripped))),
     Route("ilp",
           lambda a, notion, goal: _serves(a, goal) or (a.prefs.zero_one and a.inst.n > 0),
           lambda a, notion, goal, budget: _ilp(a, notion, goal)),
@@ -175,15 +180,17 @@ ALGORITHMS = ("auto",) + tuple(ROUTE)
 
 def select_algorithm(a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal) -> str:
     """Name of the first route the automatic solve runs."""
-    if goal is not COMPLETE and (a.inst.n == 0 or a.inst.m == 0):
-        # with nothing to hand out or no one to hold it, the empty
-        # allocation can be the answer, which no class-based route reports
+    if a.inst.n == 0 or (goal is not COMPLETE and a.inst.m == 0):
+        # brute is the one row that answers every goal without agents, and
+        # with nothing to hand out the empty allocation is the Pareto and
+        # welfare answer, which no class-based route reports
         return "brute"
     return next(
         route.name
         for route in ROUTES
         if route.applies(a, notion, goal)
-        and (route.name != "sgef-fpt" or sgef_fpt_search_size(a.stripped) <= SGEF_FPT_LIMIT)
+        and (route.name != "sgef-fpt"
+             or sgef_fpt_search_size(a.stripped, a.graph) <= SGEF_FPT_LIMIT)
     )
 
 

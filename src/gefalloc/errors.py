@@ -6,7 +6,8 @@ class ValidationError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """Raised when a specialized solver is invoked outside its precondition.
+    """Raised when a forced route or a checked helper is invoked outside its
+    precondition.
 
     Guards are caller bugs, not solvable inputs, so this is deliberately
     not a ValidationError.

@@ -23,15 +23,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import require
-from .graphs import GraphKind, classify_graph, reachable_from, scc_condensation
+from .graphs import GraphClass, reachable_from, scc_condensation
 from .model import (
     Allocation,
     EfficiencyGoal,
     FairnessNotion,
     Instance,
     SolveResult,
-    classify_preferences,
     enumerate_partial_allocations,
     utility_profile,
     verify_fairness,
@@ -63,8 +61,6 @@ def search_complete(
     if candidates is None:
         candidates = range(inst.n)
     cands = np.asarray(list(candidates), dtype=np.int64)
-    if inst.m > 0 and cands.size == 0:
-        return SolveResult.infeasible(0)
     status, assignment, _, nodes = _kernels.search(
         inst.utilities, inst.arcs, _delta(notion), cands, 0, budget
     )
@@ -85,12 +81,8 @@ def brute_force(
     "unassigned" ordered after the last agent.  Pareto: first fair partial
     assignment not dominated by any assignment at all.
     """
-    n, m = inst.n, inst.m
+    n = inst.n
     if goal is EfficiencyGoal.COMPLETE:
-        if n == 0:
-            if m == 0:
-                return SolveResult.feasible(inst, Allocation({}), 1)
-            return SolveResult.infeasible(0)
         return search_complete(inst, notion, range(n), budget)
 
     if goal is EfficiencyGoal.MAX_WELFARE:
@@ -283,32 +275,19 @@ def solve_ilp(
 
 
 def solve_identical_enum(
-    inst: Instance, notion: FairnessNotion = FairnessNotion.WEAK
+    inst: Instance,
+    notion: FairnessNotion = FairnessNotion.WEAK,
+    budget: int = DEFAULT_BUDGET,
 ) -> SolveResult:
-    """Identical preferences on a strongly connected graph, weak notion,
-    complete goal.  With every resource positively valued, every agent must
-    end up with equal, hence positive, bundle value, so n > m is immediately
-    infeasible and otherwise n^m enumeration is affordable.
+    """Identical positive preferences, strongly connected graph (or one
+    agent), at least one agent, complete goal.  Every agent must end up with
+    equal, hence positive, bundle value once there is a resource, so
+    n > m > 0 is immediately infeasible and otherwise n^m enumeration is
+    affordable.
     """
-    prefs = classify_preferences(inst)
-    require(prefs.identical, "identical preferences required")
-    graph = classify_graph(inst)
-    require(
-        graph.kind is GraphKind.STRONGLY_CONNECTED or inst.n <= 1,
-        "strongly connected graph required",
-    )
-    if inst.n and inst.m:
-        require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
-    if inst.m == 0:
-        if inst.n == 0:
-            return SolveResult.feasible(inst, Allocation({}), 1)
-        res = search_complete(inst, notion)
-        return res
-    if inst.n == 0:
+    if inst.n > inst.m > 0:
         return SolveResult.infeasible(0)
-    if inst.n > inst.m and inst.n > 1:
-        return SolveResult.infeasible(0)
-    return search_complete(inst, notion)
+    return search_complete(inst, notion, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -319,14 +298,13 @@ class PruneResult:
 
 
 def prune_large_sccs(inst: Instance) -> PruneResult:
-    """For identical preferences: repeatedly delete any strongly connected
-    component with more than m agents, or with condensation in-degree larger
-    than m, together with everything reachable from it.  Such a component can
-    never hold resources in a fair complete allocation, and neither can
-    anything it watches, so removed agents hold nothing in any witness.
+    """For identical positive preferences: repeatedly delete any strongly
+    connected component with more than m agents, or with condensation
+    in-degree larger than m, together with everything reachable from it.
+    Such a component can never hold resources in a fair complete allocation,
+    and neither can anything it watches, so removed agents hold nothing in
+    any witness.
     """
-    prefs = classify_preferences(inst)
-    require(prefs.identical, "identical preferences required")
     m = inst.m
     alive = set(range(inst.n))
     while True:
@@ -363,23 +341,21 @@ def _induced(inst: Instance, keep: Sequence[int]) -> Instance:
 # strict notion, parameterized by the number of resources
 
 
-def sgef_fpt_search_size(inst: Instance) -> int:
+def sgef_fpt_search_size(inst: Instance, graph: GraphClass) -> int:
     """Upper bound on the number of assignments the case split enumerates."""
     n, m = inst.n, inst.m
-    graph = classify_graph(inst)
-    non_sinks = [v for v in range(n) if v not in graph.sinks]
-    k = len(non_sinks)
+    k = n - len(graph.sinks)
     if m >= n:
         return n**m if m else 1
     if m < k:
         return 1
-    return max(k + 1, 1) ** m
+    return (k + 1) ** m
 
 
 def solve_sgef_fpt_resources(
-    inst: Instance, budget: int = DEFAULT_BUDGET
+    inst: Instance, graph: GraphClass, budget: int = DEFAULT_BUDGET
 ) -> SolveResult:
-    """Strict notion, complete goal, any preferences.
+    """Strict notion, complete goal, any preferences, at least one agent.
 
     Case split on m against the number of non-sink agents k (agents with at
     least one outgoing arc, each of which needs strictly positive value):
@@ -394,13 +370,8 @@ def solve_sgef_fpt_resources(
     """
     n, m = inst.n, inst.m
     notion = FairnessNotion.STRICT
-    if n == 0:
-        if m == 0:
-            return SolveResult.feasible(inst, Allocation({}), 1)
-        return SolveResult.infeasible(0)
     if m >= n:
         return search_complete(inst, notion, range(n), budget)
-    graph = classify_graph(inst)
     sinks = set(graph.sinks)
     non_sinks = [v for v in range(n) if v not in sinks]
     k = len(non_sinks)

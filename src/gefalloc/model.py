@@ -236,10 +236,13 @@ def parse_validate(doc: dict) -> Instance:
         if not (isinstance(arc, list) and len(arc) == 2):
             raise ValidationError("arcs must be [from, to] pairs")
         a, b = arc
-        if a not in index or b not in index:
+        if not (isinstance(a, str) and isinstance(b, str) and a in index and b in index):
             raise ValidationError(f"arc references unknown agent: {arc}")
         arcs.append((index[a], index[b]))
-    matrix = np.array(util, dtype=np.int64).reshape(len(agents), len(resources))
+    try:
+        matrix = np.array(util, dtype=np.int64).reshape(len(agents), len(resources))
+    except OverflowError:
+        raise ValidationError("utilities must fit in 64-bit integers") from None
     return Instance(agents, resources, matrix, arcs)
 
 
@@ -255,7 +258,7 @@ def parse_allocation(inst: Instance, doc: dict) -> Allocation:
     for r, a in doc["assignment"].items():
         if r not in ridx:
             raise ValidationError(f"unknown resource in assignment: {r}")
-        if a not in aidx:
+        if not isinstance(a, str) or a not in aidx:
             raise ValidationError(f"unknown agent in assignment: {a}")
         assignment[ridx[r]] = aidx[a]
     return Allocation(assignment)

@@ -1,42 +1,32 @@
 """Polynomial-time solvers for special preference/graph combinations.
 
-Each solver has a guard (preference class, graph shape) and raises
-GuardError when invoked outside it; the dispatcher only routes matching
-instances here.  All solvers produce complete allocations.
+Each solver is correct only under the condition its docstring states.  The
+row of ``dispatch.ROUTES`` that runs it is where that condition is checked,
+so a solver called directly outside it may answer wrongly.  Graph facts come
+in as the ``GraphClass`` the route already holds.  Every solver but
+``solve_efficient_dag`` produces a complete allocation.
 """
 
 from __future__ import annotations
 
-from .errors import require
-from .graphs import (
-    GraphKind,
-    classify_graph,
-    longest_path_labels,
-    topological_order,
-)
+from .graphs import GraphClass, GraphKind, longest_path_labels, topological_order
 from .model import (
     Allocation,
     FairnessNotion,
     Instance,
     SolveResult,
-    classify_preferences,
     verify_fairness,
 )
 
 
-def solve_gef_dag(inst: Instance) -> SolveResult:
-    """Weak notion on an acyclic graph: hand everything to one source.
+def solve_gef_dag(inst: Instance, graph: GraphClass) -> SolveResult:
+    """Weak notion, acyclic graph, at least one agent: hand everything to
+    one source.
 
     A source has no incoming arcs, so nobody compares against its bundle,
     and every other agent holds nothing, which the weak notion tolerates.
-    Always feasible (unless there are resources but no agents).
+    Always feasible.
     """
-    graph = classify_graph(inst)
-    require(graph.kind is GraphKind.ACYCLIC, "acyclic graph required")
-    if inst.n == 0:
-        if inst.m == 0:
-            return SolveResult.feasible(inst, Allocation({}))
-        return SolveResult.infeasible()
     target = min(graph.sources)  # a DAG always has a source
     return SolveResult.feasible(
         inst, Allocation({r: target for r in range(inst.m)})
@@ -44,58 +34,32 @@ def solve_gef_dag(inst: Instance) -> SolveResult:
 
 
 def solve_gef_id01_scc(inst: Instance) -> SolveResult:
-    """Identical 0/1 preferences, strongly connected graph, weak notion.
+    """Weak notion, identical 0/1 preferences with every resource valued 1,
+    strongly connected graph (or one agent).
 
-    Everyone values every resource at 1 (zero columns must be stripped
-    first), and strong connectivity forces equal bundle sizes, so the
-    instance is feasible exactly when n divides m.  The witness deals
-    resources out in contiguous runs of m/n.
+    Strong connectivity forces equal bundle sizes, so the instance is
+    feasible exactly when n divides m.  The witness deals resources out in
+    contiguous runs of m/n.
     """
-    prefs = classify_preferences(inst)
-    require(prefs.identical and prefs.zero_one, "identical 0/1 preferences required")
-    graph = classify_graph(inst)
-    require(
-        graph.kind is GraphKind.STRONGLY_CONNECTED or inst.n <= 1,
-        "strongly connected graph required",
-    )
-    if inst.n and inst.m:
-        require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
-    if inst.n == 0:
-        return (
-            SolveResult.feasible(inst, Allocation({}))
-            if inst.m == 0
-            else SolveResult.infeasible()
-        )
     if inst.m % inst.n != 0:
         return SolveResult.infeasible()
     share = inst.m // inst.n
-    assignment = {r: r // share for r in range(inst.m)} if share else {}
-    return SolveResult.feasible(inst, Allocation(assignment))
+    return SolveResult.feasible(
+        inst, Allocation({r: r // share for r in range(inst.m)})
+    )
 
 
-def solve_sgef_id01(inst: Instance) -> SolveResult:
-    """Strict notion with identical 0/1 preferences, complete goal.
+def solve_sgef_id01(inst: Instance, graph: GraphClass) -> SolveResult:
+    """Strict notion, identical 0/1 preferences with every resource valued 1,
+    at least one agent, complete goal.
 
-    With one agent everything goes to it.  Any cycle is infeasible: along a
-    cycle bundle sizes would have to strictly decrease.  On an acyclic graph
-    agent w needs a bundle strictly larger than each agent it watches, and
-    the longest-path label l(w) (length of the longest path starting at w)
-    is the least bundle size that works; feasibility is m >= sum of labels.
-    Leftover resources go to the lowest-index agent with no incoming arc.
+    Any cycle is infeasible: along a cycle bundle sizes would have to
+    strictly decrease.  On an acyclic graph agent w needs a bundle strictly
+    larger than each agent it watches, and the longest-path label l(w)
+    (length of the longest path starting at w) is the least bundle size that
+    works; feasibility is m >= sum of labels.  Leftover resources go to the
+    lowest-index agent with no incoming arc.
     """
-    prefs = classify_preferences(inst)
-    require(prefs.identical and prefs.zero_one, "identical 0/1 preferences required")
-    if inst.n and inst.m:
-        require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
-    if inst.n == 0:
-        return (
-            SolveResult.feasible(inst, Allocation({}))
-            if inst.m == 0
-            else SolveResult.infeasible()
-        )
-    if inst.n == 1:
-        return SolveResult.feasible(inst, Allocation({r: 0 for r in range(inst.m)}))
-    graph = classify_graph(inst)
     if graph.kind is not GraphKind.ACYCLIC:
         return SolveResult.infeasible()
     labels = longest_path_labels(inst)
@@ -113,30 +77,14 @@ def solve_sgef_id01(inst: Instance) -> SolveResult:
     return SolveResult.feasible(inst, Allocation(assignment))
 
 
-def solve_sgef_identical_manyvalues(inst: Instance) -> SolveResult:
-    """Strict notion, identical preferences, acyclic graph, and more distinct
-    resource values than agents.  Always feasible: pick the n largest
-    distinct values, assign one such resource per agent so that values
-    strictly decrease along a topological order, and dump the rest on the
-    lowest-index source.
+def solve_sgef_identical_manyvalues(inst: Instance, graph: GraphClass) -> SolveResult:
+    """Identical positive preferences, acyclic graph, at least one agent,
+    and more distinct resource values than agents.  Always strictly (hence
+    also weakly) fair: pick the n largest distinct values, assign one such
+    resource per agent so that values strictly decrease along a topological
+    order, and dump the rest on the lowest-index source.
     """
-    prefs = classify_preferences(inst)
-    require(prefs.identical, "identical preferences required")
-    if inst.n and inst.m:
-        require(int(inst.utilities.min()) > 0, "zero-valued resources must be stripped")
-    if inst.n == 0:
-        return (
-            SolveResult.feasible(inst, Allocation({}))
-            if inst.m == 0
-            else SolveResult.infeasible()
-        )
-    if inst.n == 1:
-        return SolveResult.feasible(inst, Allocation({r: 0 for r in range(inst.m)}))
-    graph = classify_graph(inst)
-    require(graph.kind is GraphKind.ACYCLIC, "acyclic graph required")
     row = [int(v) for v in inst.utilities[0]]
-    require(len(set(row)) > inst.n, "needs more distinct values than agents")
-
     chosen: dict[int, int] = {}  # value -> lowest-index resource carrying it
     for r, v in enumerate(row):
         if v not in chosen:
@@ -168,8 +116,6 @@ def solve_efficient_dag(inst: Instance) -> SolveResult:
     weakly fair and Pareto-efficient; under 0/1 preferences its welfare
     meets the column-maximum bound.
     """
-    graph = classify_graph(inst)
-    require(graph.kind is GraphKind.ACYCLIC, "acyclic graph required")
     n, m = inst.n, inst.m
     remaining = list(range(m))
     assignment: dict[int, int] = {}

@@ -30,7 +30,6 @@ from .model import (
     SolveResult,
     Status,
     classify_preferences,
-    strip_zero_resources,
     verify_fairness,
 )
 
@@ -158,9 +157,11 @@ def _equal_split(inst: Instance, pack: tuple[int, ...], rho: int) -> Optional[li
 def check_structure_sanity(inst: Instance, structure: Structure) -> bool:
     """A structure is sane when every pack splits evenly among its weight
     worth of agents and every comparison arc points from a pack with at
-    least as large a per-agent share."""
+    least as large a per-agent share.  Needs identical positive
+    preferences."""
     prefs = classify_preferences(inst)
     require(prefs.identical, "identical preferences required")
+    require(bool((inst.utilities > 0).all()), "zero-valued resources must be stripped")
     row = inst.utilities[0]
     shares = []
     for pack, rho in zip(structure.packs, structure.weights):
@@ -354,7 +355,8 @@ def undirected_subiso(
 
 
 def solve_gef_identical_structures(inst: Instance) -> SolveResult:
-    """Weak notion, complete goal, identical preferences, any graph.
+    """Weak notion, complete goal, identical positive preferences, at least
+    one agent, any graph.
 
     Iterates candidate structures (with cheap feasibility filters layered
     onto the canonical enumeration order), embeds each sane structure into
@@ -362,21 +364,11 @@ def solve_gef_identical_structures(inst: Instance) -> SolveResult:
     allocation from the pack splits.  Components left out of the embedding
     hold nothing.
     """
-    prefs = classify_preferences(inst)
-    require(prefs.identical, "identical preferences required")
-    stripped, keep = strip_zero_resources(inst)
-    pruned = prune_large_sccs(stripped)
+    if inst.m == 0:
+        return SolveResult.feasible(inst, Allocation({}))
+    pruned = prune_large_sccs(inst)
     work = pruned.instance
     m = work.m
-    if m == 0:
-        if inst.m == 0:
-            return SolveResult.feasible(inst, Allocation({}))
-        if inst.n == 0:
-            return SolveResult.infeasible()
-        # only worthless resources: park them all on agent 0
-        return SolveResult.feasible(
-            inst, Allocation({r: 0 for r in range(inst.m)})
-        )
     if work.n == 0:
         return SolveResult.infeasible()
 
@@ -442,15 +434,10 @@ def solve_gef_identical_structures(inst: Instance) -> SolveResult:
                     for bundle, agent in zip(split(pack, weights[pi]), agents):
                         for r in bundle:
                             assignment[r] = agent
-                # map back through the prune and the zero-column strip
-                final = {
-                    keep[r]: pruned.kept[a] for r, a in assignment.items()
-                }
-                dump = min(range(inst.n)) if inst.n else 0
-                for r in range(inst.m):
-                    if r not in final:
-                        final[r] = dump
-                alloc = Allocation(final)
+                # map back through the prune
+                alloc = Allocation(
+                    {r: pruned.kept[a] for r, a in assignment.items()}
+                )
                 assert verify_fairness(inst, alloc, FairnessNotion.WEAK) is None
                 return SolveResult.feasible(inst, alloc)
     return SolveResult.infeasible()

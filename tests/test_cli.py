@@ -54,8 +54,34 @@ class TestSolve:
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/instance.json"]) == 2
 
+    def test_utility_beyond_64_bits_malformed(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(
+            {"agents": ["a0"], "resources": ["r0"], "utilities": [[2**64]], "arcs": []}
+        ))
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_array_arc_endpoint_malformed(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(
+            {"agents": ["a0", "a1"], "resources": ["r0"], "utilities": [[1], [1]],
+             "arcs": [[["a0"], "a1"]]}
+        ))
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_forced_ident_enum_honours_budget(self, tmp_path, capsys):
+        path = write_instance(tmp_path, "i.json", [[1] * 8] * 2, [(0, 1), (1, 0)])
+        argv = ["solve", "--notion", "strict", "--algo", "ident-enum", path]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["nodes"] == 256
+        assert main(argv[:1] + ["--budget", "5"] + argv[1:]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "budget" and doc["nodes"] == 5
+
     def test_guard_violation_is_malformed(self, tmp_path, capsys):
-        # the DAG solver on a cyclic graph trips its guard
+        # the dag row does not serve a cyclic graph
         path = write_instance(tmp_path, "i.json", [[1], [1]], [(0, 1), (1, 0)])
         assert main(["solve", "--algo", "dag", path]) == 2
 
@@ -152,6 +178,12 @@ class TestVerify:
         inst = write_instance(tmp_path, "i.json", [[1]], [])
         alloc = self.write_alloc(tmp_path, {"r9": "a0"})
         assert main(["verify", inst, alloc]) == 2
+
+    def test_array_agent_malformed(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, "i.json", [[1]], [])
+        alloc = self.write_alloc(tmp_path, {"r0": ["a0"]})
+        assert main(["verify", inst, alloc]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestGenerate:

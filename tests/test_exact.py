@@ -10,14 +10,19 @@ from gefalloc import (
     Instance,
     brute_force,
     build_type_ilp,
+    classify_graph,
     is_complete,
-    prune_large_sccs,
-    solve_identical_enum,
+    solve,
     solve_ilp,
-    solve_sgef_fpt_resources,
     verify_fairness,
 )
-from gefalloc.exact import ResourceTypeTable, sgef_fpt_search_size
+from gefalloc.exact import (
+    ResourceTypeTable,
+    prune_large_sccs,
+    sgef_fpt_search_size,
+    solve_identical_enum,
+    solve_sgef_fpt_resources,
+)
 from gefalloc.generators import gen_random
 from gefalloc.model import PreferenceKind, Status
 
@@ -135,7 +140,7 @@ class TestIdenticalEnum:
     def test_guard(self):
         inst = make([[1, 2], [2, 1]], [(0, 1), (1, 0)])
         with pytest.raises(GuardError):
-            solve_identical_enum(inst)
+            solve(inst, WEAK, EfficiencyGoal.COMPLETE, algorithm="ident-enum")
 
     def test_divisibility_on_id01(self):
         for m in range(0, 7):
@@ -204,7 +209,7 @@ class TestPrune:
 class TestSgefFpt:
     def test_against_brute(self):
         for inst in corpus(80, seed0=8):
-            got = solve_sgef_fpt_resources(inst)
+            got = solve_sgef_fpt_resources(inst, classify_graph(inst))
             want = brute_force(inst, STRICT, EfficiencyGoal.COMPLETE)
             assert got.status == want.status, inst.to_document()
             if got.allocation is not None:
@@ -218,10 +223,10 @@ class TestSgefFpt:
             [[1, 0, 5], [0, 1, 5], [0, 0, 1], [0, 0, 1]],
             [(0, 1), (1, 0)],
         )
-        res = solve_sgef_fpt_resources(inst)
+        res = solve_sgef_fpt_resources(inst, classify_graph(inst))
         assert res.status is Status.FEASIBLE
         assert verify_fairness(inst, res.allocation, STRICT) is None
 
     def test_search_size_monotone_cases(self):
         inst = make([[1]] * 2, [(0, 1)])
-        assert sgef_fpt_search_size(inst) >= 1
+        assert sgef_fpt_search_size(inst, classify_graph(inst)) >= 1

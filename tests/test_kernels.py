@@ -1,7 +1,6 @@
 import random
 
 import numpy as np
-import pytest
 
 from gefalloc import _kernels
 from gefalloc.model import PreferenceKind
@@ -11,30 +10,17 @@ import oracle
 
 
 def run_both(utilities, arcs, delta, candidates, mode, limit=10**7):
-    """Run the search under both backends, asserting they agree."""
-    saved = _kernels.USE_NUMBA
-    results = []
-    try:
-        for flag in ((True, False) if _kernels.HAS_NUMBA else (False,)):
-            _kernels.USE_NUMBA = flag
-            results.append(
-                _kernels.search(
-                    np.asarray(utilities, dtype=np.int64),
-                    np.asarray(arcs, dtype=np.int64).reshape(-1, 2),
-                    delta,
-                    np.asarray(candidates, dtype=np.int64),
-                    mode,
-                    limit,
-                )
-            )
-    finally:
-        _kernels.USE_NUMBA = saved
-    first = results[0]
-    for other in results[1:]:
-        assert other[0] == first[0]
-        assert np.array_equal(other[1], first[1])
-        assert other[2:] == first[2:]
-    return first
+    """Run ``search``, and both backends directly on the arguments it
+    prepares, asserting they agree.  Without numba ``_search_njit`` is plain
+    Python, so both backends are checked either way."""
+    got = _kernels.search(utilities, arcs, delta, candidates, mode, limit)
+    args = _kernels._backend_args(utilities, arcs, delta, candidates, mode, limit)
+    if args[4].size or not args[0].shape[1]:  # search hands these to a backend
+        for backend in (_kernels._search_njit, _kernels._search_numpy):
+            status, assignment, welfare, nodes = backend(*args)
+            assert (int(status), int(welfare), int(nodes)) == (got[0], got[2], got[3])
+            assert np.array_equal(np.asarray(assignment, dtype=np.int64), got[1])
+    return got
 
 
 def test_backend_flag():

@@ -8,22 +8,27 @@ from gefalloc import (
     GuardError,
     Instance,
     brute_force,
+    classify_graph,
     is_complete,
     longest_path_labels,
     max_welfare_bound,
-    solve_efficient_dag,
-    solve_gef_dag,
-    solve_gef_id01_scc,
-    solve_sgef_id01,
-    solve_sgef_identical_manyvalues,
+    solve,
     utilitarian_welfare,
     verify_fairness,
 )
 from gefalloc.generators import gen_random
 from gefalloc.graphs import GraphKind
 from gefalloc.model import PreferenceKind, Status, strip_zero_resources
+from gefalloc.poly import (
+    solve_efficient_dag,
+    solve_gef_dag,
+    solve_gef_id01_scc,
+    solve_sgef_id01,
+    solve_sgef_identical_manyvalues,
+)
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
+COMPLETE = EfficiencyGoal.COMPLETE
 
 
 def make(utilities, arcs):
@@ -37,14 +42,14 @@ def make(utilities, arcs):
 class TestGefDag:
     def test_everything_to_lowest_source(self):
         inst = make([[1, 2], [3, 1], [1, 1]], [(1, 0), (1, 2)])
-        res = solve_gef_dag(inst)
+        res = solve_gef_dag(inst, classify_graph(inst))
         assert res.status is Status.FEASIBLE
         assert res.allocation.assignment == {0: 1, 1: 1}
         assert verify_fairness(inst, res.allocation, WEAK) is None
 
     def test_guard_on_cycle(self):
         with pytest.raises(GuardError):
-            solve_gef_dag(make([[1], [1]], [(0, 1), (1, 0)]))
+            solve(make([[1], [1]], [(0, 1), (1, 0)]), WEAK, COMPLETE, algorithm="dag")
 
     def test_always_feasible_on_random_dags(self):
         rng = random.Random(3)
@@ -53,7 +58,7 @@ class TestGefDag:
                 rng.randint(1, 4), rng.randint(0, 4),
                 PreferenceKind.GENERAL, GraphKind.ACYCLIC, 3, trial,
             )
-            res = solve_gef_dag(inst)
+            res = solve_gef_dag(inst, classify_graph(inst))
             assert res.status is Status.FEASIBLE
             assert is_complete(inst, res.allocation)
             assert verify_fairness(inst, res.allocation, WEAK) is None
@@ -73,24 +78,21 @@ class TestId01Scc:
 
     def test_guard_nonidentical(self):
         with pytest.raises(GuardError):
-            solve_gef_id01_scc(make([[1], [0]], [(0, 1), (1, 0)]))
-
-    def test_guard_unstripped(self):
-        inst = make([[1, 0], [1, 0]], [(0, 1), (1, 0)])
-        with pytest.raises(GuardError):
-            solve_gef_id01_scc(inst)
+            solve(
+                make([[1], [0]], [(0, 1), (1, 0)]), WEAK, COMPLETE, algorithm="scc-id01"
+            )
 
 
 class TestAlg1:
     def test_cycle_infeasible(self):
         inst = make([[1, 1], [1, 1]], [(0, 1), (1, 0)])
-        assert solve_sgef_id01(inst).status is Status.INFEASIBLE
+        assert solve_sgef_id01(inst, classify_graph(inst)).status is Status.INFEASIBLE
 
     def test_threshold_on_path(self):
         # chain of 3: labels 2,1,0 so the flip sits at m = 3
         for m in range(0, 6):
             inst = make([[1] * m] * 3 if m else [[], [], []], [(0, 1), (1, 2)])
-            res = solve_sgef_id01(inst)
+            res = solve_sgef_id01(inst, classify_graph(inst))
             assert (res.status is Status.FEASIBLE) == (m >= 3)
 
     def test_matches_brute_on_random_dags(self):
@@ -101,7 +103,7 @@ class TestAlg1:
                 PreferenceKind.IDENTICAL_ZERO_ONE, GraphKind.ACYCLIC, 1, trial,
             )
             stripped, _ = strip_zero_resources(inst)
-            got = solve_sgef_id01(stripped)
+            got = solve_sgef_id01(stripped, classify_graph(stripped))
             want = brute_force(stripped, STRICT, EfficiencyGoal.COMPLETE)
             assert got.status == want.status
             if got.allocation is not None:
@@ -112,18 +114,18 @@ class TestAlg1:
         inst = make([[1] * 4] * 4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         labels = longest_path_labels(inst)
         assert sum(labels) == 2 + 1 + 1 + 0
-        assert solve_sgef_id01(inst).status is Status.FEASIBLE
+        assert solve_sgef_id01(inst, classify_graph(inst)).status is Status.FEASIBLE
 
 
 class TestManyValues:
     def test_needs_more_values_than_agents(self):
         inst = make([[1, 1], [1, 1]], [(0, 1)])
         with pytest.raises(GuardError):
-            solve_sgef_identical_manyvalues(inst)
+            solve(inst, STRICT, COMPLETE, algorithm="manyvalues")
 
     def test_feasible_with_witness(self):
         inst = make([[3, 1, 2], [3, 1, 2]], [(0, 1)])
-        res = solve_sgef_identical_manyvalues(inst)
+        res = solve_sgef_identical_manyvalues(inst, classify_graph(inst))
         assert res.status is Status.FEASIBLE
         assert verify_fairness(inst, res.allocation, STRICT) is None
         assert is_complete(inst, res.allocation)
@@ -144,7 +146,7 @@ class TestManyValues:
             if len(set(row)) <= stripped.n:
                 continue
             done += 1
-            res = solve_sgef_identical_manyvalues(stripped)
+            res = solve_sgef_identical_manyvalues(stripped, classify_graph(stripped))
             assert res.status is Status.FEASIBLE
         assert done >= 10
 

@@ -10,6 +10,7 @@ from gefalloc import (
     Instance,
     brute_force,
     is_complete,
+    solve,
     verify_fairness,
 )
 from gefalloc.generators import gen_random
@@ -33,6 +34,9 @@ def make(utilities, arcs):
     return Instance(
         [f"a{i}" for i in range(n)], [f"r{i}" for i in range(m)], utilities, arcs
     )
+
+
+WEAK, COMPLETE = FairnessNotion.WEAK, EfficiencyGoal.COMPLETE
 
 
 def identical(row, n, arcs):
@@ -231,8 +235,8 @@ class TestStructureSolver:
                 rng.randint(1, 4), rng.randint(0, 4),
                 PreferenceKind.IDENTICAL, None, 3, 7000 + trial,
             )
-            got = solve_gef_identical_structures(inst)
-            want = brute_force(inst, FairnessNotion.WEAK, EfficiencyGoal.COMPLETE)
+            got = solve(inst, WEAK, COMPLETE, algorithm="struct-fpt")
+            want = brute_force(inst, WEAK, COMPLETE)
             assert got.status == want.status, inst.to_document()
             if got.allocation is not None:
                 assert verify_fairness(inst, got.allocation, FairnessNotion.WEAK) is None
@@ -246,10 +250,10 @@ class TestStructureSolver:
 
     def test_worthless_resources_are_parked(self):
         inst = identical([0, 0], 2, [(0, 1), (1, 0)])
-        res = solve_gef_identical_structures(inst)
+        res = solve(inst, WEAK, COMPLETE, algorithm="struct-fpt")
         assert res.status is Status.FEASIBLE
         assert is_complete(inst, res.allocation)
 
     def test_guard_on_nonidentical(self):
         with pytest.raises(GuardError):
-            solve_gef_identical_structures(make([[1], [2]], []))
+            solve(make([[1], [2]], []), WEAK, COMPLETE, algorithm="struct-fpt")

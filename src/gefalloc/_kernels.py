@@ -3,7 +3,7 @@
 Two interchangeable backends implement the same search contract:
 
 * a numba ``@njit`` mixed-radix counter with incremental bundle values,
-* a chunked, vectorized numpy fallback.
+* a numpy table backend (below).
 
 The numba path is used when available; set ``GEFALLOC_NO_NUMBA=1`` to force
 the numpy path.
@@ -23,6 +23,27 @@ mode 1  scan everything, keep the maximum-welfare fair assignment
 Returns ``(status, assignment, welfare, nodes)`` with status 0 = found,
 1 = exhausted without a fair assignment, 2 = node budget exceeded.  The
 assignment array holds the owning agent per resource, ``-1`` if unassigned.
+At status 2, ``nodes`` is the budget and mode 1 reports the best fair
+assignment among the assignments within it.
+
+Table backend
+-------------
+An arc's slack ``value(a,a) - value(a,b)``, the utility profile and the
+welfare are sums over resources, so the numpy backend splits the resources
+into a prefix (the slow digits) and a suffix of ``s`` resources, ``k**s`` at
+most ``SUFFIX_ROWS`` (8192) for ``k`` candidates (in the manner of
+Horowitz and Sahni).  It builds the suffix's slack and profile table once by
+broadcasting, then walks the prefixes in canonical order, updating the
+prefix's sums digit by digit, and tests all of a prefix's assignments at
+once: ``slack + prefix_slack >= delta`` on every arc.  A prefix that no
+suffix row can make fair (or, in mode 1, lift above the best welfare so
+far) is counted and skipped.  Memory is ``O((A + n) * (SUFFIX_ROWS + m))``
+for ``A`` arcs, and the work before the first node grows only with the
+input, never with the number of prefixes.
+
+The same tables serve the Pareto goal: ``pareto_frontier`` builds the
+undominated profiles, ``first_fair_on_frontier`` finds the Pareto brute-force
+witness and ``first_dominating`` decides Pareto efficiency.
 """
 
 from __future__ import annotations
@@ -117,67 +138,203 @@ def _search_njit(util, arc_a, arc_b, delta, cands, mode, limit):
     return 1, best, best_wel, nodes
 
 
-_CHUNK = 1 << 15
+# The table backend's suffix holds at most this many assignments.
+SUFFIX_ROWS = 1 << 13
+
+
+class _Split:
+    """The assignments of ``m`` resources to the ``k`` entries of ``cands``,
+    split into a prefix of ``m - s`` slow digits and a suffix of ``s`` fast
+    ones, the largest ``s`` with ``k**s <= SUFFIX_ROWS``.
+
+    Every quantity the scans test is a sum over resources of
+    ``V[r] * S[c]``, ``c`` the candidate index resource ``r`` takes: the
+    first ``A`` entries are the arc slacks ``value(a,a) - value(a,b)`` and
+    the last ``n`` the utility profile, whose sum is the welfare.  Column
+    ``j`` of ``table`` holds these sums over the suffix for its ``j``-th
+    assignment in canonical order (one row per quantity, so that a test of
+    one quantity reads contiguous memory).
+    """
+
+    def __init__(self, util, arc_a, arc_b, cands):
+        n, m = util.shape
+        k = len(cands)
+        self.m, self.k, self.arcs, self.cands = m, k, len(arc_a), cands
+        s = 0
+        while s < m and k ** (s + 1) <= SUFFIX_ROWS:
+            s += 1
+        self.prefix = m - s
+        self.total = k**m
+        self.V = np.hstack([util[arc_a].T, util.T])
+        self.S = np.hstack([
+            (cands[:, None] == arc_a).astype(np.int64) - (cands[:, None] == arc_b),
+            (cands[:, None] == np.arange(n)).astype(np.int64),
+        ])
+        width = self.V.shape[1]
+        table = np.zeros((width, 1), dtype=np.int64)
+        for r in range(self.prefix, m):
+            gain = (self.V[r] * self.S).T
+            table = (table[:, :, None] + gain[:, None, :]).reshape(width, table.shape[1] * k)
+        self.table = np.ascontiguousarray(table)
+        # step[d]: change of S when a digit moves from d to the next candidate
+        self.step = np.roll(self.S, -1, axis=0) - self.S
+
+    def prefixes(self, limit):
+        """Yield ``(start, rows, digits, vec)`` per prefix in canonical order
+        while ``start``, the index of its first assignment, is below
+        ``limit``: ``rows`` of its suffix assignments lie within ``limit``,
+        and ``vec`` sums ``V[r] * S[c]`` over the prefix.  ``digits`` and
+        ``vec`` are updated in place for the next prefix."""
+        p, k = self.prefix, self.k
+        digits = [0] * p
+        vec = self.V[:p].sum(axis=0) * (self.S[0] if k else 0)
+        size = self.table.shape[1]
+        start = 0
+        while start < limit:
+            yield start, min(size, limit - start), digits, vec
+            start += size
+            i = p - 1
+            while i >= 0:
+                d = digits[i]
+                digits[i] = d + 1 if d + 1 < k else 0
+                vec += self.V[i] * self.step[d]
+                if digits[i]:
+                    break
+                i -= 1
+            if i < 0:
+                return
+
+    def assignment(self, digits, col):
+        """Owner per resource of suffix assignment ``col`` under prefix
+        ``digits``."""
+        tail = []
+        for _ in range(self.m - self.prefix):
+            col, d = divmod(col, self.k)
+            tail.append(d)
+        return self.cands[np.array(digits + tail[::-1], dtype=np.int64)]
 
 
 def _search_numpy(util, arc_a, arc_b, delta, cands, mode, limit):
-    n, m = util.shape
-    k = len(cands)
-    padded = np.vstack([util, np.zeros((1, m), dtype=np.int64)])
-    cmap = np.where(cands < 0, n, cands)
-    powers = np.array([k ** (m - 1 - r) for r in range(m)], dtype=object)
-    total = k**m if m > 0 else 1
-    cols = np.arange(m)
-    nodes = 0
-    best = np.full(m, -1, dtype=np.int64)
+    split = _Split(util, arc_a, arc_b, cands)
+    A = split.arcs
+    slack, wel = split.table[:A], split.table[A:].sum(axis=0)
+    reach, top = slack.max(axis=1), int(wel.max())
+    best = np.full(split.m, -1, dtype=np.int64)
     best_wel = -1
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        truncated = False
-        if nodes + (stop - start) > limit:
-            stop = start + (limit - nodes)
-            truncated = True
-        if stop > start:
-            idx = np.arange(start, stop, dtype=np.int64)
-            if m > 0:
-                digits = ((idx[:, None].astype(object) // powers[None, :]) % k)
-                owners = cmap[digits.astype(np.int64)]
-            else:
-                owners = np.zeros((len(idx), 0), dtype=np.int64)
-            cache = {}
+    for start, rows, digits, vec in split.prefixes(limit):
+        need = delta - vec[:A]
+        base = int(vec[A:].sum())
+        # skip a prefix no suffix can make fair, or, when maximising, lift
+        # above the best welfare so far
+        if (reach < need).any() or (mode == 1 and base + top <= best_wel):
+            continue
+        fair = (slack[:, :rows] >= need[:, None]).all(axis=0)
+        if mode == 0:
+            j = int(fair.argmax())
+            if fair[j]:
+                return 0, split.assignment(digits, j), base + int(wel[j]), start + j + 1
+        elif fair.any():
+            j = int(np.where(fair, wel[:rows], -1).argmax())
+            if base + int(wel[j]) > best_wel:
+                best_wel = base + int(wel[j])
+                best = split.assignment(digits, j)
+    if split.total > limit:
+        return 2, best, best_wel, max(limit, 0)
+    return (0 if best_wel >= 0 else 1), best, best_wel, split.total
 
-            def owner_value(valuer, owner):
-                key = (valuer, owner)
-                if key not in cache:
-                    cache[key] = (owners == owner).astype(np.int64) @ util[valuer]
-                return cache[key]
 
-            fair = np.ones(len(idx), dtype=bool)
-            for a, b in zip(arc_a, arc_b):
-                fair &= owner_value(int(a), int(a)) >= owner_value(int(a), int(b)) + delta
-            nodes += stop - start
-            if mode == 0:
-                hits = np.flatnonzero(fair)
-                if hits.size:
-                    row = owners[hits[0]]
-                    assignment = np.where(row == n, -1, row)
-                    wel = int(padded[row, cols].sum()) if m else 0
-                    return 0, assignment, wel, nodes - (len(idx) - int(hits[0]) - 1)
-            else:
-                if fair.any():
-                    wels = padded[owners, cols[None, :]].sum(axis=1) if m else \
-                        np.zeros(len(idx), dtype=np.int64)
-                    wels = np.where(fair, wels, -1)
-                    top = int(wels.max())
-                    if top > best_wel:
-                        best_wel = top
-                        row = owners[int(np.argmax(wels))]
-                        best = np.where(row == n, -1, row)
-        if truncated:
-            return 2, best, best_wel, nodes
-    if mode == 1 and best_wel >= 0:
-        return 0, best, best_wel, nodes
-    return 1, best, best_wel, nodes
+# Pareto pruning compares at most this many (candidate, rival) pairs at once.
+PRUNE_PAIRS = 1 << 22
+
+
+def _row_keys(rows):
+    """One scalar per row, equal exactly when the rows are equal."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if rows.shape[1] == 0:
+        return np.zeros(len(rows), dtype=np.int8)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
+def _maximal(points):
+    """The distinct rows of ``points`` that no other row dominates."""
+    _, first = np.unique(_row_keys(points), return_index=True)
+    cols = np.ascontiguousarray(points[np.sort(first)].T)
+    n, size = cols.shape
+    keep = np.ones(size, dtype=bool)
+    block = max(1, PRUNE_PAIRS // size)
+    for lo in range(0, size, block):
+        part = cols[:, lo:lo + block]
+        # rivals at least as good as each point of the block, itself included
+        covers = np.ones((part.shape[1], size), dtype=bool)
+        for i in range(n):
+            covers &= cols[i] >= part[i][:, None]
+        keep[lo:lo + block] = covers.sum(axis=1) == 1
+    return cols[:, keep].T
+
+
+def pareto_frontier(utilities):
+    """Utility profiles of partial allocations that no other partial
+    allocation dominates, one row each (Nemhauser-Ullmann): resources are
+    added one at a time and dominated partial profiles dropped, which is
+    exact because an extension of a dominated profile is dominated by the
+    same extension of its dominator.  Leaving a resource that someone
+    values unassigned is dominated by giving it to that agent."""
+    util = np.asarray(utilities, dtype=np.int64)
+    n = util.shape[0]
+    front = np.zeros((1, n), dtype=np.int64)
+    for col in util.T:
+        gains = np.diag(col)[col > 0]
+        if len(gains):
+            front = _maximal((front[:, None, :] + gains).reshape(-1, n))
+    return front
+
+
+def _partial_split(utilities, arcs):
+    """``_Split`` of the partial allocations: the candidates are every agent,
+    then unassigned."""
+    util, arc_a, arc_b, _, cands, _, _ = _backend_args(
+        utilities, arcs, 0, np.append(np.arange(len(utilities)), -1), 0, 0)
+    return _Split(util, arc_a, arc_b, cands)
+
+
+def first_fair_on_frontier(utilities, arcs, delta, frontier):
+    """First fair partial allocation in canonical order (agents before
+    unassigned) whose utility profile is a row of ``frontier``, as an owner
+    per resource, or ``None``."""
+    split = _partial_split(utilities, arcs)
+    A = split.arcs
+    slack, profile = split.table[:A], split.table[A:]
+    reach = slack.max(axis=1)
+    keys = _row_keys(frontier)
+    for _, _, digits, vec in split.prefixes(split.total):
+        need = delta - vec[:A]
+        if (reach < need).any():
+            continue
+        fair = np.flatnonzero((slack >= need[:, None]).all(axis=0))
+        on = np.isin(_row_keys(profile[:, fair].T + vec[A:]), keys)
+        if on.any():
+            return split.assignment(digits, int(fair[on.argmax()]))
+    return None
+
+
+def first_dominating(utilities, profile, limit):
+    """1-based position in canonical order (agents before unassigned) of the
+    first partial allocation whose utility profile dominates ``profile``,
+    looking at the first ``limit`` allocations only; ``None`` if there is
+    none among them."""
+    split = _partial_split(utilities, ())
+    table = split.table
+    reach = table.max(axis=1)
+    profile = np.asarray(profile, dtype=np.int64)
+    for start, rows, _, vec in split.prefixes(limit):
+        if (vec + reach < profile).any():
+            continue
+        margin = table[:, :rows] + (vec - profile)[:, None]
+        hit = (margin >= 0).all(axis=0) & (margin > 0).any(axis=0)
+        j = int(hit.argmax())
+        if hit[j]:
+            return start + j + 1
+    return None
 
 
 def _backend_args(utilities, arcs, delta, candidates, mode, limit):

@@ -116,9 +116,11 @@ def _non_maximisers(inst: Instance) -> list[tuple[int, int]]:
     return forbidden
 
 
-def _ilp(a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal) -> SolveResult:
+def _ilp(
+    a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal, budget: int
+) -> SolveResult:
     forbidden = () if goal is COMPLETE else _non_maximisers(a.stripped)
-    return a.lift(solve_ilp(a.stripped, notion, forbidden))
+    return a.lift(solve_ilp(a.stripped, notion, forbidden, budget))
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ ROUTES = (
           a.lift(solve_gef_identical_structures(a.stripped))),
     Route("ilp",
           lambda a, notion, goal: _serves(a, goal) or (a.prefs.zero_one and a.inst.n > 0),
-          lambda a, notion, goal, budget: _ilp(a, notion, goal)),
+          _ilp),
     Route("alg2",
           lambda a, notion, goal: notion is WEAK and goal is EfficiencyGoal.PARETO
           and a.acyclic,

@@ -3,6 +3,7 @@ solve entry point for these goals (routing lives in ``dispatch``)."""
 
 from __future__ import annotations
 
+from . import _kernels
 from .dispatch import solve
 from .errors import BudgetExceededError
 from .exact import DEFAULT_BUDGET
@@ -12,7 +13,6 @@ from .model import (
     FairnessNotion,
     Instance,
     SolveResult,
-    enumerate_partial_allocations,
     utility_profile,
 )
 
@@ -25,16 +25,14 @@ def max_welfare_bound(inst: Instance) -> int:
 
 
 def is_pareto_efficient(inst: Instance, alloc: Allocation, budget: int = DEFAULT_BUDGET) -> bool:
-    """Exhaustive domination check against every partial allocation."""
-    base = utility_profile(inst, alloc)
-    nodes = 0
-    for other in enumerate_partial_allocations(inst):
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(nodes)
-        p = utility_profile(inst, other)
-        if all(x >= y for x, y in zip(p, base)) and any(x > y for x, y in zip(p, base)):
-            return False
+    """Whether no partial allocation dominates ``alloc``.  Partial
+    allocations are tried in canonical order; ``BudgetExceededError`` when
+    none of the first ``budget`` dominates and more remain."""
+    hit = _kernels.first_dominating(inst.utilities, utility_profile(inst, alloc), budget)
+    if hit is not None:
+        return False
+    if (inst.n + 1) ** inst.m > budget:
+        raise BudgetExceededError(max(budget, 0) + 1)
     return True
 
 

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from .errors import BudgetExceededError
 from .graphs import GraphClass, reachable_from, scc_condensation
 from .model import (
     Allocation,
@@ -30,8 +31,6 @@ from .model import (
     FairnessNotion,
     Instance,
     SolveResult,
-    enumerate_partial_allocations,
-    utility_profile,
     verify_fairness,
 )
 
@@ -79,7 +78,8 @@ def brute_force(
     varies slowest, agents in index order).  MaxWelfare: fair partial
     assignment of maximum welfare, lexicographically first among ties, with
     "unassigned" ordered after the last agent.  Pareto: first fair partial
-    assignment not dominated by any assignment at all.
+    assignment not dominated by any assignment at all; its node count is
+    (n+1)^m, the number of partial assignments.
     """
     n = inst.n
     if goal is EfficiencyGoal.COMPLETE:
@@ -92,26 +92,18 @@ def brute_force(
         )
         return _result_from_kernel(inst, status, assignment, nodes)
 
-    # Pareto: collect every profile, then pick the first undominated fair one.
-    profiles: list[tuple[int, ...]] = []
-    fair_allocs: list[Allocation] = []
-    nodes = 0
-    for alloc in enumerate_partial_allocations(inst):
-        nodes += 1
-        if nodes > budget:
-            return SolveResult.budget(nodes - 1)
-        profiles.append(utility_profile(inst, alloc))
-        if verify_fairness(inst, alloc, notion) is None:
-            fair_allocs.append(alloc)
-    for alloc in fair_allocs:
-        base = utility_profile(inst, alloc)
-        beaten = any(
-            all(x >= y for x, y in zip(p, base)) and any(x > y for x, y in zip(p, base))
-            for p in profiles
-        )
-        if not beaten:
-            return SolveResult.feasible(inst, alloc, nodes)
-    return SolveResult.infeasible(nodes)
+    # Pareto: every one of the (n+1)^m partial assignments counts as a node;
+    # the witness is the first fair one whose profile is on the frontier
+    nodes = (n + 1) ** inst.m
+    if nodes > budget:
+        return SolveResult.budget(max(budget, 0))
+    frontier = _kernels.pareto_frontier(inst.utilities)
+    assignment = _kernels.first_fair_on_frontier(
+        inst.utilities, inst.arcs, _delta(notion), frontier
+    )
+    if assignment is None:
+        return SolveResult.infeasible(nodes)
+    return _result_from_kernel(inst, 0, assignment, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +168,15 @@ def build_type_ilp(
     )
 
 
-def solve_type_ilp(inst: Instance, model: IlpModel) -> SolveResult:
+def solve_type_ilp(
+    inst: Instance, model: IlpModel, budget: int = DEFAULT_BUDGET
+) -> SolveResult:
     """Depth-first search over type counts.
 
     Variable order: types by decreasing multiplicity (stable on the original
     type order), agents in index order inside a type; counts tried from 0
-    upward, so the first solution is canonical.  Complete search, no budget.
+    upward, so the first solution is canonical.  Complete search of at most
+    ``budget`` nodes.
     """
     n = model.n
     table = model.table
@@ -227,6 +222,8 @@ def solve_type_ilp(inst: Instance, model: IlpModel) -> SolveResult:
     def dfs(vi: int) -> bool:
         nonlocal nodes
         nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(nodes)
         if vi == len(variables):
             for a, b in arcs:
                 if values[a][a] < values[a][b] + model.delta:
@@ -247,7 +244,11 @@ def solve_type_ilp(inst: Instance, model: IlpModel) -> SolveResult:
             place(i, t, -c)
         return False
 
-    if dfs(0):
+    try:
+        found = dfs(0)
+    except BudgetExceededError:
+        return SolveResult.budget(nodes - 1)
+    if found:
         # deal concrete resources in (type, agent-index) order
         assignment = {}
         for t in range(ntypes):
@@ -266,8 +267,9 @@ def solve_ilp(
     inst: Instance,
     notion: FairnessNotion,
     forbidden: Sequence[tuple[int, int]] = (),
+    budget: int = DEFAULT_BUDGET,
 ) -> SolveResult:
-    return solve_type_ilp(inst, build_type_ilp(inst, notion, forbidden))
+    return solve_type_ilp(inst, build_type_ilp(inst, notion, forbidden), budget)
 
 
 # ---------------------------------------------------------------------------

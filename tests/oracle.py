@@ -99,3 +99,24 @@ def instance_args(inst):
     """Pull plain-python utilities and arcs out of an Instance."""
     util = [[int(v) for v in row] for row in inst.utilities]
     return util, inst.arc_pairs()
+
+
+def dominated(utilities, assignment, m):
+    """Whether some partial assignment of the m resources gives everyone at
+    least as much as ``assignment`` and someone more."""
+    n = len(utilities)
+    p = profile(utilities, assignment)
+    for other in all_partial_assignments(n, m):
+        q = profile(utilities, other)
+        if all(x >= y for x, y in zip(q, p)) and any(x > y for x, y in zip(q, p)):
+            return True
+    return False
+
+
+def first_fair_pareto(utilities, arcs, strict, m):
+    """First fair, undominated partial assignment in canonical order (resource
+    0 slowest, agents before unassigned), or None."""
+    for asg in all_partial_assignments(len(utilities), m):
+        if fair(utilities, arcs, asg, strict) and not dominated(utilities, asg, m):
+            return asg
+    return None

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import gefalloc
 from gefalloc import Instance, parse_validate
 from gefalloc.cli import main
 
@@ -79,6 +80,18 @@ class TestSolve:
         assert main(argv[:1] + ["--budget", "5"] + argv[1:]) == 3
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "budget" and doc["nodes"] == 5
+
+    def test_forced_ilp_honours_budget(self, tmp_path, capsys):
+        path = write_instance(
+            tmp_path, "i.json",
+            [[1, 2, 3, 4, 5, 6, 7, 8], [8, 7, 6, 5, 4, 3, 2, 1],
+             [2, 3, 5, 7, 11, 13, 17, 19], [4, 1, 3, 1, 5, 9, 2, 6]],
+            [(0, 1), (1, 2), (2, 3), (3, 0)],
+        )
+        argv = ["solve", "--notion", "strict", "--algo", "ilp", path]
+        assert main(argv[:1] + ["--budget", "10"] + argv[1:]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "budget" and doc["nodes"] == 10
 
     def test_guard_violation_is_malformed(self, tmp_path, capsys):
         # the dag row does not serve a cyclic graph
@@ -237,13 +250,21 @@ class TestGenerate:
         assert main(["generate", "--variant", "bogus"]) == 2
 
 
+def child_env(**extra):
+    """Environment of a child interpreter that imports the package this test
+    imported, installed or not."""
+    src = os.path.dirname(os.path.dirname(gefalloc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_numba_env_flag_subprocess(tmp_path):
     code = (
         "from gefalloc import _kernels; print(_kernels.backend())"
     )
-    env = dict(os.environ, GEFALLOC_NO_NUMBA="1")
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code], env=child_env(GEFALLOC_NO_NUMBA="1"),
+        capture_output=True, text=True,
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "numpy"
@@ -252,6 +273,7 @@ def test_numba_env_flag_subprocess(tmp_path):
 def test_console_entry_point(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "gefalloc.cli", "--help"],
+        env=child_env(),
         capture_output=True,
         text=True,
     )

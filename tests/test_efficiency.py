@@ -4,6 +4,7 @@ import pytest
 
 from gefalloc import (
     Allocation,
+    BudgetExceededError,
     EfficiencyGoal,
     FairnessNotion,
     Instance,
@@ -16,6 +17,7 @@ from gefalloc import (
     verify_fairness,
 )
 from gefalloc.generators import gen_random
+from gefalloc.graphs import GraphKind
 from gefalloc.model import PreferenceKind, Status
 
 import oracle
@@ -67,6 +69,59 @@ class TestParetoCheck:
                 for other in oracle.all_partial_assignments(n, m)
             )
             assert is_pareto_efficient(inst, Allocation(asg)) == (not dominated)
+
+
+def small_instances():
+    """0x0, 0x2 and 2x0, then seeded random instances with n 1-3, m 0-4
+    over every preference kind and graph shape."""
+    yield from (make([], []), Instance([], ["r0", "r1"], [], []), make([[], []], [(0, 1)]))
+    rng = random.Random(71)
+    kinds = list(PreferenceKind)
+    shapes = [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
+    for i in range(60):
+        yield gen_random(rng.randint(1, 3), rng.randint(0, 4), kinds[i % 4],
+                         shapes[i % 3], 3, 7100 + i)
+
+
+class TestParetoAgainstOracle:
+    def test_brute_force_witness_and_nodes(self):
+        for inst in small_instances():
+            util, arcs = oracle.instance_args(inst)
+            for notion in (WEAK, STRICT):
+                res = brute_force(inst, notion, PARETO)
+                want = oracle.first_fair_pareto(util, arcs, notion is STRICT, inst.m)
+                assert res.nodes == (inst.n + 1) ** inst.m
+                if want is None:
+                    assert res.status is Status.INFEASIBLE, inst.to_document()
+                else:
+                    assert res.status is Status.FEASIBLE, inst.to_document()
+                    assert res.allocation == Allocation(want)
+
+    def test_efficiency_check_on_every_allocation(self):
+        for inst in small_instances():
+            util, _ = oracle.instance_args(inst)
+            for asg in oracle.all_partial_assignments(inst.n, inst.m):
+                want = not oracle.dominated(util, asg, inst.m)
+                assert is_pareto_efficient(inst, Allocation(asg)) == want
+
+    def test_efficiency_check_budget_boundary(self):
+        inst = make([[0], [1]], [])
+        # partial allocations in order: r0->a0, r0->a1, unassigned; the
+        # second is the first to dominate r0->a0
+        assert not is_pareto_efficient(inst, Allocation({0: 0}), budget=2)
+        with pytest.raises(BudgetExceededError) as err:
+            is_pareto_efficient(inst, Allocation({0: 0}), budget=1)
+        assert err.value.nodes == 2
+        # nothing dominates r0->a1: deciding that takes all three
+        assert is_pareto_efficient(inst, Allocation({0: 1}), budget=3)
+        with pytest.raises(BudgetExceededError):
+            is_pareto_efficient(inst, Allocation({0: 1}), budget=2)
+
+    def test_brute_force_budget_boundary(self):
+        inst = make([[1, 2], [2, 1]], [(0, 1)])
+        assert brute_force(inst, WEAK, PARETO, budget=9).status is Status.FEASIBLE
+        res = brute_force(inst, WEAK, PARETO, budget=8)
+        assert res.status is Status.BUDGET and res.nodes == 8
 
 
 class TestSolveEfficient:

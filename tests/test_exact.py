@@ -126,6 +126,19 @@ class TestIlp:
                     assert verify_fairness(inst, got.allocation, notion) is None
                     assert is_complete(inst, got.allocation)
 
+    def test_honours_budget(self):
+        # strict 4-cycle, general preferences: the full search needs 149 nodes
+        inst = make(
+            [[1, 2, 3, 4, 5, 6, 7, 8], [8, 7, 6, 5, 4, 3, 2, 1],
+             [2, 3, 5, 7, 11, 13, 17, 19], [4, 1, 3, 1, 5, 9, 2, 6]],
+            [(0, 1), (1, 2), (2, 3), (3, 0)],
+        )
+        full = solve_ilp(inst, STRICT)
+        assert full.status is Status.FEASIBLE and full.nodes == 149
+        assert solve_ilp(inst, STRICT, budget=149) == full
+        cut = solve(inst, STRICT, EfficiencyGoal.COMPLETE, algorithm="ilp", budget=10)
+        assert cut.status is Status.BUDGET and cut.nodes == 10
+
     def test_forbidden_pairs_respected(self):
         inst = make([[2, 2], [1, 1]], [])
         model = build_type_ilp(inst, WEAK, forbidden=[(0, 0)])

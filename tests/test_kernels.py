@@ -1,6 +1,9 @@
 import random
+import time
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from gefalloc import _kernels
 from gefalloc.model import PreferenceKind
@@ -113,3 +116,59 @@ class TestAgainstExhaustiveEnumeration:
             else:
                 assert status == 0
                 assert {r: int(a) for r, a in enumerate(assignment)} == found
+
+
+# The counter backend runs as plain Python without numba, so property checks
+# keep each of its scans to at most this many nodes.
+COUNTER_NODES = 1500
+
+
+@pytest.mark.parametrize("rows", [1, 4, 36, _kernels.SUFFIX_ROWS])
+def test_table_backend_matches_counter(monkeypatch, rows):
+    """Table backend against the mixed-radix counter over n 0-5, m 0-7,
+    candidate subsets with and without -1, no arcs, both deltas and modes,
+    and limits from 0 to total+2 that cut inside a prefix, at its boundary
+    and nowhere.  Small suffix sizes make every scan span many prefixes."""
+    monkeypatch.setattr(_kernels, "SUFFIX_ROWS", rows)
+    rng = random.Random(rows)
+    for trial in range(120):
+        n, m = rng.randint(0, 5), rng.randint(0, 7)
+        pool = list(range(n)) + ([-1] if trial % 2 else [])
+        cands = rng.sample(pool, rng.randint(1 if m else 0, len(pool))) if pool else []
+        if m and not cands:
+            continue
+        util = np.array([[rng.randint(0, 3) for _ in range(m)] for _ in range(n)],
+                        dtype=np.int64).reshape(n, m)
+        arcs = [] if trial % 5 == 0 else [
+            (a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.4
+        ]
+        total = len(cands) ** m
+        none = np.zeros(0, dtype=np.int64)
+        split = _kernels._Split(util, none, none, np.array(cands, dtype=np.int64))
+        size = split.table.shape[1]
+        limits = {0, size - 1, size, size + 1, rng.randint(0, total + 2), total, total + 2}
+        for limit in sorted(x for x in limits if 0 <= x <= COUNTER_NODES):
+            args = _kernels._backend_args(
+                util, arcs, rng.randint(0, 1), cands, rng.randint(0, 1), limit)
+            want = _kernels._search_njit(*args)
+            got = _kernels._search_numpy(*args)
+            assert (int(got[0]), int(got[2]), int(got[3])) == \
+                (int(want[0]), int(want[2]), int(want[3])), (util, arcs, cands, args)
+            assert np.array_equal(got[1], np.asarray(want[1], dtype=np.int64))
+
+
+def test_table_backend_bounded_before_first_node():
+    """With 6^40 assignments the table backend reaches its budget of five
+    nodes within a second and 64 MB: it never tabulates the prefixes."""
+    util = np.ones((6, 40), dtype=np.int64)
+    arcs = [(a, (a + 1) % 6) for a in range(6)]
+    args = _kernels._backend_args(util, arcs, 1, range(6), 0, 5)
+    tracemalloc.start()
+    start = time.perf_counter()
+    status, _, _, nodes = _kernels._search_numpy(*args)
+    elapsed = time.perf_counter() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert (status, nodes) == (2, 5)
+    assert elapsed < 1.0
+    assert peak < 64 * 2**20

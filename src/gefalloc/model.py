@@ -224,10 +224,9 @@ def parse_validate(doc: dict) -> Instance:
         raise ValidationError("utilities must be a list of rows")
     if len(util) != len(agents) or any(len(row) != len(resources) for row in util):
         raise ValidationError("utility matrix shape does not match agents x resources")
-    for row in util:
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError("utilities must be integers")
+    types = set(map(type, itertools.chain.from_iterable(util)))
+    if any(not issubclass(t, int) or issubclass(t, bool) for t in types):
+        raise ValidationError("utilities must be integers")
     index = {a: i for i, a in enumerate(agents)}
     arcs = []
     if not isinstance(doc["arcs"], list):
@@ -360,11 +359,3 @@ def classify_preferences(inst: Instance) -> PreferenceClass:
     else:
         kind = PreferenceKind.GENERAL
     return PreferenceClass(kind, u_diff)
-
-
-def enumerate_partial_allocations(inst: Instance):
-    """All (n+1)^m partial allocations in the package's canonical order:
-    resource 0 varies slowest, agents before 'unassigned'."""
-    n, m = inst.n, inst.m
-    for digits in itertools.product(range(n + 1), repeat=m):
-        yield Allocation({r: a for r, a in enumerate(digits) if a < n})

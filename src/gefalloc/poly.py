@@ -115,30 +115,34 @@ def solve_efficient_dag(inst: Instance) -> SolveResult:
     fringe agent could block a dominating allocation.  The outcome is
     weakly fair and Pareto-efficient; under 0/1 preferences its welfare
     meets the column-maximum bound.
+
+    The fringe changes only when an agent's count of remaining valued
+    resources reaches zero, so each of at most n such phases is one forward
+    sweep over the resources: O(n*m) per phase, O(n^2*m) in all.
     """
     n, m = inst.n, inst.m
-    remaining = list(range(m))
+    util = inst.utilities.tolist()
+    valuers = [[a for a, v in enumerate(col) if v] for col in zip(*util)]
+    left = [m - row.count(0) for row in util]  # remaining valued resources
     assignment: dict[int, int] = {}
     arcs = inst.arc_pairs()
-    while remaining:
-        active = [
-            a
-            for a in range(n)
-            if any(int(inst.utilities[a, r]) > 0 for r in remaining)
-        ]
-        if not active:
-            break
-        active_set = set(active)
-        watched = {b for a, b in arcs if a in active_set and b in active_set}
-        fringe = [a for a in active if a not in watched]
-        # a DAG's nonempty active set has a fringe agent, and every active
-        # agent values some remaining resource, so a pick always exists
-        r = next(
-            r
-            for r in remaining
-            if any(int(inst.utilities[a, r]) > 0 for a in fringe)
-        )
-        remaining.remove(r)
-        best = max(fringe, key=lambda a: (int(inst.utilities[a, r]), -a))
-        assignment[r] = best
+    while any(left):
+        watched = {b for a, b in arcs if left[a] and left[b]}
+        fringe = [bool(left[a]) and a not in watched for a in range(n)]
+        # on a DAG the survivors have a fringe agent, and the sweep hands
+        # out its valued resources, so every sweep ends with a retirement
+        for r in range(m):
+            if r in assignment:
+                continue
+            bidders = [a for a in valuers[r] if fringe[a]]
+            if not bidders:
+                continue
+            # bidders ascend, so max keeps the lowest index among ties
+            assignment[r] = max(bidders, key=lambda a: util[a][r])
+            for a in valuers[r]:
+                left[a] -= 1
+            if not all(left[a] for a in valuers[r]):
+                break
+        else:
+            break  # no fringe agent: the graph has a cycle among survivors
     return SolveResult.feasible(inst, Allocation(assignment))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import GuardError, require
-from .exact import prune_large_sccs, solve_identical_enum
+from .exact import DEFAULT_BUDGET, prune_large_sccs, solve_identical_enum
 from .graphs import scc_condensation
 from .model import (
     Allocation,
@@ -354,7 +354,9 @@ def undirected_subiso(
 # the solver built on structures
 
 
-def solve_gef_identical_structures(inst: Instance) -> SolveResult:
+def solve_gef_identical_structures(
+    inst: Instance, budget: int = DEFAULT_BUDGET
+) -> SolveResult:
     """Weak notion, complete goal, identical positive preferences, at least
     one agent, any graph.
 
@@ -362,7 +364,8 @@ def solve_gef_identical_structures(inst: Instance) -> SolveResult:
     onto the canonical enumeration order), embeds each sane structure into
     the condensation by colored subgraph isomorphism, and reconstructs the
     allocation from the pack splits.  Components left out of the embedding
-    hold nothing.
+    hold nothing.  Each pattern handed to the embedding is one node; past
+    ``budget`` nodes the search stops with a budget result.
     """
     if inst.m == 0:
         return SolveResult.feasible(inst, Allocation({}))
@@ -384,6 +387,7 @@ def solve_gef_identical_structures(inst: Instance) -> SolveResult:
     row = work.utilities[0]
     size_options = sorted(set(comp_sizes))
     split_cache: dict[tuple[tuple[int, ...], int], Optional[list[list[int]]]] = {}
+    nodes = 0
 
     def split(pack: tuple[int, ...], rho: int):
         key = (pack, rho)
@@ -425,6 +429,9 @@ def solve_gef_identical_structures(inst: Instance) -> SolveResult:
                     tuple(sorted(arcs)),
                     tuple(w * color_base + d for w, d in zip(weights, indeg)),
                 )
+                nodes += 1
+                if nodes > budget:
+                    return SolveResult.budget(nodes - 1)
                 phi = directed_colored_subiso(pattern, host)
                 if phi is None:
                     continue
@@ -439,5 +446,5 @@ def solve_gef_identical_structures(inst: Instance) -> SolveResult:
                     {r: pruned.kept[a] for r, a in assignment.items()}
                 )
                 assert verify_fairness(inst, alloc, FairnessNotion.WEAK) is None
-                return SolveResult.feasible(inst, alloc)
-    return SolveResult.infeasible()
+                return SolveResult.feasible(inst, alloc, nodes)
+    return SolveResult.infeasible(nodes)

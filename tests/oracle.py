@@ -2,10 +2,12 @@
 
 Everything here is written against the problem statement directly, with
 plain double loops and itertools enumeration, deliberately sharing no
-code with the package internals.
+code with the package internals; only ``Allocation`` wraps an answer.
 """
 
 import itertools
+
+from gefalloc import Allocation
 
 
 def bundles_of(n, assignment):
@@ -39,6 +41,14 @@ def all_complete_assignments(n, m):
 def all_partial_assignments(n, m):
     for owners in itertools.product(range(n + 1), repeat=m):
         yield {r: a for r, a in enumerate(owners) if a < n}
+
+
+def enumerate_partial_allocations(inst):
+    """All (n+1)^m partial allocations of ``inst`` as Allocations, in the
+    package's canonical order: resource 0 varies slowest, agents before
+    'unassigned'."""
+    for asg in all_partial_assignments(inst.n, inst.m):
+        yield Allocation(asg)
 
 
 def exists_fair_complete(utilities, arcs, strict):
@@ -120,3 +130,26 @@ def first_fair_pareto(utilities, arcs, strict, m):
         if fair(utilities, arcs, asg, strict) and not dominated(utilities, asg, m):
             return asg
     return None
+
+
+def efficient_dag_greedy(utilities, arcs, m):
+    """The Pareto-efficient greedy for the weak notion on an acyclic graph,
+    rescanning every remaining resource on each pick: while some agent
+    values a remaining resource, the agents that do and that no other such
+    agent watches (the fringe) take the first remaining resource one of them
+    values, and the fringe agent valuing it most (lowest index on ties)
+    gets it.  Returns the assignment."""
+    n = len(utilities)
+    remaining = list(range(m))
+    assignment = {}
+    while remaining:
+        active = [a for a in range(n) if any(utilities[a][r] > 0 for r in remaining)]
+        if not active:
+            break
+        active_set = set(active)
+        watched = {b for a, b in arcs if a in active_set and b in active_set}
+        fringe = [a for a in active if a not in watched]
+        r = next(r for r in remaining if any(utilities[a][r] > 0 for a in fringe))
+        remaining.remove(r)
+        assignment[r] = max(fringe, key=lambda a: (utilities[a][r], -a))
+    return assignment

@@ -43,7 +43,6 @@ from gefalloc.generators import (
 from gefalloc.model import (
     PreferenceKind,
     Status,
-    enumerate_partial_allocations,
     utility_profile,
 )
 from gefalloc.structures import (
@@ -52,6 +51,8 @@ from gefalloc.structures import (
     gadget_reduce,
     undirected_subiso,
 )
+
+import oracle
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
 COMPLETE = EfficiencyGoal.COMPLETE
@@ -235,7 +236,7 @@ def test_ac07_identical_efficiency_equivalences():
         bound = max_welfare_bound(inst)
         fair = [
             alloc
-            for alloc in enumerate_partial_allocations(inst)
+            for alloc in oracle.enumerate_partial_allocations(inst)
             if verify_fairness(inst, alloc, WEAK) is None
         ]
         complete_set = {

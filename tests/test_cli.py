@@ -93,6 +93,17 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "budget" and doc["nodes"] == 10
 
+    def test_forced_struct_fpt_honours_budget(self, tmp_path, capsys):
+        path = write_instance(
+            tmp_path, "i.json", [[1, 1, 1]] * 3, [(0, 1), (1, 0), (1, 2)]
+        )
+        argv = ["solve", "--algo", "struct-fpt", path]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["nodes"] == 6
+        assert main(argv[:1] + ["--budget", "1"] + argv[1:]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "budget" and doc["nodes"] == 1
+
     def test_guard_violation_is_malformed(self, tmp_path, capsys):
         # the dag row does not serve a cyclic graph
         path = write_instance(tmp_path, "i.json", [[1], [1]], [(0, 1), (1, 0)])

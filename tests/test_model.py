@@ -1,3 +1,5 @@
+import enum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from gefalloc import (
     utility_profile,
     verify_fairness,
 )
-from gefalloc.model import allocation_document, enumerate_partial_allocations
+from gefalloc.model import allocation_document
 
 import oracle
 
@@ -89,6 +91,35 @@ class TestValidation:
             "arcs": [],
         }
         with pytest.raises(ValidationError):
+            parse_validate(doc)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", None, [1], []])
+    @pytest.mark.parametrize("where", ["last", "middle-row"])
+    def test_parse_validate_rejects_non_int_cells(self, bad, where):
+        util = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        if where == "last":
+            util[2][2] = bad
+        else:
+            util[1][0] = bad
+        doc = {"agents": ["a", "b", "c"], "resources": ["r", "s", "t"],
+               "utilities": util, "arcs": []}
+        with pytest.raises(ValidationError, match="^utilities must be integers$"):
+            parse_validate(doc)
+
+    def test_parse_validate_accepts_int_subclass(self):
+        class Level(enum.IntEnum):
+            LOW = 1
+            HIGH = 3
+
+        doc = {"agents": ["a"], "resources": ["r", "s"],
+               "utilities": [[Level.LOW, Level.HIGH]], "arcs": []}
+        assert parse_validate(doc).utilities.tolist() == [[1, 3]]
+
+    def test_parse_validate_utility_beyond_64_bits(self):
+        doc = {"agents": ["a"], "resources": ["r", "s"],
+               "utilities": [[1, 2**64]], "arcs": []}
+        with pytest.raises(ValidationError,
+                           match="^utilities must fit in 64-bit integers$"):
             parse_validate(doc)
 
 
@@ -219,7 +250,7 @@ class TestEnumerationOrder:
         inst = make([[1, 1], [1, 1]], [])
         seen = [
             tuple(sorted(a.assignment.items()))
-            for a in enumerate_partial_allocations(inst)
+            for a in oracle.enumerate_partial_allocations(inst)
         ]
         assert len(seen) == 9
         # resource 0 varies slowest; agents come before "unassigned"

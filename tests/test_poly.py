@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from gefalloc import (
@@ -26,6 +27,8 @@ from gefalloc.poly import (
     solve_sgef_id01,
     solve_sgef_identical_manyvalues,
 )
+
+import oracle
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
 COMPLETE = EfficiencyGoal.COMPLETE
@@ -180,3 +183,37 @@ class TestAlg2:
         inst = make([[0, 1]], [])
         res = solve_efficient_dag(inst)
         assert res.allocation.assignment == {1: 0}
+
+    @staticmethod
+    def assert_matches_reference(inst):
+        util, arcs = oracle.instance_args(inst)
+        want = oracle.efficient_dag_greedy(util, arcs, inst.m)
+        res = solve_efficient_dag(inst)
+        assert res.allocation.assignment == want, inst.to_document()
+        assert res.welfare == oracle.welfare(util, want)
+
+    def test_matches_quadratic_reference(self):
+        rng = random.Random(31)
+        for trial in range(600):
+            inst = gen_random(
+                rng.randint(1, 7), rng.randint(0, 12),
+                list(PreferenceKind)[trial % 4], GraphKind.ACYCLIC,
+                rng.randint(1, 4), 900 + trial,
+            )
+            self.assert_matches_reference(inst)
+
+    def test_matches_quadratic_reference_at_scale(self):
+        # n=100, m=1500 general utilities in 0..3 on a random DAG whose
+        # agents each watch up to two of the next eight in a shuffled order
+        rng = np.random.default_rng(5)
+        n, m = 100, 1500
+        util = rng.integers(0, 4, (n, m))
+        util[0, 0], util[1, 0] = 3, 0
+        order = rng.permutation(n)
+        arcs = {
+            (int(order[i]), int(order[j]))
+            for i in range(n - 1)
+            for j in rng.choice(np.arange(i + 1, min(n, i + 9)),
+                                size=min(2, n - 1 - i), replace=False)
+        }
+        self.assert_matches_reference(make(util.tolist(), sorted(arcs)))

@@ -248,6 +248,19 @@ class TestStructureSolver:
             res = solve_gef_identical_structures(inst)
             assert (res.status is Status.FEASIBLE) == (m % 3 == 0)
 
+    def test_honours_budget_and_reports_nodes(self):
+        # a 2-cycle with a pendant watched agent: neither acyclic nor
+        # strongly connected; one pattern is embedded per node
+        arcs = [(0, 1), (1, 0), (1, 2)]
+        inst = identical([1, 2], 3, arcs)
+        res = solve(inst, WEAK, COMPLETE, algorithm="struct-fpt")
+        assert res.status is Status.INFEASIBLE and res.nodes == 3
+        assert solve(inst, WEAK, COMPLETE, algorithm="struct-fpt", budget=3) == res
+        res = solve(inst, WEAK, COMPLETE, algorithm="struct-fpt", budget=1)
+        assert res.status is Status.BUDGET and res.nodes == 1
+        res = solve(identical([1, 1, 1], 3, arcs), WEAK, COMPLETE, algorithm="struct-fpt")
+        assert res.status is Status.FEASIBLE and res.nodes == 6
+
     def test_worthless_resources_are_parked(self):
         inst = identical([0, 0], 2, [(0, 1), (1, 0)])
         res = solve(inst, WEAK, COMPLETE, algorithm="struct-fpt")

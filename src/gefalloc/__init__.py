@@ -7,10 +7,8 @@ from .efficiency import is_pareto_efficient, max_welfare_bound, solve_efficient
 from .errors import BudgetExceededError, GuardError, ValidationError
 from .exact import (
     DEFAULT_BUDGET,
-    IlpModel,
     ResourceTypeTable,
     brute_force,
-    build_type_ilp,
     solve_ilp,
     solve_type_ilp,
 )

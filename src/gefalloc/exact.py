@@ -10,14 +10,14 @@
   immediately infeasible there.
 * ``prune_large_sccs``: removes components that provably cannot receive
   resources, together with everything they reach.
-* ``solve_sgef_fpt_resources``: strict-notion case split parameterized by
-  the number of resources.
+* ``solve_sgef_fpt_resources``: strict notion parameterized by the number of
+  resources; a case split on m picks the agents that may own anything, and
+  the table kernel scans the owners^m assignments.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ from .model import (
     FairnessNotion,
     Instance,
     SolveResult,
-    verify_fairness,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -141,45 +140,24 @@ class ResourceTypeTable:
         )
 
 
-@dataclass(frozen=True)
-class IlpModel:
-    """Count-space program over x[agent][type].
-
-    Per type an equality row fixes the total count; per attention arc (a, b)
-    an inequality row demands a's bundle beats b's bundle by delta, with both
-    bundles valued through a's utility row.
-    """
-
-    n: int
-    table: ResourceTypeTable
-    delta: int
-    forbidden: frozenset[tuple[int, int]] = field(default_factory=frozenset)  # (agent, type)
-    arcs: tuple[tuple[int, int], ...] = ()
-
-
-def build_type_ilp(
-    inst: Instance,
-    notion: FairnessNotion,
-    forbidden: Sequence[tuple[int, int]] = (),
-) -> IlpModel:
-    table = ResourceTypeTable.build(inst)
-    return IlpModel(
-        inst.n, table, _delta(notion), frozenset(forbidden), inst.arc_pairs()
-    )
-
-
 def solve_type_ilp(
-    inst: Instance, model: IlpModel, budget: int = DEFAULT_BUDGET
+    inst: Instance,
+    table: ResourceTypeTable,
+    delta: int,
+    forbidden: frozenset[tuple[int, int]] = frozenset(),
+    budget: int = DEFAULT_BUDGET,
 ) -> SolveResult:
-    """Depth-first search over type counts.
+    """Depth-first search over the counts x[agent][type] of ``table``.
 
+    Per type the counts sum to the multiplicity; per attention arc (a, b) of
+    ``inst`` a's bundle must beat b's bundle by ``delta``, both valued through
+    a's utility row; an (agent, type) pair in ``forbidden`` gets count 0.
     Variable order: types by decreasing multiplicity (stable on the original
     type order), agents in index order inside a type; counts tried from 0
     upward, so the first solution is canonical.  Complete search of at most
     ``budget`` nodes.
     """
-    n = model.n
-    table = model.table
+    n = inst.n
     ntypes = len(table.types)
     if n == 0:
         if sum(table.multiplicity) == 0:
@@ -193,10 +171,10 @@ def solve_type_ilp(
     values = [[0] * n for _ in range(n)]
     remaining = list(table.multiplicity)
     cap = [
-        [0 if (i, t) in model.forbidden else table.multiplicity[t] for t in range(ntypes)]
+        [0 if (i, t) in forbidden else table.multiplicity[t] for t in range(ntypes)]
         for i in range(n)
     ]
-    arcs = model.arcs
+    arcs = inst.arc_pairs()
     nodes = 0
 
     def consistent() -> bool:
@@ -209,7 +187,7 @@ def solve_type_ilp(
                 if gain > 0 and remaining[t] > 0 and counts[a][t] == 0:
                     # a might still take every remaining copy of t
                     ub += min(remaining[t], cap[a][t]) * gain
-            if ub < values[a][b] + model.delta:
+            if ub < values[a][b] + delta:
                 return False
         return True
 
@@ -226,7 +204,7 @@ def solve_type_ilp(
             raise BudgetExceededError(nodes)
         if vi == len(variables):
             for a, b in arcs:
-                if values[a][a] < values[a][b] + model.delta:
+                if values[a][a] < values[a][b] + delta:
                     return False
             return True
         t, i = variables[vi]
@@ -269,7 +247,8 @@ def solve_ilp(
     forbidden: Sequence[tuple[int, int]] = (),
     budget: int = DEFAULT_BUDGET,
 ) -> SolveResult:
-    return solve_type_ilp(inst, build_type_ilp(inst, notion, forbidden), budget)
+    table = ResourceTypeTable.build(inst)
+    return solve_type_ilp(inst, table, _delta(notion), frozenset(forbidden), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +322,50 @@ def _induced(inst: Instance, keep: Sequence[int]) -> Instance:
 # strict notion, parameterized by the number of resources
 
 
-def sgef_fpt_search_size(inst: Instance, graph: GraphClass) -> int:
-    """Upper bound on the number of assignments the case split enumerates."""
+def _sgef_owners(inst: Instance, graph: GraphClass) -> Optional[list[int]]:
+    """Agents allowed to own resources under the strict notion, or ``None``
+    when the instance is infeasible.
+
+    Case split on m against the number of non-sink agents k (agents with at
+    least one outgoing arc, each of which needs strictly positive value):
+
+    1. m >= n: every agent.
+    2. m < k: infeasible.
+    3. m == k: every resource must land on a non-sink agent.
+    4. k < m < n with a source present: the non-sinks plus the lowest
+       source; anything held by a pure sink can be shifted to one source
+       (nobody watches a source), which matters when every source is
+       isolated and hence also a sink.
+    5. k < m < n, no source: the non-sinks, all inner agents, plus per set
+       of in-neighbours the first min(m, count) sinks that share it; sinks
+       with equal watchers are interchangeable, and m of them can hold
+       every resource the set gets.
+    """
     n, m = inst.n, inst.m
-    k = n - len(graph.sinks)
     if m >= n:
-        return n**m if m else 1
-    if m < k:
-        return 1
-    return (k + 1) ** m
+        return list(range(n))
+    sinks = set(graph.sinks)
+    owners = [v for v in range(n) if v not in sinks]
+    if m < len(owners):
+        return None
+    if m == len(owners):
+        return owners
+    if graph.sources:
+        return sorted(set(owners) | {min(graph.sources)})
+    watchers: list[set[int]] = [set() for _ in range(n)]
+    for a, b in inst.arc_pairs():
+        watchers[b].add(a)
+    by_watchers: dict[frozenset[int], list[int]] = {}
+    for s in graph.sinks:
+        by_watchers.setdefault(frozenset(watchers[s]), []).append(s)
+    return sorted(owners + [s for same in by_watchers.values() for s in same[:m]])
+
+
+def sgef_fpt_search_size(inst: Instance, graph: GraphClass) -> int:
+    """Most nodes ``solve_sgef_fpt_resources`` can visit: owners^m, the
+    number of assignments the kernel scans, and 0 in case 2."""
+    owners = _sgef_owners(inst, graph)
+    return 0 if owners is None else len(owners) ** inst.m
 
 
 def solve_sgef_fpt_resources(
@@ -359,69 +373,11 @@ def solve_sgef_fpt_resources(
 ) -> SolveResult:
     """Strict notion, complete goal, any preferences, at least one agent.
 
-    Case split on m against the number of non-sink agents k (agents with at
-    least one outgoing arc, each of which needs strictly positive value):
-
-    1. m >= n: plain n^m enumeration.
-    2. m < k: infeasible.
-    3. m == k: every resource must land on a non-sink agent.
-    4. k < m < n with a source present: resources still only go to non-sinks.
-    5. k < m < n, no source: every agent is inner or sink; guess per resource
-       an inner owner or a sink "type" (the set of in-neighbours), then place
-       each type's share on representative sinks of that type.
+    A kernel scan over the owners ``_sgef_owners`` picks; the witness is the
+    first fair assignment in the kernel's canonical order over those owners
+    in index order.
     """
-    n, m = inst.n, inst.m
-    notion = FairnessNotion.STRICT
-    if m >= n:
-        return search_complete(inst, notion, range(n), budget)
-    sinks = set(graph.sinks)
-    non_sinks = [v for v in range(n) if v not in sinks]
-    k = len(non_sinks)
-    if m < k:
+    owners = _sgef_owners(inst, graph)
+    if owners is None:
         return SolveResult.infeasible(0)
-    if m == k:
-        # case 3: each non-sink needs a resource and there are exactly enough
-        return search_complete(inst, notion, non_sinks, budget)
-    if graph.sources:
-        # case 4: anything held by a pure sink can be shifted to one source
-        # (nobody watches a source), so one source suffices as an extra owner;
-        # it matters when every source is isolated and hence also a sink.
-        cands = sorted(set(non_sinks) | {min(graph.sources)})
-        return search_complete(inst, notion, cands, budget)
-
-    # case 5: no sources, so non-sinks are all inner agents
-    inner = non_sinks
-    by_type: dict[frozenset[int], list[int]] = {}
-    for s in sorted(sinks):
-        key = frozenset(int(a) for a, b in inst.arc_pairs() if b == s)
-        by_type.setdefault(key, []).append(s)
-    type_keys = sorted(by_type, key=lambda key: min(by_type[key]))
-    reps = {key: by_type[key][: min(len(by_type[key]), m)] for key in type_keys}
-    labels: list[tuple[str, object]] = [("agent", a) for a in inner]
-    labels += [("type", key) for key in type_keys]
-    nodes = 0
-    for guess in itertools.product(range(len(labels)), repeat=m):
-        per_type: dict[frozenset[int], list[int]] = {key: [] for key in type_keys}
-        assignment = {}
-        for r, li in enumerate(guess):
-            tag, val = labels[li]
-            if tag == "agent":
-                assignment[r] = val
-            else:
-                per_type[val].append(r)
-        placements = [
-            itertools.product(reps[key], repeat=len(per_type[key])) if per_type[key] else [()]
-            for key in type_keys
-        ]
-        for combo in itertools.product(*placements):
-            nodes += 1
-            if nodes > budget:
-                return SolveResult.budget(nodes - 1)
-            alloc_map = dict(assignment)
-            for key, owners in zip(type_keys, combo):
-                for r, s in zip(per_type[key], owners):
-                    alloc_map[r] = s
-            alloc = Allocation(alloc_map)
-            if verify_fairness(inst, alloc, notion) is None:
-                return SolveResult.feasible(inst, alloc, nodes)
-    return SolveResult.infeasible(nodes)
+    return search_complete(inst, FairnessNotion.STRICT, owners, budget)

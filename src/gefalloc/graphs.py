@@ -129,10 +129,6 @@ def classify_graph(inst: Instance) -> GraphClass:
     return GraphClass(kind, max(out_deg, default=0), sources, sinks, inner)
 
 
-def is_acyclic(inst: Instance) -> bool:
-    return classify_graph(inst).kind is GraphKind.ACYCLIC
-
-
 def topological_order(inst: Instance) -> list[int]:
     """Lexicographically smallest topological order (Kahn with a min choice)."""
     import heapq

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from gefalloc import (
     GuardError,
     Instance,
     brute_force,
-    build_type_ilp,
     classify_graph,
     is_complete,
     solve,
@@ -108,12 +108,6 @@ class TestResourceTypes:
         assert table.type_of == (0, 1, 0)
         assert table.members == ((0, 2), (1,))
 
-    def test_model_shape(self):
-        inst = make([[1, 1], [1, 1]], [(0, 1)])
-        model = build_type_ilp(inst, STRICT)
-        assert model.delta == 1
-        assert model.arcs == ((0, 1),)
-
 
 class TestIlp:
     def test_against_brute_on_random_corpus(self):
@@ -141,10 +135,7 @@ class TestIlp:
 
     def test_forbidden_pairs_respected(self):
         inst = make([[2, 2], [1, 1]], [])
-        model = build_type_ilp(inst, WEAK, forbidden=[(0, 0)])
-        from gefalloc.exact import solve_type_ilp
-
-        res = solve_type_ilp(inst, model)
+        res = solve_ilp(inst, WEAK, forbidden=[(0, 0)])
         assert res.status is Status.FEASIBLE
         assert all(a == 1 for a in res.allocation.assignment.values())
 
@@ -219,6 +210,44 @@ class TestPrune:
             assert before.status == after.status
 
 
+def case5_family(count, seed):
+    """Strict case 5 (no source, k < m < n): k inner agents on a cycle, the
+    other agents sinks, some sharing a set of watchers; inner and sink
+    indices interleave.  Yields each instance with the owners the case split
+    must pick: the inner agents and, per watcher set, its first min(m, size)
+    sinks."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 6)
+        k = rng.randint(2, n - 2)
+        m = rng.randint(k + 1, n - 1)
+        agents = rng.sample(range(n), n)
+        inner, sinks = agents[:k], sorted(agents[k:])
+        arcs = {(inner[i], inner[(i + 1) % k]) for i in range(k)}
+        groups: dict[frozenset, list[int]] = {}
+        for s in sinks:
+            if groups and rng.random() < 0.5:
+                watchers = rng.choice(sorted(groups, key=sorted))
+            else:
+                watchers = frozenset(rng.sample(inner, rng.randint(1, k)))
+            groups.setdefault(watchers, []).append(s)
+            arcs.update((a, s) for a in watchers)
+        util = [[rng.randint(0, 3) for _ in range(m)] for _ in range(n)]
+        owners = sorted(inner + [s for group in groups.values() for s in group[:m]])
+        yield make(util, sorted(arcs)), owners
+
+
+def first_fair_over(inst, owners):
+    """First strictly fair complete assignment with owners from ``owners``,
+    in canonical order (resource 0 slowest), or None."""
+    util, arcs = oracle.instance_args(inst)
+    for choice in itertools.product(owners, repeat=inst.m):
+        asg = dict(enumerate(choice))
+        if oracle.fair(util, arcs, asg, True):
+            return asg
+    return None
+
+
 class TestSgefFpt:
     def test_against_brute(self):
         for inst in corpus(80, seed0=8):
@@ -228,6 +257,25 @@ class TestSgefFpt:
             if got.allocation is not None:
                 assert verify_fairness(inst, got.allocation, STRICT) is None
                 assert is_complete(inst, got.allocation)
+
+    def test_case5_against_brute(self):
+        verdicts = set()
+        for inst, owners in case5_family(300, seed=11):
+            graph = classify_graph(inst)
+            assert not graph.sources and inst.n - len(graph.sinks) < inst.m < inst.n
+            got = solve_sgef_fpt_resources(inst, graph)
+            want = brute_force(inst, STRICT, EfficiencyGoal.COMPLETE)
+            assert got.status == want.status, inst.to_document()
+            verdicts.add(got.status)
+            if got.allocation is not None:
+                assert verify_fairness(inst, got.allocation, STRICT) is None
+                assert is_complete(inst, got.allocation)
+                assert got.allocation.assignment == first_fair_over(inst, owners)
+            if got.nodes > 0:
+                cut = solve_sgef_fpt_resources(inst, graph, budget=got.nodes - 1)
+                assert cut.status is Status.BUDGET and cut.nodes == got.nodes - 1
+                assert solve_sgef_fpt_resources(inst, graph, budget=got.nodes) == got
+        assert verdicts == {Status.FEASIBLE, Status.INFEASIBLE}
 
     def test_case4_needs_the_source_candidate(self):
         # two isolated sources plus a 2-cycle; the third resource must
@@ -240,6 +288,16 @@ class TestSgefFpt:
         assert res.status is Status.FEASIBLE
         assert verify_fairness(inst, res.allocation, STRICT) is None
 
-    def test_search_size_monotone_cases(self):
-        inst = make([[1]] * 2, [(0, 1)])
-        assert sgef_fpt_search_size(inst, classify_graph(inst)) >= 1
+    def test_search_size_covers_the_search(self):
+        # case 5 with two sinks watched by different inner agents: 4^3
+        # assignments, all unfair
+        two_sink_types = make([[1, 1, 1]] * 4, [(0, 1), (1, 0), (0, 2), (1, 3)])
+        family = [inst for inst, _ in case5_family(60, seed=12)]
+        for inst in [two_sink_types, *corpus(80, seed0=8), *family]:
+            graph = classify_graph(inst)
+            size = sgef_fpt_search_size(inst, graph)
+            res = solve_sgef_fpt_resources(inst, graph)
+            assert size >= res.nodes, inst.to_document()
+            if res.status is Status.INFEASIBLE:
+                assert size == res.nodes, inst.to_document()
+        assert sgef_fpt_search_size(two_sink_types, classify_graph(two_sink_types)) == 64

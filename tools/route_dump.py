@@ -1,0 +1,68 @@
+"""Print one line per solve of a seeded corpus; diff the output of two
+versions of gefalloc to list every solve whose route or result changed.
+
+    PYTHONPATH=src python tools/route_dump.py > dump.txt
+
+A line: instance id, notion, goal, requested algorithm, route, status,
+welfare, nodes, witness (owner per resource).  Each instance runs under both
+notions and all goals, with auto and every route whose row applies.
+"""
+
+import random
+
+from gefalloc import (ROUTES, EfficiencyGoal, FairnessNotion, GraphKind, Instance,
+                      PreferenceKind, analyze, gen_random, solve)
+
+BUDGET = 10**6
+
+
+def case5(count, seed, n_lo, n_hi):
+    """Strict sgef-fpt case 5 (no source, k < m < n): k inner agents on a
+    cycle, sinks that may share watchers, inner and sink indices interleaved."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(n_lo, n_hi)
+        k = rng.randint(2, n - 2)
+        m = rng.randint(k + 1, n - 1)
+        agents = rng.sample(range(n), n)
+        inner, sinks = agents[:k], sorted(agents[k:])
+        arcs = {(inner[i], inner[(i + 1) % k]) for i in range(k)}
+        shared = []
+        for s in sinks:
+            if shared and rng.random() < 0.5:
+                watchers = rng.choice(shared)
+            else:
+                watchers = rng.sample(inner, rng.randint(1, k))
+                shared.append(watchers)
+            arcs.update((a, s) for a in watchers)
+        util = [[rng.randint(0, 3) for _ in range(m)] for _ in range(n)]
+        yield Instance([f"a{i}" for i in range(n)], [f"r{j}" for j in range(m)],
+                       util, sorted(arcs))
+
+
+def corpus():
+    kinds, shapes = list(PreferenceKind), [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
+    rng = random.Random(1)
+    for i in range(400):
+        yield f"rand-{i}", gen_random(rng.randint(1, 4), rng.randint(0, 5),
+                                      kinds[i % len(kinds)], shapes[i % 3], 3, i)
+    yield from ((f"case5-{i}", inst) for i, inst in enumerate(case5(300, 2, 4, 6)))
+    yield from ((f"case5-big-{i}", inst) for i, inst in enumerate(case5(12, 3, 9, 10)))
+
+
+def main():
+    for name, inst in corpus():
+        a = analyze(inst)
+        for notion in FairnessNotion:
+            for goal in EfficiencyGoal:
+                for algo in ["auto"] + [r.name for r in ROUTES if r.applies(a, notion, goal)]:
+                    res = solve(inst, notion, goal, algo, BUDGET)
+                    asg = res.allocation.assignment if res.allocation else None
+                    witness = "-" if asg is None else ",".join(
+                        str(asg.get(r, "-")) for r in range(inst.m))
+                    print(name, notion.value, goal.value, algo, res.route, res.status.value,
+                          res.welfare, res.nodes, witness or "()")
+
+
+if __name__ == "__main__":
+    main()

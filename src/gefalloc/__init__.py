@@ -56,11 +56,7 @@ from .model import (
 from .structures import (
     ColoredDigraph,
     Structure,
-    UndirectedGraph,
     directed_colored_subiso,
-    enumerate_structures,
-    gadget_reduce,
-    undirected_subiso,
 )
 
 __version__ = "0.1.0"

@@ -164,7 +164,7 @@ ROUTES = (
     Route("struct-fpt",
           lambda a, notion, goal: notion is WEAK and _serves(a, goal) and a.prefs.identical,
           lambda a, notion, goal, budget:
-          a.lift(solve_gef_identical_structures(a.stripped, budget))),
+          a.lift(solve_gef_identical_structures(a.stripped, a.graph, budget))),
     Route("ilp",
           lambda a, notion, goal: _serves(a, goal) or (a.prefs.zero_one and a.inst.n > 0),
           _ilp),

@@ -8,8 +8,6 @@
 * ``solve_identical_enum``: full enumeration for identical preferences on a
   strongly connected graph, valid because more agents than resources is
   immediately infeasible there.
-* ``prune_large_sccs``: removes components that provably cannot receive
-  resources, together with everything they reach.
 * ``solve_sgef_fpt_resources``: strict notion parameterized by the number of
   resources; a case split on m picks the agents that may own anything, and
   the table kernel scans the owners^m assignments.
@@ -24,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BudgetExceededError
-from .graphs import GraphClass, reachable_from, scc_condensation
+from .graphs import GraphClass
 from .model import (
     Allocation,
     EfficiencyGoal,
@@ -269,53 +267,6 @@ def solve_identical_enum(
     if inst.n > inst.m > 0:
         return SolveResult.infeasible(0)
     return search_complete(inst, notion, budget=budget)
-
-
-@dataclass(frozen=True)
-class PruneResult:
-    instance: Instance
-    removed: tuple[int, ...]     # original agent indices forced to hold nothing
-    kept: tuple[int, ...]        # new agent index -> original agent index
-
-
-def prune_large_sccs(inst: Instance) -> PruneResult:
-    """For identical positive preferences: repeatedly delete any strongly
-    connected component with more than m agents, or with condensation
-    in-degree larger than m, together with everything reachable from it.
-    Such a component can never hold resources in a fair complete allocation,
-    and neither can anything it watches, so removed agents hold nothing in
-    any witness.
-    """
-    m = inst.m
-    alive = set(range(inst.n))
-    while True:
-        sub = _induced(inst, sorted(alive))
-        cond = scc_condensation(sub)
-        bad = [
-            ci
-            for ci, comp in enumerate(cond.components)
-            if len(comp) > m or cond.in_degree(ci) > m
-        ]
-        if not bad:
-            break
-        seeds = [v for ci in bad for v in cond.components[ci]]
-        doomed = reachable_from(sub, seeds)
-        keep_local = [v for v in range(sub.n) if v not in doomed]
-        mapping = sorted(alive)
-        alive = {mapping[v] for v in keep_local}
-    kept = tuple(sorted(alive))
-    removed = tuple(v for v in range(inst.n) if v not in alive)
-    return PruneResult(_induced(inst, kept), removed, kept)
-
-
-def _induced(inst: Instance, keep: Sequence[int]) -> Instance:
-    keep = list(keep)
-    pos = {v: i for i, v in enumerate(keep)}
-    arcs = [
-        (pos[a], pos[b]) for a, b in inst.arc_pairs() if a in pos and b in pos
-    ]
-    util = inst.utilities[keep, :] if keep else inst.utilities[:0, :]
-    return Instance([inst.agents[v] for v in keep], inst.resources, util, arcs)
 
 
 # ---------------------------------------------------------------------------

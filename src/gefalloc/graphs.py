@@ -37,6 +37,7 @@ class GraphClass:
     sources: tuple[int, ...]  # in-degree 0
     sinks: tuple[int, ...]    # out-degree 0
     inner: tuple[int, ...]    # everything else
+    condensation: Condensation
 
 
 def _adjacency(n: int, arcs) -> list[list[int]]:
@@ -126,7 +127,7 @@ def classify_graph(inst: Instance) -> GraphClass:
     sources = tuple(v for v in range(n) if in_deg[v] == 0)
     sinks = tuple(v for v in range(n) if out_deg[v] == 0)
     inner = tuple(v for v in range(n) if in_deg[v] > 0 and out_deg[v] > 0)
-    return GraphClass(kind, max(out_deg, default=0), sources, sinks, inner)
+    return GraphClass(kind, max(out_deg, default=0), sources, sinks, inner, cond)
 
 
 def topological_order(inst: Instance) -> list[int]:

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gefalloc
 from gefalloc import Instance, parse_validate
@@ -290,3 +295,109 @@ def test_console_entry_point(tmp_path):
     )
     assert out.returncode == 0
     assert "solve" in out.stdout
+
+
+BASE = {
+    "agents": ["a", "b"],
+    "resources": ["x", "y"],
+    "utilities": [[1, 2], [2, 1]],
+    "arcs": [["a", "b"]],
+}
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _strings(v):
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _with(field, value):
+    doc = json.loads(json.dumps(BASE))
+    doc[field] = value
+    return doc
+
+
+def _cell(r, c, value):
+    doc = json.loads(json.dumps(BASE))
+    doc["utilities"][r][c] = value
+    return doc
+
+
+# every document drawn here breaks one rule of the instance format
+BAD_INSTANCE = st.one_of(
+    JSON.filter(lambda v: not isinstance(v, dict)),
+    st.sampled_from(list(BASE)).map(lambda f: {k: v for k, v in BASE.items() if k != f}),
+    st.tuples(st.sampled_from(["agents", "resources"]),
+              JSON.filter(lambda v: not _strings(v))).map(lambda fv: _with(*fv)),
+    st.just(_with("agents", ["a", "a"])),
+    st.just(_with("resources", ["x", "x"])),
+    JSON.filter(lambda v: not (isinstance(v, list) and all(isinstance(r, list) for r in v)))
+    .map(lambda v: _with("utilities", v)),
+    st.tuples(st.integers(0, 1), st.integers(0, 1),
+              JSON.filter(lambda v: type(v) is not int)
+              | st.integers(max_value=-1) | st.integers(min_value=2**62))
+    .map(lambda rcv: _cell(*rcv)),
+    st.sampled_from([[[1, 2, 3], [2, 1]], [[1], [2, 1]], [[1, 2]], [[1, 2]] * 3])
+    .map(lambda u: _with("utilities", u)),
+    JSON.filter(lambda v: not isinstance(v, list)).map(lambda v: _with("arcs", v)),
+    JSON.filter(lambda v: not (isinstance(v, list) and len(v) == 2 and _strings(v)
+                               and set(v) <= {"a", "b"}))
+    .map(lambda v: _with("arcs", [v])),
+    st.sampled_from([[["a", "a"]], [["a", "b"], ["a", "b"]]])
+    .map(lambda arcs: _with("arcs", arcs)),
+)
+# every document drawn here breaks one rule of the allocation format
+BAD_ALLOCATION = st.one_of(
+    JSON.filter(lambda v: not isinstance(v, dict)),
+    st.dictionaries(st.text(max_size=3).filter(lambda k: k != "assignment"),
+                    JSON, max_size=2),
+    JSON.filter(lambda v: not isinstance(v, dict)).map(lambda v: {"assignment": v}),
+    st.text(max_size=3).filter(lambda r: r not in BASE["resources"])
+    .map(lambda r: {"assignment": {r: "a"}}),
+    JSON.filter(lambda v: v not in BASE["agents"])
+    .map(lambda a: {"assignment": {"x": a}}),
+)
+NOT_JSON = st.binary(max_size=12).filter(lambda b: not _parses(b))
+
+
+def _parses(raw):
+    try:
+        json.loads(raw.decode("utf-8"))
+    except ValueError:
+        return False
+    return True
+
+
+def _exits_malformed(command, *docs):
+    """Run ``command`` on the documents, written to files: it must exit 2
+    with an ``error:`` line, and no exception may escape."""
+    with tempfile.TemporaryDirectory() as folder:
+        paths = []
+        for i, doc in enumerate(docs):
+            path = os.path.join(folder, f"{i}.json")
+            with open(path, "wb") as fh:
+                fh.write(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+            paths.append(path)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, *paths])
+    assert code == 2, (command, docs)
+    assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+class TestMalformedFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=BAD_INSTANCE | NOT_JSON, command=st.sampled_from(["solve", "verify"]))
+    def test_malformed_instance(self, doc, command):
+        alloc = {"assignment": {"x": "a", "y": "b"}}
+        _exits_malformed(command, *((doc,) if command == "solve" else (doc, alloc)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=BAD_ALLOCATION | NOT_JSON)
+    def test_malformed_allocation(self, doc):
+        _exits_malformed("verify", BASE, doc)

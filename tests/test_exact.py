@@ -18,15 +18,16 @@ from gefalloc import (
 )
 from gefalloc.exact import (
     ResourceTypeTable,
-    prune_large_sccs,
     sgef_fpt_search_size,
     solve_identical_enum,
     solve_sgef_fpt_resources,
 )
 from gefalloc.generators import gen_random
 from gefalloc.model import PreferenceKind, Status
+from gefalloc.structures import _kept_components
 
 import oracle
+import structures_ref
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
 
@@ -171,31 +172,46 @@ class TestIdenticalEnum:
             assert got.status == want.status
 
 
+def kept_agents(inst):
+    """Agents of the components the struct-fpt prune keeps."""
+    cond = classify_graph(inst).condensation
+    return tuple(sorted(v for ci in _kept_components(inst, cond)
+                        for v in cond.components[ci]))
+
+
 class TestPrune:
     def test_oversized_component_removed(self):
         # a 3-cycle with only two resources can never be fed
         inst = make([[1, 1]] * 4, [(0, 1), (1, 2), (2, 0), (3, 0)])
-        pruned = prune_large_sccs(inst)
-        assert pruned.removed == (0, 1, 2)
-        assert pruned.kept == (3,)
+        assert kept_agents(inst) == (3,)
 
     def test_removal_takes_reachable_agents_along(self):
         # the 3-cycle watches agent 3; agent 3 must go with it
         inst = make([[1, 1]] * 5, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 3)])
-        pruned = prune_large_sccs(inst)
-        assert pruned.removed == (0, 1, 2, 3)
-        assert pruned.kept == (4,)
+        assert kept_agents(inst) == (4,)
 
     def test_in_degree_rule(self):
         # agent 3 is watched by three singleton components, m = 2
         inst = make([[1, 1]] * 4, [(0, 3), (1, 3), (2, 3)])
-        pruned = prune_large_sccs(inst)
-        assert 3 in pruned.removed
+        assert kept_agents(inst) == (0, 1, 2)
 
     def test_keeps_feasible_instances_intact(self):
         inst = make([[1, 1], [1, 1]], [(0, 1)])
-        pruned = prune_large_sccs(inst)
-        assert pruned.removed == ()
+        assert kept_agents(inst) == (0, 1)
+
+    def test_one_pass_matches_fixed_point_loop(self):
+        rng = random.Random(23)
+        pruned = 0
+        for _ in range(2000):
+            n, m = rng.randint(1, 9), rng.randint(0, 4)
+            p = rng.choice((0.1, 0.2, 0.35, 0.5))
+            arcs = [(a, b) for a in range(n) for b in range(n)
+                    if a != b and rng.random() < p]
+            inst = make([[1] * m] * n, arcs)
+            kept = kept_agents(inst)
+            assert kept == structures_ref.prune_fixed_point(inst), (n, m, arcs)
+            pruned += len(kept) < n
+        assert pruned >= 500
 
     def test_verdict_preserved_on_random_identical(self):
         rng = random.Random(21)
@@ -204,9 +220,9 @@ class TestPrune:
                 rng.randint(1, 4), rng.randint(0, 3), PreferenceKind.IDENTICAL,
                 None, 3, 500 + trial,
             )
-            pruned = prune_large_sccs(inst)
+            sub = structures_ref.induced(inst, kept_agents(inst))
             before = brute_force(inst, WEAK, EfficiencyGoal.COMPLETE)
-            after = brute_force(pruned.instance, WEAK, EfficiencyGoal.COMPLETE)
+            after = brute_force(sub, WEAK, EfficiencyGoal.COMPLETE)
             assert before.status == after.status
 
 

@@ -9,6 +9,7 @@ from gefalloc import (
     GuardError,
     Instance,
     brute_force,
+    classify_graph,
     is_complete,
     solve,
     verify_fairness,
@@ -18,12 +19,15 @@ from gefalloc.model import PreferenceKind, Status
 from gefalloc.structures import (
     ColoredDigraph,
     Structure,
+    directed_colored_subiso,
+    sane_structures,
+    solve_gef_identical_structures,
+)
+from structures_ref import (
     UndirectedGraph,
     check_structure_sanity,
-    directed_colored_subiso,
     enumerate_structures,
     gadget_reduce,
-    solve_gef_identical_structures,
     undirected_subiso,
 )
 
@@ -99,6 +103,40 @@ class TestSanity:
         assert check_structure_sanity(
             inst2, Structure(((0, 1),), (2,), frozenset())
         )
+
+
+class TestSaneStructures:
+    def test_matches_filtered_reference(self):
+        # the generator yields exactly the sane reference structures with at
+        # most len(sizes) packs and weights among sizes, each once, and each
+        # with an even split of every pack; the reference enumeration depends
+        # on m alone, and the two widest size lists stop at m = 3 to bound the
+        # sanity checks
+        rng = random.Random(47)
+        size_lists = ([1], [2], [3], [1, 1], [1, 2], [2, 2], [1, 1, 1, 1],
+                      [2, 4, 4], [1, 2, 3], [1, 3, 2, 1])
+        yielded = 0
+        for m in range(1, 5):
+            every = list(enumerate_structures(identical([1] * m, 1, [])))
+            for sizes in size_lists[:8] if m == 4 else size_lists:
+                inst = identical([rng.randint(1, 4) for _ in range(m)], 1, [])
+                got = list(sane_structures(inst, sizes))
+                structures = [s for s, _ in got]
+                assert len(set(structures)) == len(structures)
+                want = {
+                    s for s in every
+                    if s.q <= len(sizes) and set(s.weights) <= set(sizes)
+                    and check_structure_sanity(inst, s)
+                }
+                assert set(structures) == want, (inst.to_document(), sizes)
+                row = inst.utilities[0]
+                for s, splits in got:
+                    for pack, rho, bundles in zip(s.packs, s.weights, splits):
+                        assert len(bundles) == rho
+                        assert sorted(r for b in bundles for r in b) == list(pack)
+                        assert len({sum(int(row[r]) for r in b) for b in bundles}) == 1
+                yielded += len(got)
+        assert yielded >= 200
 
 
 def brute_subiso(pattern: ColoredDigraph, host: ColoredDigraph) -> bool:
@@ -229,10 +267,11 @@ class TestUndirectedSubiso:
 
 class TestStructureSolver:
     def test_against_brute_on_random_identical(self):
+        # general graphs up to n=7: the component prune fires on many
         rng = random.Random(43)
-        for trial in range(60):
+        for trial in range(200):
             inst = gen_random(
-                rng.randint(1, 4), rng.randint(0, 4),
+                rng.randint(1, 7), rng.randint(0, 5),
                 PreferenceKind.IDENTICAL, None, 3, 7000 + trial,
             )
             got = solve(inst, WEAK, COMPLETE, algorithm="struct-fpt")
@@ -245,7 +284,7 @@ class TestStructureSolver:
     def test_cycle_divisibility(self):
         for m in range(0, 7):
             inst = identical([1] * m, 3, [(0, 1), (1, 2), (2, 0)])
-            res = solve_gef_identical_structures(inst)
+            res = solve_gef_identical_structures(inst, classify_graph(inst))
             assert (res.status is Status.FEASIBLE) == (m % 3 == 0)
 
     def test_honours_budget_and_reports_nodes(self):

@@ -40,6 +40,20 @@ def case5(count, seed, n_lo, n_hi):
                        util, sorted(arcs))
 
 
+def identical_general(count, seed):
+    """Identical preferences on general digraphs (n 5-8, m 0-5, arc density
+    0.1-0.5), so struct-fpt's component prune fires and often empties the
+    host."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m = rng.randint(5, 8), rng.randint(0, 5)
+        p = rng.uniform(0.1, 0.5)
+        row = [rng.randint(0, 3) for _ in range(m)]
+        arcs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < p]
+        yield Instance([f"a{i}" for i in range(n)], [f"r{j}" for j in range(m)],
+                       [row] * n, arcs)
+
+
 def corpus():
     kinds, shapes = list(PreferenceKind), [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
     rng = random.Random(1)
@@ -48,6 +62,7 @@ def corpus():
                                       kinds[i % len(kinds)], shapes[i % 3], 3, i)
     yield from ((f"case5-{i}", inst) for i, inst in enumerate(case5(300, 2, 4, 6)))
     yield from ((f"case5-big-{i}", inst) for i, inst in enumerate(case5(12, 3, 9, 10)))
+    yield from ((f"ident-gen-{i}", inst) for i, inst in enumerate(identical_general(300, 4)))
 
 
 def main():

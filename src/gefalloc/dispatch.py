@@ -22,14 +22,13 @@ through to brute force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 from .errors import GuardError
 from .exact import (
     DEFAULT_BUDGET,
-    ResourceTypeTable,
     brute_force,
     sgef_fpt_search_size,
     solve_identical_enum,
@@ -107,22 +106,6 @@ def _serves(a: Analysis, goal: EfficiencyGoal) -> bool:
     return a.inst.n > 0 and (goal is COMPLETE or a.prefs.identical)
 
 
-def _non_maximisers(inst: Instance) -> list[tuple[int, int]]:
-    """(agent, resource type) pairs where the agent is not a column maximiser."""
-    forbidden = []
-    for t, col in enumerate(ResourceTypeTable.build(inst).types):
-        top = max(col, default=0)
-        forbidden.extend((i, t) for i, v in enumerate(col) if v < top)
-    return forbidden
-
-
-def _ilp(
-    a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal, budget: int
-) -> SolveResult:
-    forbidden = () if goal is COMPLETE else _non_maximisers(a.stripped)
-    return a.lift(solve_ilp(a.stripped, notion, forbidden, budget))
-
-
 @dataclass(frozen=True)
 class Route:
     name: str
@@ -167,7 +150,8 @@ ROUTES = (
           a.lift(solve_gef_identical_structures(a.stripped, a.graph, budget))),
     Route("ilp",
           lambda a, notion, goal: _serves(a, goal) or (a.prefs.zero_one and a.inst.n > 0),
-          _ilp),
+          lambda a, notion, goal, budget:
+          a.lift(solve_ilp(a.stripped, notion, budget=budget, goal=goal))),
     Route("alg2",
           lambda a, notion, goal: notion is WEAK and goal is EfficiencyGoal.PARETO
           and a.acyclic,
@@ -224,4 +208,4 @@ def solve(
     ):
         res = brute_force(inst, notion, goal, budget)
         chain += "->brute"
-    return replace(res, route=chain)
+    return SolveResult(res.status, res.allocation, res.welfare, res.nodes, chain)

@@ -121,8 +121,7 @@ class ResourceTypeTable:
         seen: dict[tuple[int, ...], int] = {}
         type_of = []
         members: list[list[int]] = []
-        for r in range(inst.m):
-            col = tuple(int(v) for v in inst.utilities[:, r])
+        for r, col in enumerate(map(tuple, inst.utilities.T.tolist())):
             if col not in seen:
                 seen[col] = len(seen)
                 members.append([])
@@ -163,7 +162,6 @@ def solve_type_ilp(
         return SolveResult.infeasible(0)
 
     type_order = sorted(range(ntypes), key=lambda t: (-table.multiplicity[t], t))
-    variables = [(t, i) for t in type_order for i in range(n)]
     counts = [[0] * ntypes for _ in range(n)]
     # values[x][y] = value of y's counted bundle under x's row
     values = [[0] * n for _ in range(n)]
@@ -172,19 +170,32 @@ def solve_type_ilp(
         [0 if (i, t) in forbidden else table.multiplicity[t] for t in range(ntypes)]
         for i in range(n)
     ]
+    # (type, agent, what the later agents of the type can take at most)
+    variables = []
+    for t in type_order:
+        tail = sum(cap[i][t] for i in range(n))
+        for i in range(n):
+            tail -= cap[i][t]
+            variables.append((t, i, tail))
     arcs = inst.arc_pairs()
+    # per agent, the types it values and their gains
+    valued = [[(t, col[i]) for t, col in enumerate(table.types) if col[i] > 0]
+              for i in range(n)]
     nodes = 0
 
     def consistent() -> bool:
         # optimistic upper bound for the envier vs. the current lower bound
-        # for the target; counts already placed can only grow the target side
+        # for the target; counts already placed can only grow the target side.
+        # The arcs are sorted, so an envier's arcs are consecutive.
+        envier = -1
         for a, b in arcs:
-            ub = values[a][a]
-            for t in range(ntypes):
-                gain = table.types[t][a]
-                if gain > 0 and remaining[t] > 0 and counts[a][t] == 0:
-                    # a might still take every remaining copy of t
-                    ub += min(remaining[t], cap[a][t]) * gain
+            if a != envier:
+                envier, held, caps = a, counts[a], cap[a]
+                ub = values[a][a]
+                for t, gain in valued[a]:
+                    if held[t] == 0:
+                        # a might still take every remaining copy of t
+                        ub += min(remaining[t], caps[t]) * gain
             if ub < values[a][b] + delta:
                 return False
         return True
@@ -192,8 +203,9 @@ def solve_type_ilp(
     def place(i: int, t: int, c: int) -> None:
         counts[i][t] += c
         remaining[t] -= c
+        col = table.types[t]
         for x in range(n):
-            values[x][i] += c * table.types[t][x]
+            values[x][i] += c * col[x]
 
     def dfs(vi: int) -> bool:
         nonlocal nodes
@@ -205,15 +217,9 @@ def solve_type_ilp(
                 if values[a][a] < values[a][b] + delta:
                     return False
             return True
-        t, i = variables[vi]
-        last_agent = i == n - 1
-        if last_agent:
-            choices = [remaining[t]] if remaining[t] <= cap[i][t] else []
-        else:
-            slack = sum(cap[j][t] for j in range(i + 1, n))
-            lo = max(0, remaining[t] - slack)
-            choices = range(lo, min(remaining[t], cap[i][t]) + 1)
-        for c in choices:
+        t, i, tail = variables[vi]
+        # the type's last agent takes what is left
+        for c in range(max(0, remaining[t] - tail), min(remaining[t], cap[i][t]) + 1):
             place(i, t, c)
             if consistent() and dfs(vi + 1):
                 return True
@@ -244,8 +250,17 @@ def solve_ilp(
     notion: FairnessNotion,
     forbidden: Sequence[tuple[int, int]] = (),
     budget: int = DEFAULT_BUDGET,
+    goal: EfficiencyGoal = EfficiencyGoal.COMPLETE,
 ) -> SolveResult:
+    """The type program of ``inst`` with the (agent, type) pairs of
+    ``forbidden`` at count 0; under the Pareto and MaxWelfare goals also every
+    pair whose agent is not a maximiser of the type's column."""
     table = ResourceTypeTable.build(inst)
+    forbidden = set(forbidden)
+    if goal is not EfficiencyGoal.COMPLETE:
+        for t, col in enumerate(table.types):
+            top = max(col, default=0)
+            forbidden.update((i, t) for i, v in enumerate(col) if v < top)
     return solve_type_ilp(inst, table, _delta(notion), frozenset(forbidden), budget)
 
 

@@ -40,10 +40,10 @@ class GraphClass:
     condensation: Condensation
 
 
-def _adjacency(n: int, arcs) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in arcs:
-        adj[int(a)].append(int(b))
+def _adjacency(inst: Instance) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(inst.n)]
+    for a, b in inst.arc_pairs():
+        adj[a].append(b)
     return adj
 
 
@@ -51,7 +51,7 @@ def scc_condensation(inst: Instance) -> Condensation:
     """Tarjan's algorithm, iterative so very large graphs do not hit the
     interpreter recursion limit."""
     n = inst.n
-    adj = _adjacency(n, inst.arcs)
+    adj = _adjacency(inst)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -63,40 +63,37 @@ def scc_condensation(inst: Instance) -> Condensation:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
+            v, successors = work[-1]
+            for w in successors:
                 if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    recurse = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                # every successor of v is done
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(sorted(comp))
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
 
     comps.sort(key=lambda c: c[0])
     for ci, comp in enumerate(comps):
@@ -135,7 +132,7 @@ def topological_order(inst: Instance) -> list[int]:
     import heapq
 
     n = inst.n
-    adj = _adjacency(n, inst.arcs)
+    adj = _adjacency(inst)
     in_deg = [0] * n
     for a, b in inst.arc_pairs():
         in_deg[b] += 1
@@ -163,7 +160,7 @@ def longest_path_labels(inst: Instance) -> list[int]:
     agents on the longest original path starting at that agent, minus one.
     """
     order = topological_order(inst)  # also rejects cyclic graphs
-    adj = _adjacency(inst.n, inst.arcs)
+    adj = _adjacency(inst)
     label = [0] * inst.n
     # longest path in the reversed graph = DP over reversed topological order
     for v in reversed(order):
@@ -172,7 +169,7 @@ def longest_path_labels(inst: Instance) -> list[int]:
 
 
 def reachable_from(inst: Instance, starts) -> set[int]:
-    adj = _adjacency(inst.n, inst.arcs)
+    adj = _adjacency(inst)
     seen = set(int(s) for s in starts)
     frontier = list(seen)
     while frontier:

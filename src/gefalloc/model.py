@@ -59,6 +59,11 @@ class Instance:
     ``utilities`` is kept as a read-only numpy integer array of shape (n, m);
     ``arcs`` is a read-only (A, 2) int64 array with rows sorted
     lexicographically, so iteration order is deterministic.
+
+    The constructor checks every field.  ``Instance._derived`` skips the
+    checks; only code of this package that builds an instance from data
+    already known valid (``strip_zero_resources``, the clique of
+    ``structures._equal_split``) may call it.
     """
 
     def __init__(
@@ -96,25 +101,40 @@ class Instance:
         util.setflags(write=False)
         self.utilities = util
 
-        arc_arr = np.asarray(list(arcs) if not isinstance(arcs, np.ndarray) else arcs,
-                             dtype=np.int64)
+        arc_arr = np.asarray(list(arcs) if not isinstance(arcs, np.ndarray) else arcs)
         if arc_arr.size == 0:
             arc_arr = np.empty((0, 2), dtype=np.int64)
         if arc_arr.ndim != 2 or arc_arr.shape[1] != 2:
             raise ValidationError("arcs must be pairs of agent indices")
+        if not np.issubdtype(arc_arr.dtype, np.integer):
+            raise ValidationError("arc endpoints must be integer agent indices")
         if arc_arr.size:
             if int(arc_arr.min()) < 0 or int(arc_arr.max()) >= n:
                 raise ValidationError("arc endpoint out of range")
             if np.any(arc_arr[:, 0] == arc_arr[:, 1]):
                 raise ValidationError("self-loops are not allowed")
             order = np.lexsort((arc_arr[:, 1], arc_arr[:, 0]))
-            arc_arr = arc_arr[order]
+            arc_arr = arc_arr[order].astype(np.int64, copy=False)
             dup = np.all(arc_arr[1:] == arc_arr[:-1], axis=1)
             if np.any(dup):
                 raise ValidationError("duplicate arcs are not allowed")
         arc_arr.setflags(write=False)
         self.arcs = arc_arr
         self._arc_pairs: Optional[tuple[tuple[int, int], ...]] = None
+
+    @classmethod
+    def _derived(cls, agents: tuple[str, ...], resources: tuple[str, ...], utilities,
+                 arcs: np.ndarray, arc_pairs) -> "Instance":
+        """An instance from fields that are already valid, without checks:
+        distinct names, a non-negative integer matrix of shape (n, m) that
+        no one else writes to, and a read-only lexsorted (A, 2) int64 array
+        of valid arcs, with ``arc_pairs`` its Python pairs, or None."""
+        inst = cls.__new__(cls)
+        utilities.setflags(write=False)
+        arcs.setflags(write=False)
+        inst.agents, inst.resources, inst.utilities = agents, resources, utilities
+        inst.arcs, inst._arc_pairs = arcs, arc_pairs
+        return inst
 
     @property
     def n(self) -> int:
@@ -126,7 +146,7 @@ class Instance:
 
     def arc_pairs(self) -> tuple[tuple[int, int], ...]:
         if self._arc_pairs is None:
-            self._arc_pairs = tuple((int(a), int(b)) for a, b in self.arcs)
+            self._arc_pairs = tuple(map(tuple, self.arcs.tolist()))
         return self._arc_pairs
 
     def to_document(self) -> dict:
@@ -332,11 +352,12 @@ def strip_zero_resources(inst: Instance) -> tuple[Instance, list[int]]:
     keep = np.flatnonzero(inst.utilities.max(axis=0)).tolist() if inst.n else []
     if len(keep) == inst.m:
         return inst, list(range(inst.m))
-    reduced = Instance(
+    reduced = Instance._derived(
         inst.agents,
-        [inst.resources[j] for j in keep],
-        inst.utilities[:, keep] if keep else inst.utilities[:, :0],
-        inst.arc_pairs(),
+        tuple(inst.resources[j] for j in keep),
+        inst.utilities[:, keep],
+        inst.arcs,
+        inst._arc_pairs,
     )
     return reduced, keep
 
@@ -347,9 +368,9 @@ def classify_preferences(inst: Instance) -> PreferenceClass:
     if util.size == 0:
         return PreferenceClass(PreferenceKind.IDENTICAL_ZERO_ONE, 0)
     identical = bool((util == util[0]).all())
-    values = np.unique(util[0] if identical else util)
-    u_diff = int(values.size)
-    zero_one = bool(np.all(values <= 1))
+    values = np.sort(util[0] if identical else util, axis=None)
+    u_diff = 1 + int(np.count_nonzero(values[1:] != values[:-1]))
+    zero_one = bool(values[-1] <= 1)  # utilities are non-negative
     if identical and zero_one:
         kind = PreferenceKind.IDENTICAL_ZERO_ONE
     elif identical:

@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .exact import DEFAULT_BUDGET, solve_identical_enum
 from .graphs import Condensation, GraphClass, reachable_from
 from .model import (
@@ -99,11 +101,12 @@ def _equal_split(inst: Instance, pack: tuple[int, ...], rho: int) -> Optional[li
     total = int(sum(int(row[r]) for r in pack))
     if rho <= 0 or total % rho != 0:
         return None
-    clique = [(i, j) for i in range(rho) for j in range(rho) if i != j]
-    sub = Instance(
-        [f"v{i}" for i in range(rho)],
-        [inst.resources[r] for r in pack],
-        [[int(row[r]) for r in pack] for _ in range(rho)],
+    clique = tuple((i, j) for i in range(rho) for j in range(rho) if i != j)
+    sub = Instance._derived(
+        tuple(f"v{i}" for i in range(rho)),
+        tuple(inst.resources[r] for r in pack),
+        np.repeat(row[None, list(pack)], rho, axis=0),
+        np.array(clique, dtype=np.int64).reshape(-1, 2),
         clique,
     )
     res = solve_identical_enum(sub, FairnessNotion.WEAK)
@@ -210,10 +213,6 @@ def directed_colored_subiso(
         return False
 
     return dict(mapping) if extend(0) else None
-
-
-# ---------------------------------------------------------------------------
-# the solver built on structures
 
 
 # ---------------------------------------------------------------------------

@@ -172,3 +172,45 @@ def test_table_backend_bounded_before_first_node():
     assert (status, nodes) == (2, 5)
     assert elapsed < 1.0
     assert peak < 64 * 2**20
+
+
+def reference_table(util, arcs, cands, prefix):
+    """The suffix table by a loop over assignments: column j holds, per arc
+    (a, b), the suffix's value(a,a) - value(a,b), then per agent the value
+    of its suffix bundle, for the j-th suffix assignment in canonical order."""
+    n, m = util.shape
+    k = len(cands)
+    columns = []
+    for j in range(k ** (m - prefix)):
+        owners = []
+        for _ in range(m - prefix):
+            j, d = divmod(j, k)
+            owners.append(cands[d])
+        owners = dict(zip(range(m - 1, prefix - 1, -1), owners))
+        held = [[r for r, o in owners.items() if o == i] for i in range(n)]
+        slack = [sum(int(util[a, r]) for r in held[a]) - sum(int(util[a, r]) for r in held[b])
+                 for a, b in arcs]
+        profile = [sum(int(util[i, r]) for r in held[i]) for i in range(n)]
+        columns.append(slack + profile)
+    return np.array(columns, dtype=np.int64).reshape(len(columns), len(arcs) + n).T
+
+
+@pytest.mark.parametrize("n, m, cands, arcs, prefix", [
+    (3, 0, [0, 1, 2], [(0, 1), (2, 1)], 0),          # s = 0: no resources
+    (0, 4, [-1], [], 0),                              # zero width: no agents, no arcs
+    (2, 13, [0, 1], [(0, 1)], 0),                     # a full suffix of 2**13 rows
+    (3, 10, [0, 2, -1], [(0, 1), (1, 2), (2, 0)], 2),  # 3**8 rows after two digits
+], ids=["m0", "width0", "full-suffix", "with-prefix"])
+def test_table_layout(n, m, cands, arcs, prefix):
+    """The table equals a loop build and is C-contiguous: the scans test it
+    one row at a time, and another memory order made them several times
+    slower."""
+    rng = random.Random(n * 100 + m)
+    util = np.array([[rng.randint(0, 5) for _ in range(m)] for _ in range(n)],
+                    dtype=np.int64).reshape(n, m)
+    arc_arr = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    split = _kernels._Split(util, arc_arr[:, 0].copy(), arc_arr[:, 1].copy(),
+                            np.array(cands, dtype=np.int64))
+    assert split.prefix == prefix
+    assert split.table.flags.c_contiguous
+    assert np.array_equal(split.table, reference_table(util, arcs, cands, prefix))

@@ -23,7 +23,7 @@ from gefalloc import (
     utility_profile,
     verify_fairness,
 )
-from gefalloc.model import allocation_document
+from gefalloc.model import UTILITY_BOUND, allocation_document
 
 import oracle
 
@@ -69,6 +69,14 @@ class TestValidation:
         big = 2 ** 61
         with pytest.raises(ValidationError):
             make([[big, big], [big, big]], [])
+
+    @pytest.mark.parametrize("arcs", [
+        np.array([[0.7, 1.2]]),
+        [(0.9, 1.5)],
+    ], ids=["array", "list"])
+    def test_fractional_arc_endpoint(self, arcs):
+        with pytest.raises(ValidationError):
+            Instance(["a", "b"], ["r"], [[1], [1]], arcs)
 
     def test_arcs_stored_sorted(self):
         inst = make([[1], [1], [1]], [(2, 0), (0, 1), (1, 2)])
@@ -221,6 +229,63 @@ class TestClassification:
         assert prefs.u_diff == len({v for row in rows for v in row})
 
 
+def classify_reference(util: np.ndarray) -> tuple[PreferenceKind, int]:
+    """The preference class through ``np.unique``, as the analysis once
+    computed it."""
+    if util.size == 0:
+        return PreferenceKind.IDENTICAL_ZERO_ONE, 0
+    identical = bool((util == util[0]).all())
+    values = np.unique(util[0] if identical else util)
+    zero_one = bool(np.all(values <= 1))
+    kind = {
+        (True, True): PreferenceKind.IDENTICAL_ZERO_ONE,
+        (True, False): PreferenceKind.IDENTICAL,
+        (False, True): PreferenceKind.ZERO_ONE,
+        (False, False): PreferenceKind.GENERAL,
+    }[identical, zero_one]
+    return kind, int(values.size)
+
+
+@st.composite
+def utility_matrices(draw):
+    """Matrices of every shape up to 5x6, including empty ones, in int8,
+    uint16 or int64, with values up to the dtype's or the instance's bound,
+    drawn from a few distinct values so that repeats and identical rows are
+    common."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    dtype = draw(st.sampled_from([np.int8, np.uint16, np.int64]))
+    top = min(int(np.iinfo(dtype).max), UTILITY_BOUND // max(n * m, 1) - 1)
+    pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=4, unique=True))
+    rows = [draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+            for _ in range(draw(st.integers(min(n, 1), n)))]
+    rows += rows[:1] * (n - len(rows))  # often identical rows
+    return np.array(rows, dtype=dtype).reshape(n, m)
+
+
+class TestClassificationReference:
+    @pytest.mark.parametrize("util", [
+        np.zeros((0, 0), dtype=np.int64),
+        np.zeros((0, 3), dtype=np.int64),
+        np.zeros((3, 0), dtype=np.int64),
+        np.array([[5]]),
+        np.array([[0]]),
+        np.full((3, 4), 7, dtype=np.uint16),
+        np.array([[3, 0, 3, 1]] * 3, dtype=np.int8),
+        np.array([[UTILITY_BOUND // 4 - 1, 0], [1, 0]]),
+    ], ids=["0x0", "0x3", "3x0", "1x1", "1x1-zero", "all-equal", "identical-rows",
+            "near-bound"])
+    def test_corner_matrices(self, util):
+        inst = Instance([f"a{i}" for i in range(util.shape[0])],
+                        [f"r{j}" for j in range(util.shape[1])], util, [])
+        prefs = classify_preferences(inst)
+        assert (prefs.kind, prefs.u_diff) == classify_reference(inst.utilities)
+
+    @settings(max_examples=300, deadline=None)
+    @given(utility_matrices())
+    def test_matches_unique_reference(self, util):
+        self.test_corner_matrices(util)
+
+
 class TestStripZeros:
     def test_drops_worthless_columns(self):
         inst = make([[1, 0, 2], [3, 0, 0]], [(0, 1)])
@@ -243,6 +308,32 @@ class TestStripZeros:
         stripped, keep = strip_zero_resources(inst)
         assert keep == [j for j in range(m) if any(row[j] > 0 for row in rows)]
         assert stripped.resources == tuple(inst.resources[j] for j in keep)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 6), st.sampled_from([np.int8, np.uint16, np.int64]),
+           st.booleans(), st.data())
+    def test_derived_matches_validated(self, n, m, dtype, cached, data):
+        """The stripped instance skips validation; it must equal the one the
+        validating constructor builds from the same data, pairs and
+        read-only arrays included, whether or not the parent's pairs were
+        computed first."""
+        rows = [data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+                for _ in range(n)]
+        arcs = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda arc: arc[0] != arc[1]), unique=True)) if n > 1 else []
+        inst = Instance([f"a{i}" for i in range(n)], [f"r{j}" for j in range(m)],
+                        np.array(rows, dtype=dtype).reshape(n, m), arcs)
+        if cached:
+            inst.arc_pairs()
+        stripped, keep = strip_zero_resources(inst)
+        validated = Instance(list(inst.agents), [inst.resources[j] for j in keep],
+                             np.array(rows, dtype=dtype).reshape(n, m)[:, keep], arcs)
+        assert stripped == validated
+        assert stripped.arc_pairs() == validated.arc_pairs() == tuple(sorted(arcs))
+        for array in (stripped.utilities, stripped.arcs):
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 class TestEnumerationOrder:

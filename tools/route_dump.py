@@ -3,9 +3,12 @@ versions of gefalloc to list every solve whose route or result changed.
 
     PYTHONPATH=src python tools/route_dump.py > dump.txt
 
-A line: instance id, notion, goal, requested algorithm, route, status,
-welfare, nodes, witness (owner per resource).  Each instance runs under both
-notions and all goals, with auto and every route whose row applies.
+Per instance, one line of analysis facts: instance id, ``analysis``,
+preference kind, u_diff, graph kind, sources, sinks, inner agents and the
+number of stripped resources.  Then one line per solve: instance id, notion,
+goal, requested algorithm, route, status, welfare, nodes, witness (owner per
+resource).  Each instance runs under both notions and all goals, with auto
+and every route whose row applies.
 """
 
 import random
@@ -68,6 +71,10 @@ def corpus():
 def main():
     for name, inst in corpus():
         a = analyze(inst)
+        g = a.graph
+        print(name, "analysis", a.prefs.kind.value, a.prefs.u_diff, g.kind.value,
+              *(",".join(map(str, agents)) or "-" for agents in (g.sources, g.sinks, g.inner)),
+              inst.m - a.stripped.m)
         for notion in FairnessNotion:
             for goal in EfficiencyGoal:
                 for algo in ["auto"] + [r.name for r in ROUTES if r.applies(a, notion, goal)]:

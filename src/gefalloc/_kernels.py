@@ -29,25 +29,37 @@ assignment among the assignments within it.
 Table backend
 -------------
 An arc's slack ``value(a,a) - value(a,b)``, the utility profile and the
-welfare are sums over resources, so the numpy backend splits the resources
-into a prefix (the slow digits) and a suffix of ``s`` resources, ``k**s`` at
-most ``SUFFIX_ROWS`` (8192) for ``k`` candidates (in the manner of
-Horowitz and Sahni).  It builds the suffix's slack and profile table once by
-broadcasting, then walks the prefixes in canonical order, updating the
-prefix's sums digit by digit, and tests all of a prefix's assignments at
-once: ``slack + prefix_slack >= delta`` on every arc.  A prefix that no
-suffix row can make fair (or, in mode 1, lift above the best welfare so
-far) is counted and skipped.  Memory is ``O((A + n) * (SUFFIX_ROWS + m))``
-for ``A`` arcs, and the work before the first node grows only with the
-input, never with the number of prefixes.  The table must stay
-C-contiguous, one row per quantity, so that a test of one quantity reads
-contiguous memory: in another memory order a welfare scan at n=3, m=7 ran
-3.4 times slower.  A broadcast does not promise C order, so the build ends
-with ``np.ascontiguousarray``.
+welfare are sums over resources, so the numpy backend splits the resources,
+the digits of an assignment, in three (in the manner of Horowitz and
+Sahni): a suffix of the ``s`` fastest, ``k**s`` at most ``SUFFIX_ROWS``
+(8192) for ``k`` candidates; a middle of the next ``s``, or of all that are
+left; and the outer digits before them.  It builds the suffix's slack and
+profile table once by broadcasting, and the middle's table of prefix sums
+by the same broadcast.  The prefixes of one outer assignment form a block
+of at most ``SUFFIX_ROWS`` columns, and the walk takes the outer
+assignments in canonical order, shifting the block's sums when an outer
+digit moves.  Per block, one comparison finds the prefixes that some suffix
+could make fair (``prefix_slack + max(slack) >= delta`` on every arc) and,
+in mode 1, one sum gives their welfare.  The scan visits the surviving
+prefixes in canonical order, skips each one that cannot lift the welfare
+above the best so far (a scalar test, as the best grows within a block),
+and tests all of a prefix's suffix assignments at once:
+``slack + prefix_slack >= delta`` on every arc.  Skipped assignments still
+count as nodes.  When ``k**m <= SUFFIX_ROWS`` there is one block of one
+prefix.  Memory is ``O((A + n) * (2 * SUFFIX_ROWS + m))`` for ``A`` arcs: no
+table spans more than ``SUFFIX_ROWS`` prefixes, whatever the budget, and
+the work before the first node grows only with the input.
 
-The same tables serve the Pareto goal: ``pareto_frontier`` builds the
-undominated profiles, ``first_fair_on_frontier`` finds the Pareto brute-force
-witness and ``first_dominating`` decides Pareto efficiency.
+The suffix table must stay C-contiguous, one row per quantity, so that a
+test of one quantity reads contiguous memory: in another memory order a
+welfare scan at n=3, m=7 ran 3.4 times slower.  A broadcast does not
+promise C order, so the build ends with ``np.ascontiguousarray``.
+
+The same tables and walk serve the Pareto goal: ``pareto_frontier`` builds
+the undominated profiles, ``first_fair_on_frontier`` finds the Pareto
+brute-force witness (the block test is the arcs' reach, as above) and
+``first_dominating`` decides Pareto efficiency (the block test is whether a
+prefix plus the most each agent can still gain reaches the profile).
 """
 
 from __future__ import annotations
@@ -142,14 +154,30 @@ def _search_njit(util, arc_a, arc_b, delta, cands, mode, limit):
     return 1, best, best_wel, nodes
 
 
-# The table backend's suffix holds at most this many assignments.
+# The table backend's suffix holds at most this many assignments, and each
+# block at most this many prefixes.
 SUFFIX_ROWS = 1 << 13
+
+
+def _sums(gains, table):
+    """Prepend one digit per resource of ``gains`` to the columns of
+    ``table``: column ``j`` of the result is the column of ``table`` its
+    fastest digits name plus ``gains[r][:, c]`` for each resource ``r`` at
+    candidate index ``c``, in canonical order."""
+    width, k = table.shape[0], gains.shape[2]
+    # the last resource first, so that every add runs along a whole row of
+    # the table built so far
+    for r in range(len(gains) - 1, -1, -1):
+        table = (gains[r][:, :, None] + table[:, None, :]).reshape(width, k * table.shape[1])
+    return table
 
 
 class _Split:
     """The assignments of ``m`` resources to the ``k`` entries of ``cands``,
-    split into a prefix of ``m - s`` slow digits and a suffix of ``s`` fast
-    ones, the largest ``s`` with ``k**s <= SUFFIX_ROWS``.
+    split into ``outer`` slow digits, then middle digits, then a suffix of
+    ``s`` fast ones, the largest ``s`` with ``k**s <= SUFFIX_ROWS``; the
+    middle takes the next ``s`` digits, or all that are left.  ``prefix``
+    counts the outer and middle digits.
 
     Every quantity the scans test is a sum over resources of
     ``V[r] * S[c]``, ``c`` the candidate index resource ``r`` takes: the
@@ -168,87 +196,103 @@ class _Split:
         while s < m and k ** (s + 1) <= SUFFIX_ROWS:
             s += 1
         self.prefix = m - s
+        self.outer = max(m - 2 * s, 0)
         self.total = k**m
         self.V = np.concatenate((util[arc_a].T, util.T), axis=1)
         # owner indicator per candidate; its zero last row stands for "unassigned"
         owner = np.eye(n + 1, n, dtype=np.int64)[cands]
         self.S = np.concatenate((owner[:, arc_a] - owner[:, arc_b], owner), axis=1)
-        width = self.V.shape[1]
-        # gains[r - prefix][q, c]: V[r][q] * S[c][q], for the suffix resources
-        gains = np.ascontiguousarray(self.V[self.prefix:, :, None] * self.S.T)
-        table = np.zeros((width, 1), dtype=np.int64)
-        # prepend one digit per suffix resource, the last resource first, so
-        # that every add runs along a whole row of the table built so far
-        for gain in gains[::-1]:
-            table = (gain[:, :, None] + table[:, None, :]).reshape(width, k * table.shape[1])
+        # gains[r - outer][q, c]: V[r][q] * S[c][q], for the middle and suffix
+        self.gains = np.ascontiguousarray(self.V[self.outer:, :, None] * self.S.T)
+        self.zero = np.zeros((self.V.shape[1], 1), dtype=np.int64)
         # C order, see the module docstring
-        self.table = np.ascontiguousarray(table)
-        # step[d]: change of S when a digit moves from d to the next candidate
-        self.step = np.concatenate((self.S[1:], self.S[:1])) - self.S
+        self.table = np.ascontiguousarray(
+            _sums(self.gains[self.prefix - self.outer:], self.zero))
 
-    def prefixes(self, limit):
-        """Yield ``(start, rows, digits, vec)`` per prefix in canonical order
-        while ``start``, the index of its first assignment, is below
-        ``limit``: ``rows`` of its suffix assignments lie within ``limit``,
-        and ``vec`` sums ``V[r] * S[c]`` over the prefix.  ``digits`` and
-        ``vec`` are updated in place for the next prefix."""
-        p, k = self.prefix, self.k
-        digits = [0] * p
-        vec = self.V[:p].sum(axis=0) * (self.S[0] if k else 0)
+    def blocks(self, limit, floor):
+        """Yield ``(start, block, alive)`` per block of prefixes in
+        canonical order while ``start``, the index of the block's first
+        assignment, is below ``limit``.  Column ``i`` of ``block`` sums
+        ``V[r] * S[c]`` over the ``i``-th prefix of the block, whose first
+        assignment is ``start + i * size`` (``size`` the suffix's
+        assignments), for the prefixes that start below ``limit``.
+        ``alive[i]`` tells whether the prefix's leading sums reach
+        ``floor``: ``block[:len(floor), i] >= floor``.
+
+        A block holds the prefixes of one outer assignment: their sums are
+        the middle table, built by the suffix table's broadcast and shifted
+        when an outer digit moves, and ``floor`` is tested on the whole
+        block in one comparison."""
+        o, k, V, S = self.outer, self.k, self.V, self.S
         size = self.table.shape[1]
+        seed = self.zero
+        for r in range(o):  # every outer digit at candidate 0
+            seed = seed + (V[r] * S[0])[:, None]
+        block = _sums(self.gains[:self.prefix - o], seed)
+        floor, tested = floor[:, None], len(floor)
+        digits = [0] * o
         start = 0
         while start < limit:
-            yield start, min(size, limit - start), digits, vec
-            start += size
-            i = p - 1
+            # the prefixes that start below limit: ceil((limit - start) / size)
+            part = block[:, :-((start - limit) // size)]
+            yield start, part, (part[:tested] >= floor).all(axis=0)
+            start += size * block.shape[1]
+            i = o - 1
             while i >= 0:
                 d = digits[i]
                 digits[i] = d + 1 if d + 1 < k else 0
-                vec += self.V[i] * self.step[d]
+                block = block + (V[i] * (S[digits[i]] - S[d]))[:, None]
                 if digits[i]:
                     break
                 i -= 1
             if i < 0:
                 return
 
-    def assignment(self, digits, col):
-        """Owner per resource of suffix assignment ``col`` under prefix
-        ``digits``."""
-        tail = []
-        for _ in range(self.m - self.prefix):
-            col, d = divmod(col, self.k)
-            tail.append(d)
-        return self.cands[np.array(digits + tail[::-1], dtype=np.int64)]
+    def assignment(self, index):
+        """Owner per resource of the assignment at 0-based position
+        ``index`` in canonical order."""
+        digits = []
+        for _ in range(self.m):
+            index, d = divmod(index, self.k)
+            digits.append(d)
+        return self.cands[np.array(digits[::-1], dtype=np.int64)]
 
 
 def _search_numpy(util, arc_a, arc_b, delta, cands, mode, limit):
     split = _Split(util, arc_a, arc_b, cands)
-    A = split.arcs
+    A, size, limit = split.arcs, split.table.shape[1], int(limit)
     slack, profile = split.table[:A], split.table[A:]
-    reach = slack.max(axis=1)
     # mode 0 needs the welfare of the one assignment it returns
     wel = profile.sum(axis=0) if mode == 1 else None
     top = int(wel.max()) if mode == 1 else 0
-    best = np.full(split.m, -1, dtype=np.int64)
-    best_wel = -1
-    for start, rows, digits, vec in split.prefixes(limit):
-        need = delta - vec[:A]
-        base = int(vec[A:].sum())
-        # skip a prefix no suffix can make fair, or, when maximising, lift
-        # above the best welfare so far
-        if (reach < need).any() or (mode == 1 and base + top <= best_wel):
-            continue
-        fair = (slack[:, :rows] >= need[:, None]).all(axis=0)
-        if mode == 0:
-            j = int(fair.argmax())
-            if fair[j]:
-                welfare = base + int(profile[:, j].sum())
-                return 0, split.assignment(digits, j), welfare, start + j + 1
-        elif fair.any():
-            j = int(np.where(fair, wel[:rows], -1).argmax())
-            if base + int(wel[j]) > best_wel:
-                best_wel = base + int(wel[j])
-                best = split.assignment(digits, j)
+    best, best_wel = None, -1
+    # alive: some suffix can make the prefix fair
+    for start, block, alive in split.blocks(limit, delta - slack.max(axis=1)):
+        if mode == 1:
+            # when maximising, skip a prefix that cannot beat the best so
+            # far: at the block's start here, and as the best grows below
+            bases = block[A:].sum(axis=0)
+            alive &= bases + top > best_wel
+        for i in alive.nonzero()[0].tolist():
+            first = start + i * size
+            rows = min(size, limit - first)
+            if mode == 1:
+                base = int(bases[i])
+                if base + top <= best_wel:
+                    continue
+            fair = (slack[:, :rows] >= (delta - block[:A, i])[:, None]).all(axis=0)
+            if mode == 0:
+                j = int(fair.argmax())
+                if fair[j]:
+                    welfare = int((block[A:, i] + profile[:, j]).sum())
+                    return 0, split.assignment(first + j), welfare, first + j + 1
+            else:
+                j = int(np.where(fair, wel[:rows], -1).argmax())
+                if fair[j] and base + int(wel[j]) > best_wel:
+                    best_wel = base + int(wel[j])
+                    best = split.assignment(first + j)
+    if best is None:
+        best = np.full(split.m, -1, dtype=np.int64)
     if split.total > limit:
         return 2, best, best_wel, max(limit, 0)
     return (0 if best_wel >= 0 else 1), best, best_wel, split.total
@@ -313,18 +357,15 @@ def first_fair_on_frontier(utilities, arcs, delta, frontier):
     unassigned) whose utility profile is a row of ``frontier``, as an owner
     per resource, or ``None``."""
     split = _partial_split(utilities, arcs)
-    A = split.arcs
+    A, size = split.arcs, split.table.shape[1]
     slack, profile = split.table[:A], split.table[A:]
-    reach = slack.max(axis=1)
     keys = _row_keys(frontier)
-    for _, _, digits, vec in split.prefixes(split.total):
-        need = delta - vec[:A]
-        if (reach < need).any():
-            continue
-        fair = np.flatnonzero((slack >= need[:, None]).all(axis=0))
-        on = np.isin(_row_keys(profile[:, fair].T + vec[A:]), keys)
-        if on.any():
-            return split.assignment(digits, int(fair[on.argmax()]))
+    for start, block, alive in split.blocks(split.total, delta - slack.max(axis=1)):
+        for i in alive.nonzero()[0].tolist():
+            fair = np.flatnonzero((slack >= (delta - block[:A, i])[:, None]).all(axis=0))
+            on = np.isin(_row_keys(profile[:, fair].T + block[A:, i]), keys)
+            if on.any():
+                return split.assignment(start + i * size + int(fair[on.argmax()]))
     return None
 
 
@@ -334,17 +375,16 @@ def first_dominating(utilities, profile, limit):
     looking at the first ``limit`` allocations only; ``None`` if there is
     none among them."""
     split = _partial_split(utilities, ())
-    table = split.table
-    reach = table.max(axis=1)
+    table, size = split.table, split.table.shape[1]
     profile = np.asarray(profile, dtype=np.int64)
-    for start, rows, _, vec in split.prefixes(limit):
-        if (vec + reach < profile).any():
-            continue
-        margin = table[:, :rows] + (vec - profile)[:, None]
-        hit = (margin >= 0).all(axis=0) & (margin > 0).any(axis=0)
-        j = int(hit.argmax())
-        if hit[j]:
-            return start + j + 1
+    for start, block, alive in split.blocks(limit, profile - table.max(axis=1)):
+        for i in alive.nonzero()[0].tolist():
+            first = start + i * size
+            margin = table[:, :min(size, limit - first)] + (block[:, i] - profile)[:, None]
+            hit = (margin >= 0).all(axis=0) & (margin > 0).any(axis=0)
+            j = int(hit.argmax())
+            if hit[j]:
+                return first + j + 1
     return None
 
 

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 from .errors import GuardError
 from .exact import (
     DEFAULT_BUDGET,
+    _sgef_owners,
     brute_force,
     sgef_fpt_search_size,
     solve_identical_enum,
@@ -67,7 +68,8 @@ SGEF_FPT_LIMIT = 10**6
 class Analysis:
     """Routing facts of one instance: the instance with worthless resources
     stripped, the kept-column map (new index -> old index), the preference
-    class of the stripped instance and, on first use, its graph class."""
+    class of the stripped instance and, on first use, its graph class and
+    the owners of the strict case split."""
 
     inst: Instance
     stripped: Instance
@@ -77,6 +79,12 @@ class Analysis:
     @cached_property
     def graph(self) -> GraphClass:
         return classify_graph(self.stripped)
+
+    @cached_property
+    def sgef_owners(self) -> Optional[list[int]]:
+        """The agents ``sgef-fpt`` scans, ``None`` when the strict case
+        split answers infeasible (``exact._sgef_owners``)."""
+        return _sgef_owners(self.stripped, self.graph)
 
     @property
     def acyclic(self) -> bool:
@@ -135,7 +143,7 @@ ROUTES = (
     Route("sgef-fpt",
           lambda a, notion, goal: notion is STRICT and _serves(a, goal),
           lambda a, notion, goal, budget:
-          a.lift(solve_sgef_fpt_resources(a.stripped, a.graph, budget))),
+          a.lift(solve_sgef_fpt_resources(a.stripped, a.sgef_owners, budget))),
     Route("scc-id01",
           lambda a, notion, goal: notion is WEAK and _serves(a, goal)
           and a.prefs.identical and a.prefs.zero_one and a.scc_like,
@@ -176,7 +184,7 @@ def select_algorithm(a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal) 
         for route in ROUTES
         if route.applies(a, notion, goal)
         and (route.name != "sgef-fpt"
-             or sgef_fpt_search_size(a.stripped, a.graph) <= SGEF_FPT_LIMIT)
+             or sgef_fpt_search_size(a.sgef_owners, a.stripped.m) <= SGEF_FPT_LIMIT)
     )
 
 

@@ -327,23 +327,22 @@ def _sgef_owners(inst: Instance, graph: GraphClass) -> Optional[list[int]]:
     return sorted(owners + [s for same in by_watchers.values() for s in same[:m]])
 
 
-def sgef_fpt_search_size(inst: Instance, graph: GraphClass) -> int:
-    """Most nodes ``solve_sgef_fpt_resources`` can visit: owners^m, the
-    number of assignments the kernel scans, and 0 in case 2."""
-    owners = _sgef_owners(inst, graph)
-    return 0 if owners is None else len(owners) ** inst.m
+def sgef_fpt_search_size(owners: Optional[list[int]], m: int) -> int:
+    """Most nodes ``solve_sgef_fpt_resources`` can visit over ``owners``
+    (from ``_sgef_owners``) and ``m`` resources: owners^m, the number of
+    assignments the kernel scans, and 0 in case 2."""
+    return 0 if owners is None else len(owners) ** m
 
 
 def solve_sgef_fpt_resources(
-    inst: Instance, graph: GraphClass, budget: int = DEFAULT_BUDGET
+    inst: Instance, owners: Optional[list[int]], budget: int = DEFAULT_BUDGET
 ) -> SolveResult:
     """Strict notion, complete goal, any preferences, at least one agent.
 
-    A kernel scan over the owners ``_sgef_owners`` picks; the witness is the
-    first fair assignment in the kernel's canonical order over those owners
-    in index order.
+    A kernel scan over ``owners``, the agents ``_sgef_owners`` picks for
+    ``inst``; the witness is the first fair assignment in the kernel's
+    canonical order over those owners in index order.
     """
-    owners = _sgef_owners(inst, graph)
     if owners is None:
         return SolveResult.infeasible(0)
     return search_complete(inst, FairnessNotion.STRICT, owners, budget)

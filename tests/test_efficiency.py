@@ -16,6 +16,7 @@ from gefalloc import (
     utilitarian_welfare,
     verify_fairness,
 )
+from gefalloc import _kernels
 from gefalloc.generators import gen_random
 from gefalloc.graphs import GraphKind
 from gefalloc.model import PreferenceKind, Status
@@ -83,26 +84,44 @@ def small_instances():
                          shapes[i % 3], 3, 7100 + i)
 
 
+def check_pareto_witnesses():
+    """Pareto brute force against the oracle: witness, verdict and nodes."""
+    for inst in small_instances():
+        util, arcs = oracle.instance_args(inst)
+        for notion in (WEAK, STRICT):
+            res = brute_force(inst, notion, PARETO)
+            want = oracle.first_fair_pareto(util, arcs, notion is STRICT, inst.m)
+            assert res.nodes == (inst.n + 1) ** inst.m
+            if want is None:
+                assert res.status is Status.INFEASIBLE, inst.to_document()
+            else:
+                assert res.status is Status.FEASIBLE, inst.to_document()
+                assert res.allocation == Allocation(want)
+
+
+def check_efficiency_on_every_allocation():
+    """``is_pareto_efficient`` against the oracle on every partial allocation."""
+    for inst in small_instances():
+        util, _ = oracle.instance_args(inst)
+        for asg in oracle.all_partial_assignments(inst.n, inst.m):
+            want = not oracle.dominated(util, asg, inst.m)
+            assert is_pareto_efficient(inst, Allocation(asg)) == want
+
+
 class TestParetoAgainstOracle:
     def test_brute_force_witness_and_nodes(self):
-        for inst in small_instances():
-            util, arcs = oracle.instance_args(inst)
-            for notion in (WEAK, STRICT):
-                res = brute_force(inst, notion, PARETO)
-                want = oracle.first_fair_pareto(util, arcs, notion is STRICT, inst.m)
-                assert res.nodes == (inst.n + 1) ** inst.m
-                if want is None:
-                    assert res.status is Status.INFEASIBLE, inst.to_document()
-                else:
-                    assert res.status is Status.FEASIBLE, inst.to_document()
-                    assert res.allocation == Allocation(want)
+        check_pareto_witnesses()
 
     def test_efficiency_check_on_every_allocation(self):
-        for inst in small_instances():
-            util, _ = oracle.instance_args(inst)
-            for asg in oracle.all_partial_assignments(inst.n, inst.m):
-                want = not oracle.dominated(util, asg, inst.m)
-                assert is_pareto_efficient(inst, Allocation(asg)) == want
+        check_efficiency_on_every_allocation()
+
+    @pytest.mark.parametrize("rows", [4, 36])
+    def test_scans_across_blocks(self, monkeypatch, rows):
+        """The same checks with small suffix tables, so that the scans walk
+        blocks of several prefixes (36) and several blocks (4)."""
+        monkeypatch.setattr(_kernels, "SUFFIX_ROWS", rows)
+        check_pareto_witnesses()
+        check_efficiency_on_every_allocation()
 
     def test_efficiency_check_budget_boundary(self):
         inst = make([[0], [1]], [])

@@ -18,6 +18,7 @@ from gefalloc import (
 )
 from gefalloc.exact import (
     ResourceTypeTable,
+    _sgef_owners,
     sgef_fpt_search_size,
     solve_identical_enum,
     solve_sgef_fpt_resources,
@@ -267,7 +268,7 @@ def first_fair_over(inst, owners):
 class TestSgefFpt:
     def test_against_brute(self):
         for inst in corpus(80, seed0=8):
-            got = solve_sgef_fpt_resources(inst, classify_graph(inst))
+            got = solve_sgef_fpt_resources(inst, _sgef_owners(inst, classify_graph(inst)))
             want = brute_force(inst, STRICT, EfficiencyGoal.COMPLETE)
             assert got.status == want.status, inst.to_document()
             if got.allocation is not None:
@@ -279,7 +280,8 @@ class TestSgefFpt:
         for inst, owners in case5_family(300, seed=11):
             graph = classify_graph(inst)
             assert not graph.sources and inst.n - len(graph.sinks) < inst.m < inst.n
-            got = solve_sgef_fpt_resources(inst, graph)
+            picked = _sgef_owners(inst, graph)
+            got = solve_sgef_fpt_resources(inst, picked)
             want = brute_force(inst, STRICT, EfficiencyGoal.COMPLETE)
             assert got.status == want.status, inst.to_document()
             verdicts.add(got.status)
@@ -288,9 +290,9 @@ class TestSgefFpt:
                 assert is_complete(inst, got.allocation)
                 assert got.allocation.assignment == first_fair_over(inst, owners)
             if got.nodes > 0:
-                cut = solve_sgef_fpt_resources(inst, graph, budget=got.nodes - 1)
+                cut = solve_sgef_fpt_resources(inst, picked, budget=got.nodes - 1)
                 assert cut.status is Status.BUDGET and cut.nodes == got.nodes - 1
-                assert solve_sgef_fpt_resources(inst, graph, budget=got.nodes) == got
+                assert solve_sgef_fpt_resources(inst, picked, budget=got.nodes) == got
         assert verdicts == {Status.FEASIBLE, Status.INFEASIBLE}
 
     def test_case4_needs_the_source_candidate(self):
@@ -300,7 +302,7 @@ class TestSgefFpt:
             [[1, 0, 5], [0, 1, 5], [0, 0, 1], [0, 0, 1]],
             [(0, 1), (1, 0)],
         )
-        res = solve_sgef_fpt_resources(inst, classify_graph(inst))
+        res = solve_sgef_fpt_resources(inst, _sgef_owners(inst, classify_graph(inst)))
         assert res.status is Status.FEASIBLE
         assert verify_fairness(inst, res.allocation, STRICT) is None
 
@@ -310,10 +312,11 @@ class TestSgefFpt:
         two_sink_types = make([[1, 1, 1]] * 4, [(0, 1), (1, 0), (0, 2), (1, 3)])
         family = [inst for inst, _ in case5_family(60, seed=12)]
         for inst in [two_sink_types, *corpus(80, seed0=8), *family]:
-            graph = classify_graph(inst)
-            size = sgef_fpt_search_size(inst, graph)
-            res = solve_sgef_fpt_resources(inst, graph)
+            owners = _sgef_owners(inst, classify_graph(inst))
+            size = sgef_fpt_search_size(owners, inst.m)
+            res = solve_sgef_fpt_resources(inst, owners)
             assert size >= res.nodes, inst.to_document()
             if res.status is Status.INFEASIBLE:
                 assert size == res.nodes, inst.to_document()
-        assert sgef_fpt_search_size(two_sink_types, classify_graph(two_sink_types)) == 64
+        owners = _sgef_owners(two_sink_types, classify_graph(two_sink_types))
+        assert sgef_fpt_search_size(owners, two_sink_types.m) == 64

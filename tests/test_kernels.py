@@ -125,14 +125,17 @@ COUNTER_NODES = 1500
 
 @pytest.mark.parametrize("rows", [1, 4, 36, _kernels.SUFFIX_ROWS])
 def test_table_backend_matches_counter(monkeypatch, rows):
-    """Table backend against the mixed-radix counter over n 0-5, m 0-7,
+    """Table backend against the mixed-radix counter over n 0-5, m 0-11,
     candidate subsets with and without -1, no arcs, both deltas and modes,
-    and limits from 0 to total+2 that cut inside a prefix, at its boundary
-    and nowhere.  Small suffix sizes make every scan span many prefixes."""
+    and limits from 0 to total+2 that cut inside a prefix, at its boundary,
+    at a block's boundary and nowhere.  Small suffix sizes make every scan
+    span many prefixes, and m up to 11 gives the walk outer digits, so that
+    it spans many blocks."""
     monkeypatch.setattr(_kernels, "SUFFIX_ROWS", rows)
     rng = random.Random(rows)
-    for trial in range(120):
-        n, m = rng.randint(0, 5), rng.randint(0, 7)
+    spans = 0
+    for trial in range(160):
+        n, m = rng.randint(0, 5), rng.randint(0, 11)
         pool = list(range(n)) + ([-1] if trial % 2 else [])
         cands = rng.sample(pool, rng.randint(1 if m else 0, len(pool))) if pool else []
         if m and not cands:
@@ -146,7 +149,10 @@ def test_table_backend_matches_counter(monkeypatch, rows):
         none = np.zeros(0, dtype=np.int64)
         split = _kernels._Split(util, none, none, np.array(cands, dtype=np.int64))
         size = split.table.shape[1]
-        limits = {0, size - 1, size, size + 1, rng.randint(0, total + 2), total, total + 2}
+        block = size * len(cands) ** (split.prefix - split.outer)
+        spans += split.outer > 0 and block < min(total, COUNTER_NODES)
+        limits = {0, size - 1, size, size + 1, block - 1, block, block + 1, 2 * block,
+                  rng.randint(0, total + 2), total, total + 2}
         for limit in sorted(x for x in limits if 0 <= x <= COUNTER_NODES):
             args = _kernels._backend_args(
                 util, arcs, rng.randint(0, 1), cands, rng.randint(0, 1), limit)
@@ -155,6 +161,8 @@ def test_table_backend_matches_counter(monkeypatch, rows):
             assert (int(got[0]), int(got[2]), int(got[3])) == \
                 (int(want[0]), int(want[2]), int(want[3])), (util, arcs, cands, args)
             assert np.array_equal(got[1], np.asarray(want[1], dtype=np.int64))
+    # with a small suffix, many scans run past the end of their first block
+    assert spans >= 10 or rows == 1 << 13
 
 
 def test_table_backend_bounded_before_first_node():
@@ -170,6 +178,24 @@ def test_table_backend_bounded_before_first_node():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert (status, nodes) == (2, 5)
+    assert elapsed < 1.0
+    assert peak < 64 * 2**20
+
+
+def test_table_backend_bounded_at_huge_budget():
+    """Without arcs the first assignment of 6^40 is fair: at a budget of
+    2^62 the table backend finds it after one node, within a second and
+    64 MB, so no table grows with the budget."""
+    util = np.ones((6, 40), dtype=np.int64)
+    args = _kernels._backend_args(util, [], 0, range(6), 0, 2**62)
+    tracemalloc.start()
+    start = time.perf_counter()
+    status, assignment, _, nodes = _kernels._search_numpy(*args)
+    elapsed = time.perf_counter() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert (status, nodes) == (0, 1)
+    assert not assignment.any()
     assert elapsed < 1.0
     assert peak < 64 * 2**20
 

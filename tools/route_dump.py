@@ -8,7 +8,8 @@ preference kind, u_diff, graph kind, sources, sinks, inner agents and the
 number of stripped resources.  Then one line per solve: instance id, notion,
 goal, requested algorithm, route, status, welfare, nodes, witness (owner per
 resource).  Each instance runs under both notions and all goals, with auto
-and every route whose row applies.
+and every route whose row applies.  The ``scan`` family runs only forced
+``brute``, at sizes where the scan spans many prefixes.
 """
 
 import random
@@ -57,6 +58,25 @@ def identical_general(count, seed):
                        [row] * n, arcs)
 
 
+def scan(count, seed):
+    """General preferences on random digraphs, sized so that brute force
+    scans more than 8192 assignments (k^m, k its candidate owners): welfare
+    and complete at n 4-6, m 6-8, and Pareto at n 3-4, m 6-7.  Yields the
+    instance and the goals to solve it for."""
+    rng = random.Random(seed)
+    while count:
+        pareto = count % 2 == 0
+        n = rng.randint(3, 4) if pareto else rng.randint(4, 6)
+        m = rng.randint(6, 7) if pareto else rng.randint(6, 8)
+        # the complete goal scans n owners, the others n owners and "none"
+        if (n if not pareto else n + 1) ** m <= 8192:
+            continue
+        count -= 1
+        goals = ([EfficiencyGoal.PARETO] if pareto
+                 else [EfficiencyGoal.COMPLETE, EfficiencyGoal.MAX_WELFARE])
+        yield gen_random(n, m, PreferenceKind.GENERAL, None, 3, rng.randrange(10**6)), goals
+
+
 def corpus():
     kinds, shapes = list(PreferenceKind), [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
     rng = random.Random(1)
@@ -66,6 +86,14 @@ def corpus():
     yield from ((f"case5-{i}", inst) for i, inst in enumerate(case5(300, 2, 4, 6)))
     yield from ((f"case5-big-{i}", inst) for i, inst in enumerate(case5(12, 3, 9, 10)))
     yield from ((f"ident-gen-{i}", inst) for i, inst in enumerate(identical_general(300, 4)))
+
+
+def solve_line(name, inst, notion, goal, algo):
+    res = solve(inst, notion, goal, algo, BUDGET)
+    asg = res.allocation.assignment if res.allocation else None
+    witness = "-" if asg is None else ",".join(str(asg.get(r, "-")) for r in range(inst.m))
+    print(name, notion.value, goal.value, algo, res.route, res.status.value,
+          res.welfare, res.nodes, witness or "()")
 
 
 def main():
@@ -78,12 +106,11 @@ def main():
         for notion in FairnessNotion:
             for goal in EfficiencyGoal:
                 for algo in ["auto"] + [r.name for r in ROUTES if r.applies(a, notion, goal)]:
-                    res = solve(inst, notion, goal, algo, BUDGET)
-                    asg = res.allocation.assignment if res.allocation else None
-                    witness = "-" if asg is None else ",".join(
-                        str(asg.get(r, "-")) for r in range(inst.m))
-                    print(name, notion.value, goal.value, algo, res.route, res.status.value,
-                          res.welfare, res.nodes, witness or "()")
+                    solve_line(name, inst, notion, goal, algo)
+    for i, (inst, goals) in enumerate(scan(200, 5)):
+        for notion in FairnessNotion:
+            for goal in goals:
+                solve_line(f"scan-{i}", inst, notion, goal, "brute")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,9 @@
 """Hot enumeration kernels behind the brute-force solvers.
 
-Two interchangeable backends implement the same search contract:
-
-* a numba ``@njit`` mixed-radix counter with incremental bundle values,
-* a numpy table backend (below).
-
-The numba path is used when available; set ``GEFALLOC_NO_NUMBA=1`` to force
-the numpy path.
+``search`` enumerates assignments by one numpy table scan (below).
+``tests/oracle.py`` keeps ``counter_search``, a plain mixed-radix counter
+with incremental bundle values under the same contract, as the reference
+the scan is checked against.
 
 Search contract
 ---------------
@@ -26,10 +23,10 @@ assignment array holds the owning agent per resource, ``-1`` if unassigned.
 At status 2, ``nodes`` is the budget and mode 1 reports the best fair
 assignment among the assignments within it.
 
-Table backend
--------------
+Table scan
+----------
 An arc's slack ``value(a,a) - value(a,b)``, the utility profile and the
-welfare are sums over resources, so the numpy backend splits the resources,
+welfare are sums over resources, so the scan splits the resources,
 the digits of an assignment, in three (in the manner of Horowitz and
 Sahni): a suffix of the ``s`` fastest, ``k**s`` at most ``SUFFIX_ROWS``
 (8192) for ``k`` candidates; a middle of the next ``s``, or of all that are
@@ -64,97 +61,15 @@ prefix plus the most each agent can still gain reaches the profile).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by backend selection
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("GEFALLOC_NO_NUMBA", "") != "1"
 
 
 def backend() -> str:
-    return "njit" if USE_NUMBA else "numpy"
+    """Name of the kernel backend, which ``perfbench/run.py`` prints."""
+    return "numpy"
 
 
-@njit(cache=True)
-def _search_njit(util, arc_a, arc_b, delta, cands, mode, limit):
-    n = util.shape[0]
-    m = util.shape[1]
-    k = cands.shape[0]
-    digits = np.zeros(m, np.int64)
-    # values[x, y] = value of y's current bundle under x's utility row
-    values = np.zeros((n, n), np.int64)
-    wel = np.int64(0)
-    first = cands[0] if k > 0 else np.int64(-1)
-    if first >= 0:
-        for r in range(m):
-            wel += util[first, r]
-            for x in range(n):
-                values[x, first] += util[x, r]
-    best = np.full(m, -1, np.int64)
-    best_wel = np.int64(-1)
-    nodes = np.int64(0)
-    while True:
-        nodes += 1
-        if nodes > limit:
-            return 2, best, best_wel, nodes - 1
-        fair = True
-        for t in range(arc_a.shape[0]):
-            a = arc_a[t]
-            b = arc_b[t]
-            if values[a, a] < values[a, b] + delta:
-                fair = False
-                break
-        if fair:
-            if mode == 0:
-                for r in range(m):
-                    best[r] = cands[digits[r]]
-                return 0, best, wel, nodes
-            if wel > best_wel:
-                best_wel = wel
-                for r in range(m):
-                    best[r] = cands[digits[r]]
-        # mixed-radix increment, rightmost digit fastest
-        i = m - 1
-        while i >= 0:
-            old = cands[digits[i]]
-            if digits[i] + 1 < k:
-                digits[i] += 1
-            else:
-                digits[i] = 0
-            new = cands[digits[i]]
-            if old >= 0:
-                wel -= util[old, i]
-                for x in range(n):
-                    values[x, old] -= util[x, i]
-            if new >= 0:
-                wel += util[new, i]
-                for x in range(n):
-                    values[x, new] += util[x, i]
-            if digits[i] != 0:
-                break
-            i -= 1
-        if i < 0:
-            break
-    if mode == 1 and best_wel >= 0:
-        return 0, best, best_wel, nodes
-    return 1, best, best_wel, nodes
-
-
-# The table backend's suffix holds at most this many assignments, and each
+# The scan's suffix holds at most this many assignments, and each
 # block at most this many prefixes.
 SUFFIX_ROWS = 1 << 13
 
@@ -188,10 +103,14 @@ class _Split:
     one quantity reads contiguous memory).
     """
 
-    def __init__(self, util, arc_a, arc_b, cands):
+    def __init__(self, utilities, arcs, cands):
+        util = np.asarray(utilities, dtype=np.int64)
+        arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
+        arc_a, arc_b = arcs[:, 0], arcs[:, 1]
+        cands = np.asarray(cands, dtype=np.int64)
         n, m = util.shape
         k = len(cands)
-        self.m, self.k, self.arcs, self.cands = m, k, len(arc_a), cands
+        self.m, self.k, self.arcs, self.cands = m, k, len(arcs), cands
         s = 0
         while s < m and k ** (s + 1) <= SUFFIX_ROWS:
             s += 1
@@ -258,8 +177,13 @@ class _Split:
         return self.cands[np.array(digits[::-1], dtype=np.int64)]
 
 
-def _search_numpy(util, arc_a, arc_b, delta, cands, mode, limit):
-    split = _Split(util, arc_a, arc_b, cands)
+def search(utilities, arcs, delta, candidates, mode, limit):
+    """The table scan of the search contract; see the module docstring."""
+    split = _Split(utilities, arcs, candidates)
+    if split.total == 0:
+        # no candidate owners but resources to place: nothing to enumerate,
+        # and an empty suffix table has no slack maximum
+        return 1, np.full(split.m, -1, dtype=np.int64), -1, 0
     A, size, limit = split.arcs, split.table.shape[1], int(limit)
     slack, profile = split.table[:A], split.table[A:]
     # mode 0 needs the welfare of the one assignment it returns
@@ -347,9 +271,7 @@ def pareto_frontier(utilities):
 def _partial_split(utilities, arcs):
     """``_Split`` of the partial allocations: the candidates are every agent,
     then unassigned."""
-    util, arc_a, arc_b, _, cands, _, _ = _backend_args(
-        utilities, arcs, 0, np.append(np.arange(len(utilities)), -1), 0, 0)
-    return _Split(util, arc_a, arc_b, cands)
+    return _Split(utilities, arcs, np.append(np.arange(len(utilities)), -1))
 
 
 def first_fair_on_frontier(utilities, arcs, delta, frontier):
@@ -387,29 +309,3 @@ def first_dominating(utilities, profile, limit):
                 return first + j + 1
     return None
 
-
-def _backend_args(utilities, arcs, delta, candidates, mode, limit):
-    """Arguments of either backend: contiguous int64 arrays with the arcs
-    split into tail and head columns, and int64 scalars."""
-    arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
-    return (
-        np.ascontiguousarray(utilities, dtype=np.int64),
-        np.ascontiguousarray(arcs[:, 0]),
-        np.ascontiguousarray(arcs[:, 1]),
-        np.int64(delta),
-        np.ascontiguousarray(candidates, dtype=np.int64),
-        np.int64(mode),
-        np.int64(limit),
-    )
-
-
-def search(utilities, arcs, delta, candidates, mode, limit):
-    """Dispatch to the selected backend; see the module docstring."""
-    args = _backend_args(utilities, arcs, delta, candidates, mode, limit)
-    m, cands = args[0].shape[1], args[4]
-    if cands.size == 0 and m > 0:
-        # no candidate owners but resources to place: nothing to enumerate
-        return 1, np.full(m, -1, dtype=np.int64), -1, 0
-    fn = _search_njit if USE_NUMBA else _search_numpy
-    status, assignment, wel, nodes = fn(*args)
-    return int(status), np.asarray(assignment, dtype=np.int64), int(wel), int(nodes)

@@ -17,7 +17,8 @@ finds exactly the fair allocations that reach the column-maximum bound,
 which are welfare-maximal and Pareto-efficient; when there are none, no
 fair allocation is Pareto-efficient, while a welfare optimum may still exist
 below the bound.  So a MaxWelfare solve whose route answers infeasible falls
-through to brute force.
+through to brute force, which gets what that route left of the budget; the
+result counts the nodes of both.
 """
 
 from __future__ import annotations
@@ -208,12 +209,13 @@ def solve(
             f"notion={notion.value}, goal={goal.value}"
         )
     res = ROUTE[algorithm].run(a, notion, goal, budget)
-    chain = algorithm
+    chain, nodes = algorithm, res.nodes
     if (
         goal is EfficiencyGoal.MAX_WELFARE
         and res.status is Status.INFEASIBLE
         and algorithm != "brute"
     ):
-        res = brute_force(inst, notion, goal, budget)
+        res = brute_force(inst, notion, goal, budget - nodes)
         chain += "->brute"
-    return SolveResult(res.status, res.allocation, res.welfare, res.nodes, chain)
+        nodes += res.nodes
+    return SolveResult(res.status, res.allocation, res.welfare, nodes, chain)

@@ -7,6 +7,8 @@ code with the package internals; only ``Allocation`` wraps an answer.
 
 import itertools
 
+import numpy as np
+
 from gefalloc import Allocation
 
 
@@ -153,3 +155,77 @@ def efficient_dag_greedy(utilities, arcs, m):
         remaining.remove(r)
         assignment[r] = max(fringe, key=lambda a: (utilities[a][r], -a))
     return assignment
+
+
+def counter_search(utilities, arcs, delta, candidates, mode, limit):
+    """Reference for ``gefalloc._kernels.search`` under the same contract
+    (see that module's docstring): a mixed-radix counter over the
+    assignments in canonical order that keeps every agent's value of every
+    bundle up to date as a digit moves.  Needs a candidate when there are
+    resources.  Welfare and nodes come back as numpy integers."""
+    util = np.ascontiguousarray(utilities, dtype=np.int64)
+    arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
+    arc_a, arc_b = arcs[:, 0], arcs[:, 1]
+    cands = np.ascontiguousarray(candidates, dtype=np.int64)
+    delta, mode, limit = np.int64(delta), np.int64(mode), np.int64(limit)
+    n = util.shape[0]
+    m = util.shape[1]
+    k = cands.shape[0]
+    digits = np.zeros(m, np.int64)
+    # values[x, y] = value of y's current bundle under x's utility row
+    values = np.zeros((n, n), np.int64)
+    wel = np.int64(0)
+    first = cands[0] if k > 0 else np.int64(-1)
+    if first >= 0:
+        for r in range(m):
+            wel += util[first, r]
+            for x in range(n):
+                values[x, first] += util[x, r]
+    best = np.full(m, -1, np.int64)
+    best_wel = np.int64(-1)
+    nodes = np.int64(0)
+    while True:
+        nodes += 1
+        if nodes > limit:
+            return 2, best, best_wel, nodes - 1
+        fair = True
+        for t in range(arc_a.shape[0]):
+            a = arc_a[t]
+            b = arc_b[t]
+            if values[a, a] < values[a, b] + delta:
+                fair = False
+                break
+        if fair:
+            if mode == 0:
+                for r in range(m):
+                    best[r] = cands[digits[r]]
+                return 0, best, wel, nodes
+            if wel > best_wel:
+                best_wel = wel
+                for r in range(m):
+                    best[r] = cands[digits[r]]
+        # mixed-radix increment, rightmost digit fastest
+        i = m - 1
+        while i >= 0:
+            old = cands[digits[i]]
+            if digits[i] + 1 < k:
+                digits[i] += 1
+            else:
+                digits[i] = 0
+            new = cands[digits[i]]
+            if old >= 0:
+                wel -= util[old, i]
+                for x in range(n):
+                    values[x, old] -= util[x, i]
+            if new >= 0:
+                wel += util[new, i]
+                for x in range(n):
+                    values[x, new] += util[x, i]
+            if digits[i] != 0:
+                break
+            i -= 1
+        if i < 0:
+            break
+    if mode == 1 and best_wel >= 0:
+        return 0, best, best_wel, nodes
+    return 1, best, best_wel, nodes

@@ -266,24 +266,12 @@ class TestGenerate:
         assert main(["generate", "--variant", "bogus"]) == 2
 
 
-def child_env(**extra):
+def child_env():
     """Environment of a child interpreter that imports the package this test
     imported, installed or not."""
     src = os.path.dirname(os.path.dirname(gefalloc.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, **extra)
-
-
-def test_numba_env_flag_subprocess(tmp_path):
-    code = (
-        "from gefalloc import _kernels; print(_kernels.backend())"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(GEFALLOC_NO_NUMBA="1"),
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def test_console_entry_point(tmp_path):

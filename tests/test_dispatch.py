@@ -149,6 +149,20 @@ class TestRouteTable:
         assert res.route == "scc-id01->brute"
         assert res.status is Status.FEASIBLE and res.welfare == 0
 
+    def test_welfare_fallback_shares_one_budget(self):
+        # 0/1 rows: ilp finds no fair allocation at the column-maximum bound
+        # after 14 nodes and brute force scans the 5^3 partial allocations
+        inst = make([[1, 1, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1]],
+                    [(0, 3), (1, 0), (1, 2), (2, 1), (3, 0), (3, 2)])
+        first = solve(inst, STRICT, WELFARE, algorithm="ilp")
+        assert first.route == "ilp->brute"
+        assert first.status is Status.INFEASIBLE and first.nodes == 14 + 125
+        assert solve(inst, STRICT, WELFARE, budget=139).status is Status.INFEASIBLE
+        for budget in (14, 125, 138):
+            res = solve(inst, STRICT, WELFARE, budget=budget)
+            assert res.route == "ilp->brute"
+            assert res.status is Status.BUDGET and res.nodes == budget
+
     def test_no_agents_with_resources_is_infeasible(self):
         inst = Instance([], ["r0"], np.zeros((0, 1), dtype=np.int64), [])
         for notion in (WEAK, STRICT):

@@ -13,21 +13,22 @@ import oracle
 
 
 def run_both(utilities, arcs, delta, candidates, mode, limit=10**7):
-    """Run ``search``, and both backends directly on the arguments it
-    prepares, asserting they agree.  Without numba ``_search_njit`` is plain
-    Python, so both backends are checked either way."""
+    """Run ``search`` and the counter reference, asserting they agree.  The
+    counter needs a candidate when there are resources; ``search`` answers
+    that case before it builds a table."""
     got = _kernels.search(utilities, arcs, delta, candidates, mode, limit)
-    args = _kernels._backend_args(utilities, arcs, delta, candidates, mode, limit)
-    if args[4].size or not args[0].shape[1]:  # search hands these to a backend
-        for backend in (_kernels._search_njit, _kernels._search_numpy):
-            status, assignment, welfare, nodes = backend(*args)
-            assert (int(status), int(welfare), int(nodes)) == (got[0], got[2], got[3])
-            assert np.array_equal(np.asarray(assignment, dtype=np.int64), got[1])
+    assert [type(x) for x in got] == [int, np.ndarray, int, int]
+    assert got[1].dtype == np.int64
+    if len(candidates) or not np.shape(utilities)[1]:
+        status, assignment, welfare, nodes = oracle.counter_search(
+            utilities, arcs, delta, candidates, mode, limit)
+        assert (status, int(welfare), int(nodes)) == (got[0], got[2], got[3])
+        assert np.array_equal(assignment, got[1])
     return got
 
 
 def test_backend_flag():
-    assert _kernels.backend() in ("njit", "numpy")
+    assert _kernels.backend() == "numpy"
 
 
 class TestFirstFairMode:
@@ -66,8 +67,9 @@ class TestFirstFairMode:
         assert list(assignment) == [-1]
 
     def test_no_candidates_with_resources(self):
-        status, assignment, _, _ = run_both([[1]], [], 0, [], 0)
-        assert status == 1 or list(assignment) == [-1]
+        for m in (1, 3):
+            got = run_both([[1] * m], [], 0, [], 0)
+            assert (got[0], list(got[1]), got[2], got[3]) == (1, [-1] * m, -1, 0)
 
 
 class TestWelfareMode:
@@ -118,14 +120,14 @@ class TestAgainstExhaustiveEnumeration:
                 assert {r: int(a) for r, a in enumerate(assignment)} == found
 
 
-# The counter backend runs as plain Python without numba, so property checks
-# keep each of its scans to at most this many nodes.
+# The counter reference runs as plain Python, so property checks keep each
+# of its scans to at most this many nodes.
 COUNTER_NODES = 1500
 
 
 @pytest.mark.parametrize("rows", [1, 4, 36, _kernels.SUFFIX_ROWS])
 def test_table_backend_matches_counter(monkeypatch, rows):
-    """Table backend against the mixed-radix counter over n 0-5, m 0-11,
+    """The table scan against the mixed-radix counter over n 0-5, m 0-11,
     candidate subsets with and without -1, no arcs, both deltas and modes,
     and limits from 0 to total+2 that cut inside a prefix, at its boundary,
     at a block's boundary and nowhere.  Small suffix sizes make every scan
@@ -146,34 +148,30 @@ def test_table_backend_matches_counter(monkeypatch, rows):
             (a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.4
         ]
         total = len(cands) ** m
-        none = np.zeros(0, dtype=np.int64)
-        split = _kernels._Split(util, none, none, np.array(cands, dtype=np.int64))
+        split = _kernels._Split(util, (), cands)
         size = split.table.shape[1]
         block = size * len(cands) ** (split.prefix - split.outer)
         spans += split.outer > 0 and block < min(total, COUNTER_NODES)
         limits = {0, size - 1, size, size + 1, block - 1, block, block + 1, 2 * block,
                   rng.randint(0, total + 2), total, total + 2}
         for limit in sorted(x for x in limits if 0 <= x <= COUNTER_NODES):
-            args = _kernels._backend_args(
-                util, arcs, rng.randint(0, 1), cands, rng.randint(0, 1), limit)
-            want = _kernels._search_njit(*args)
-            got = _kernels._search_numpy(*args)
-            assert (int(got[0]), int(got[2]), int(got[3])) == \
-                (int(want[0]), int(want[2]), int(want[3])), (util, arcs, cands, args)
-            assert np.array_equal(got[1], np.asarray(want[1], dtype=np.int64))
+            args = (util, arcs, rng.randint(0, 1), cands, rng.randint(0, 1), limit)
+            want = oracle.counter_search(*args)
+            got = _kernels.search(*args)
+            assert (got[0], got[2], got[3]) == (want[0], int(want[2]), int(want[3])), args
+            assert np.array_equal(got[1], want[1])
     # with a small suffix, many scans run past the end of their first block
     assert spans >= 10 or rows == 1 << 13
 
 
 def test_table_backend_bounded_before_first_node():
-    """With 6^40 assignments the table backend reaches its budget of five
+    """With 6^40 assignments the table scan reaches its budget of five
     nodes within a second and 64 MB: it never tabulates the prefixes."""
     util = np.ones((6, 40), dtype=np.int64)
     arcs = [(a, (a + 1) % 6) for a in range(6)]
-    args = _kernels._backend_args(util, arcs, 1, range(6), 0, 5)
     tracemalloc.start()
     start = time.perf_counter()
-    status, _, _, nodes = _kernels._search_numpy(*args)
+    status, _, _, nodes = _kernels.search(util, arcs, 1, range(6), 0, 5)
     elapsed = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -184,13 +182,12 @@ def test_table_backend_bounded_before_first_node():
 
 def test_table_backend_bounded_at_huge_budget():
     """Without arcs the first assignment of 6^40 is fair: at a budget of
-    2^62 the table backend finds it after one node, within a second and
+    2^62 the table scan finds it after one node, within a second and
     64 MB, so no table grows with the budget."""
     util = np.ones((6, 40), dtype=np.int64)
-    args = _kernels._backend_args(util, [], 0, range(6), 0, 2**62)
     tracemalloc.start()
     start = time.perf_counter()
-    status, assignment, _, nodes = _kernels._search_numpy(*args)
+    status, assignment, _, nodes = _kernels.search(util, [], 0, range(6), 0, 2**62)
     elapsed = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -234,9 +231,7 @@ def test_table_layout(n, m, cands, arcs, prefix):
     rng = random.Random(n * 100 + m)
     util = np.array([[rng.randint(0, 5) for _ in range(m)] for _ in range(n)],
                     dtype=np.int64).reshape(n, m)
-    arc_arr = np.array(arcs, dtype=np.int64).reshape(-1, 2)
-    split = _kernels._Split(util, arc_arr[:, 0].copy(), arc_arr[:, 1].copy(),
-                            np.array(cands, dtype=np.int64))
+    split = _kernels._Split(util, arcs, cands)
     assert split.prefix == prefix
     assert split.table.flags.c_contiguous
     assert np.array_equal(split.table, reference_table(util, arcs, cands, prefix))

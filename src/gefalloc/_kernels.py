@@ -38,9 +38,9 @@ assignments in canonical order, shifting the block's sums when an outer
 digit moves.  Per block, one comparison finds the prefixes that some suffix
 could make fair (``prefix_slack + max(slack) >= delta`` on every arc) and,
 in mode 1, one sum gives their welfare.  The scan visits the surviving
-prefixes in canonical order, skips each one that cannot lift the welfare
-above the best so far (a scalar test, as the best grows within a block),
-and tests all of a prefix's suffix assignments at once:
+prefixes in canonical order, drops again, whenever the best welfare grows,
+the block's remaining prefixes that can no longer beat it (one vectorized
+test), and tests all of a prefix's suffix assignments at once:
 ``slack + prefix_slack >= delta`` on every arc.  Skipped assignments still
 count as nodes.  When ``k**m <= SUFFIX_ROWS`` there is one block of one
 prefix.  Memory is ``O((A + n) * (2 * SUFFIX_ROWS + m))`` for ``A`` arcs: no
@@ -52,11 +52,26 @@ test of one quantity reads contiguous memory: in another memory order a
 welfare scan at n=3, m=7 ran 3.4 times slower.  A broadcast does not
 promise C order, so the build ends with ``np.ascontiguousarray``.
 
+Every table, and the Pareto frontier, is held in the narrowest signed
+integer type (int8, int16, int32 or int64) that holds ``±(2*s + 1)``, ``s``
+the largest row sum of the utilities (and, in ``first_dominating``, of the
+caller's profile).  Every value a scan forms fits: an arc slack or a profile
+entry is a signed sum over one agent's row, an outer digit's shift is at
+most twice a utility, and ``delta - x`` adds one.  Welfare is summed in
+int64.  On small utilities the comparisons then read an eighth of the
+memory, and the verdicts, witnesses and node counts are those of int64.
+
 The same tables and walk serve the Pareto goal: ``pareto_frontier`` builds
 the undominated profiles, ``first_fair_on_frontier`` finds the Pareto
 brute-force witness (the block test is the arcs' reach, as above) and
 ``first_dominating`` decides Pareto efficiency (the block test is whether a
 prefix plus the most each agent can still gain reaches the profile).
+Frontier membership goes by a linear key, ``k(p) = sum(p[i] * w[i])``
+modulo 2**64 with fixed odd multipliers ``w``: the frontier's keys are
+sorted once, the suffix table's keys built once, a prefix adds one scalar,
+and one ``searchsorted`` tests all of a prefix's fair suffixes.  A key hit
+is checked against the frontier rows of that key, so a collision costs one
+check and never a wrong witness.
 """
 
 from __future__ import annotations
@@ -72,6 +87,13 @@ def backend() -> str:
 # The scan's suffix holds at most this many assignments, and each
 # block at most this many prefixes.
 SUFFIX_ROWS = 1 << 13
+
+
+def _table_type(util, cover=0):
+    """The narrowest signed integer type that holds ``±(2*s + 1)``, ``s``
+    the largest of ``cover`` and the row sums of ``util``."""
+    s = max(int(util.sum(axis=1).max(initial=0)), cover)
+    return np.min_scalar_type(-2 * s - 1)
 
 
 def _sums(gains, table):
@@ -100,11 +122,14 @@ class _Split:
     the last ``n`` the utility profile, whose sum is the welfare.  Column
     ``j`` of ``table`` holds these sums over the suffix for its ``j``-th
     assignment in canonical order (one row per quantity, so that a test of
-    one quantity reads contiguous memory).
+    one quantity reads contiguous memory).  Every table is of
+    ``_table_type(utilities, cover)``: ``cover`` is a further magnitude it
+    must hold.
     """
 
-    def __init__(self, utilities, arcs, cands):
+    def __init__(self, utilities, arcs, cands, cover=0):
         util = np.asarray(utilities, dtype=np.int64)
+        util = util.astype(_table_type(util, cover))
         arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
         arc_a, arc_b = arcs[:, 0], arcs[:, 1]
         cands = np.asarray(cands, dtype=np.int64)
@@ -119,11 +144,11 @@ class _Split:
         self.total = k**m
         self.V = np.concatenate((util[arc_a].T, util.T), axis=1)
         # owner indicator per candidate; its zero last row stands for "unassigned"
-        owner = np.eye(n + 1, n, dtype=np.int64)[cands]
+        owner = np.eye(n + 1, n, dtype=util.dtype)[cands]
         self.S = np.concatenate((owner[:, arc_a] - owner[:, arc_b], owner), axis=1)
         # gains[r - outer][q, c]: V[r][q] * S[c][q], for the middle and suffix
         self.gains = np.ascontiguousarray(self.V[self.outer:, :, None] * self.S.T)
-        self.zero = np.zeros((self.V.shape[1], 1), dtype=np.int64)
+        self.zero = np.zeros((self.V.shape[1], 1), dtype=util.dtype)
         # C order, see the module docstring
         self.table = np.ascontiguousarray(
             _sums(self.gains[self.prefix - self.outer:], self.zero))
@@ -187,34 +212,33 @@ def search(utilities, arcs, delta, candidates, mode, limit):
     A, size, limit = split.arcs, split.table.shape[1], int(limit)
     slack, profile = split.table[:A], split.table[A:]
     # mode 0 needs the welfare of the one assignment it returns
-    wel = profile.sum(axis=0) if mode == 1 else None
+    wel = profile.sum(axis=0, dtype=np.int64) if mode == 1 else None
     top = int(wel.max()) if mode == 1 else 0
     best, best_wel = None, -1
     # alive: some suffix can make the prefix fair
     for start, block, alive in split.blocks(limit, delta - slack.max(axis=1)):
         if mode == 1:
-            # when maximising, skip a prefix that cannot beat the best so
-            # far: at the block's start here, and as the best grows below
-            bases = block[A:].sum(axis=0)
+            # when maximising, drop the prefixes that cannot beat the best
+            # so far: at the block's start here, and as the best grows below
+            bases = block[A:].sum(axis=0, dtype=np.int64)
             alive &= bases + top > best_wel
-        for i in alive.nonzero()[0].tolist():
+        rest = alive.nonzero()[0]
+        while len(rest):
+            i, rest = int(rest[0]), rest[1:]
             first = start + i * size
             rows = min(size, limit - first)
-            if mode == 1:
-                base = int(bases[i])
-                if base + top <= best_wel:
-                    continue
             fair = (slack[:, :rows] >= (delta - block[:A, i])[:, None]).all(axis=0)
             if mode == 0:
                 j = int(fair.argmax())
                 if fair[j]:
-                    welfare = int((block[A:, i] + profile[:, j]).sum())
+                    welfare = int((block[A:, i] + profile[:, j]).sum(dtype=np.int64))
                     return 0, split.assignment(first + j), welfare, first + j + 1
             else:
                 j = int(np.where(fair, wel[:rows], -1).argmax())
-                if fair[j] and base + int(wel[j]) > best_wel:
-                    best_wel = base + int(wel[j])
-                    best = split.assignment(first + j)
+                welfare = int(bases[i] + wel[j])
+                if fair[j] and welfare > best_wel:
+                    best_wel, best = welfare, split.assignment(first + j)
+                    rest = rest[bases[rest] + top > best_wel]
     if best is None:
         best = np.full(split.m, -1, dtype=np.int64)
     if split.total > limit:
@@ -226,29 +250,27 @@ def search(utilities, arcs, delta, candidates, mode, limit):
 PRUNE_PAIRS = 1 << 22
 
 
-def _row_keys(rows):
-    """One scalar per row, equal exactly when the rows are equal."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    if rows.shape[1] == 0:
-        return np.zeros(len(rows), dtype=np.int8)
-    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
-
-
 def _maximal(points):
-    """The distinct rows of ``points`` that no other row dominates."""
-    _, first = np.unique(_row_keys(points), return_index=True)
-    cols = np.ascontiguousarray(points[np.sort(first)].T)
+    """The distinct rows of ``points`` that no other row dominates, in order
+    of first occurrence.  A rival at least as good on every agent is
+    strictly better if its total is larger, and the same profile if its
+    total is equal; so in a stable order by falling total a point stays
+    exactly when no earlier point covers it."""
+    order = np.argsort(-points.sum(axis=1, dtype=np.int64), kind="stable")
+    cols = np.ascontiguousarray(points[order].T)
     n, size = cols.shape
-    keep = np.ones(size, dtype=bool)
+    keep = np.empty(size, dtype=bool)
     block = max(1, PRUNE_PAIRS // size)
     for lo in range(0, size, block):
-        part = cols[:, lo:lo + block]
-        # rivals at least as good as each point of the block, itself included
-        covers = np.ones((part.shape[1], size), dtype=bool)
+        hi = min(lo + block, size)
+        part = cols[:, lo:hi]
+        # the points up to the block's end at least as good as each point
+        # of the block: the first of them is the point itself if it stays
+        covers = np.ones((hi - lo, hi), dtype=bool)
         for i in range(n):
-            covers &= cols[i] >= part[i][:, None]
-        keep[lo:lo + block] = covers.sum(axis=1) == 1
-    return cols[:, keep].T
+            covers &= cols[i, :hi] >= part[i][:, None]
+        keep[lo:hi] = covers.argmax(axis=1) == np.arange(lo, hi)
+    return points[np.sort(order[keep])]
 
 
 def pareto_frontier(utilities):
@@ -259,8 +281,9 @@ def pareto_frontier(utilities):
     same extension of its dominator.  Leaving a resource that someone
     values unassigned is dominated by giving it to that agent."""
     util = np.asarray(utilities, dtype=np.int64)
+    util = util.astype(_table_type(util))
     n = util.shape[0]
-    front = np.zeros((1, n), dtype=np.int64)
+    front = np.zeros((1, n), dtype=util.dtype)
     for col in util.T:
         gains = np.diag(col)[col > 0]
         if len(gains):
@@ -268,26 +291,51 @@ def pareto_frontier(utilities):
     return front
 
 
-def _partial_split(utilities, arcs):
+def _partial_split(utilities, arcs, cover=0):
     """``_Split`` of the partial allocations: the candidates are every agent,
     then unassigned."""
-    return _Split(utilities, arcs, np.append(np.arange(len(utilities)), -1))
+    return _Split(utilities, arcs, np.append(np.arange(len(utilities)), -1), cover)
+
+
+def _key_weights(n):
+    """The membership key's fixed odd multipliers, one per agent, as a
+    column: splitmix64 of 1, ..., n."""
+    w = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    w = (w ^ (w >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    w = (w ^ (w >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((w ^ (w >> np.uint64(31))) | np.uint64(1))[:, None]
+
+
+def _keys(cols, w):
+    """The membership key ``sum(p[i] * w[i])`` modulo 2**64 of each column
+    ``p`` of ``cols``.  It is linear: the key of a sum is the sum of the
+    keys."""
+    return (cols.astype(np.uint64) * w).sum(axis=0, dtype=np.uint64)
 
 
 def first_fair_on_frontier(utilities, arcs, delta, frontier):
     """First fair partial allocation in canonical order (agents before
-    unassigned) whose utility profile is a row of ``frontier``, as an owner
-    per resource, or ``None``."""
+    unassigned) whose utility profile is a row of ``frontier``, a non-empty
+    array of profiles, as an owner per resource, or ``None``."""
     split = _partial_split(utilities, arcs)
     A, size = split.arcs, split.table.shape[1]
     slack, profile = split.table[:A], split.table[A:]
-    keys = _row_keys(frontier)
+    frontier = np.asarray(frontier)
+    w = _key_weights(len(profile))
+    front_keys = _keys(frontier.T, w)
+    ordered = np.sort(front_keys)
+    suffix_keys = _keys(profile, w)
     for start, block, alive in split.blocks(split.total, delta - slack.max(axis=1)):
+        prefix_keys = _keys(block[A:], w)
         for i in alive.nonzero()[0].tolist():
             fair = np.flatnonzero((slack >= (delta - block[:A, i])[:, None]).all(axis=0))
-            on = np.isin(_row_keys(profile[:, fair].T + block[A:, i]), keys)
-            if on.any():
-                return split.assignment(start + i * size + int(fair[on.argmax()]))
+            keys = suffix_keys[fair] + prefix_keys[i]
+            found = np.take(ordered, np.searchsorted(ordered, keys), mode="clip") == keys
+            for j in np.flatnonzero(found).tolist():
+                # a key can collide: check the profile against its key's rows
+                full = profile[:, fair[j]] + block[A:, i]
+                if (frontier[front_keys == keys[j]] == full).all(axis=1).any():
+                    return split.assignment(start + i * size + int(fair[j]))
     return None
 
 
@@ -296,9 +344,10 @@ def first_dominating(utilities, profile, limit):
     first partial allocation whose utility profile dominates ``profile``,
     looking at the first ``limit`` allocations only; ``None`` if there is
     none among them."""
-    split = _partial_split(utilities, ())
-    table, size = split.table, split.table.shape[1]
     profile = np.asarray(profile, dtype=np.int64)
+    split = _partial_split(utilities, (), int(np.abs(profile).max(initial=0)))
+    table, size = split.table, split.table.shape[1]
+    profile = profile.astype(table.dtype)
     for start, block, alive in split.blocks(limit, profile - table.max(axis=1)):
         for i in alive.nonzero()[0].tolist():
             first = start + i * size

@@ -125,6 +125,30 @@ def dominated(utilities, assignment, m):
     return False
 
 
+def pareto_profiles(utilities, m):
+    """The distinct profiles of the partial assignments of the m resources
+    that no other profile dominates, in order of first occurrence in
+    canonical order (resource 0 slowest, agents before unassigned)."""
+    n = len(utilities)
+    seen = dict.fromkeys(profile(utilities, asg) for asg in all_partial_assignments(n, m))
+    points = np.array(list(seen), dtype=np.int64).reshape(len(seen), n)
+    return [p for p, row in zip(seen, points)
+            if not ((points >= row).all(axis=1) & (points > row).any(axis=1)).any()]
+
+
+def first_dominating(utilities, target, m, limit):
+    """1-based position in canonical order of the first of the first
+    ``limit`` partial assignments whose profile dominates ``target``, or
+    None."""
+    for pos, asg in enumerate(all_partial_assignments(len(utilities), m), 1):
+        if pos > limit:
+            return None
+        p = profile(utilities, asg)
+        if all(x >= y for x, y in zip(p, target)) and any(x > y for x, y in zip(p, target)):
+            return pos
+    return None
+
+
 def first_fair_pareto(utilities, arcs, strict, m):
     """First fair, undominated partial assignment in canonical order (resource
     0 slowest, agents before unassigned), or None."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gefalloc import _kernels
-from gefalloc.model import PreferenceKind
+from gefalloc.model import UTILITY_BOUND, PreferenceKind
 from gefalloc.generators import gen_random
 
 import oracle
@@ -235,3 +235,127 @@ def test_table_layout(n, m, cands, arcs, prefix):
     assert split.prefix == prefix
     assert split.table.flags.c_contiguous
     assert np.array_equal(split.table, reference_table(util, arcs, cands, prefix))
+
+
+def frontier_rows(frontier):
+    return [tuple(int(v) for v in row) for row in frontier]
+
+
+@pytest.mark.parametrize("pairs", [1, 7, _kernels.PRUNE_PAIRS])
+def test_pareto_frontier_matches_oracle(monkeypatch, pairs):
+    """The frontier equals the distinct undominated profiles of all partial
+    assignments, in order of first occurrence, over n 0-6 and m 0-5 with
+    small utilities (many equal profiles) and some all-zero columns, also
+    when pruning compares one or seven pairs at a time."""
+    monkeypatch.setattr(_kernels, "PRUNE_PAIRS", pairs)
+    rng = random.Random(pairs)
+    for trial in range(60):
+        n, m = rng.randint(0, 6), rng.randint(0, 5)
+        while (n + 1) ** m > 20000:
+            m -= 1
+        top = rng.choice([1, 2, 3])
+        util = np.array([[rng.randint(0, top) for _ in range(m)] for _ in range(n)],
+                        dtype=np.int64).reshape(n, m)
+        for r in range(m):
+            if rng.random() < 0.2:
+                util[:, r] = 0
+        got = _kernels.pareto_frontier(util)
+        assert got.shape[1] == n
+        assert frontier_rows(got) == oracle.pareto_profiles(util.tolist(), m), util
+
+
+# Largest row sums on each side of the points where the table type widens
+# (int8 up to 63, int16 up to 16383, int32 up to 2**30 - 1), and of the
+# points where a type that holds only ±(s+1) would widen.
+ROW_SUMS = [63, 64, 127, 128, 16383, 16384, 32767, 32768,
+            2**30 - 1, 2**30, 2**31 - 1, 2**31]
+
+
+def table_type(s):
+    for t in (np.int8, np.int16, np.int32):
+        if 2 * s + 1 <= np.iinfo(t).max:
+            return t
+    return np.int64
+
+
+def boundary_instances(rng, s):
+    """Instances whose largest row sum is exactly ``s``: agent 0's row,
+    the others' rows below it.  Every other agent watches agent 0 and
+    agent 0 watches agent 1, so slacks reach ``-s`` and ``s``."""
+    for n, m in ((2, 3), (3, 3), (2, 4)):
+        cuts = sorted(rng.randint(0, s) for _ in range(m - 1))
+        rows = [[b - a for a, b in zip([0] + cuts, cuts + [s])]]
+        for _ in range(n - 1):
+            rows.append([rng.randint(0, s // m) for _ in range(m)])
+        arcs = [(0, 1)] + [(a, 0) for a in range(1, n)]
+        yield np.array(rows, dtype=np.int64), arcs
+
+
+def near_utility_bound():
+    """The largest utilities a 2 x 3 instance may have (n * m * max below
+    ``UTILITY_BOUND``): row sums near 2**61."""
+    top = (UTILITY_BOUND - 1) // 6
+    return np.array([[top] * 3, [top // 2, top, 0]], dtype=np.int64), [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("rows", [1, 4, _kernels.SUFFIX_ROWS])
+def test_type_boundaries(monkeypatch, rows):
+    """At row sums on either side of each point where the table type
+    widens, and near ``UTILITY_BOUND``, every kernel answers as the
+    references do: ``search`` in both modes and both deltas, and the
+    frontier, its first fair allocation and the first dominating
+    allocation.  Small suffixes put most sums in the prefix blocks."""
+    monkeypatch.setattr(_kernels, "SUFFIX_ROWS", rows)
+    rng = random.Random(rows)
+    cases = [(s, inst) for s in ROW_SUMS for inst in boundary_instances(rng, s)]
+    cases.append((3 * ((UTILITY_BOUND - 1) // 6), near_utility_bound()))
+    for s, (util, arcs) in cases:
+        n, m = util.shape
+        assert _kernels._Split(util, arcs, range(n)).table.dtype == table_type(s)
+        plain = util.tolist()
+        for cands in (list(range(n)), [1, -1, 0], [1]):
+            for delta in (0, 1):
+                for mode in (0, 1):
+                    run_both(util, arcs, delta, cands, mode)
+        frontier = _kernels.pareto_frontier(util)
+        assert frontier.dtype == table_type(s)
+        assert frontier_rows(frontier) == oracle.pareto_profiles(plain, m)
+        for delta in (0, 1):
+            got = _kernels.first_fair_on_frontier(util, arcs, delta, frontier)
+            want = oracle.first_fair_pareto(plain, arcs, bool(delta), m)
+            assert (None if got is None else
+                    {r: int(a) for r, a in enumerate(got) if a >= 0}) == want
+        owners = [rng.randint(-1, n - 1) for _ in range(m)]
+        base = oracle.profile(plain, {r: a for r, a in enumerate(owners) if a >= 0})
+        for target in (base, [p + 1 for p in base], [p - 1 for p in base],
+                       [s + 1] + [0] * (n - 1)):
+            for limit in (7, (n + 1) ** m):
+                assert (_kernels.first_dominating(util, target, limit)
+                        == oracle.first_dominating(plain, target, m, limit))
+
+
+def test_frontier_membership_survives_key_collisions(monkeypatch):
+    """With every key multiplier 1 the membership key is the welfare, so
+    many profiles off the frontier share a key with one on it; the first
+    fair allocation on the frontier is still the reference's."""
+    monkeypatch.setattr(_kernels, "_key_weights", lambda n: np.ones((n, 1), dtype=np.uint64))
+    rng = random.Random(41)
+    collided = 0
+    for trial in range(60):
+        n, m = rng.randint(1, 3), rng.randint(0, 4)
+        inst = gen_random(n, m, PreferenceKind.GENERAL, None, 3, 3000 + trial)
+        util, arcs = oracle.instance_args(inst)
+        frontier = _kernels.pareto_frontier(inst.utilities)
+        for delta in (0, 1):
+            got = _kernels.first_fair_on_frontier(inst.utilities, arcs, delta, frontier)
+            want = oracle.first_fair_pareto(util, arcs, bool(delta), m)
+            assert (None if got is None else
+                    {r: int(a) for r, a in enumerate(got) if a >= 0}) == want
+            # the first fair allocation off the frontier with a frontier
+            # welfare: its key collides before the witness is reached
+            first_fair = next((asg for asg in oracle.all_partial_assignments(n, m)
+                               if oracle.fair(util, arcs, asg, bool(delta))), None)
+            welfares = {sum(p) for p in frontier_rows(frontier)}
+            collided += (first_fair is not None and first_fair != want
+                         and oracle.welfare(util, first_fair) in welfares)
+    assert collided >= 5

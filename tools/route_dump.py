@@ -8,8 +8,10 @@ preference kind, u_diff, graph kind, sources, sinks, inner agents and the
 number of stripped resources.  Then one line per solve: instance id, notion,
 goal, requested algorithm, route, status, welfare, nodes, witness (owner per
 resource).  Each instance runs under both notions and all goals, with auto
-and every route whose row applies.  The ``scan`` family runs only forced
-``brute``, at sizes where the scan spans many prefixes.
+and every route whose row applies.  The ``scan`` and ``wide-scan`` families
+run only forced ``brute``, at sizes where the scan spans many prefixes.
+The ``wide`` and ``wide-scan`` families draw utilities up to each of
+``WIDE`` in turn, so that the kernels' tables take every integer type.
 """
 
 import random
@@ -18,6 +20,10 @@ from gefalloc import (ROUTES, EfficiencyGoal, FairnessNotion, GraphKind, Instanc
                       PreferenceKind, analyze, gen_random, solve)
 
 BUDGET = 10**6
+
+# Largest utilities of the wide families: their row sums put the kernels'
+# tables in int8, int16, int32 and int64, on both sides of each switch.
+WIDE = [3, 12, 40, 3000, 6000, 2**28, 2**30, 2**56]
 
 
 def case5(count, seed, n_lo, n_hi):
@@ -58,11 +64,23 @@ def identical_general(count, seed):
                        [row] * n, arcs)
 
 
-def scan(count, seed):
+def wide(count, seed):
+    """General and identical preferences on every graph shape, n 1-4, m
+    0-6, with utilities up to each of ``WIDE`` in turn."""
+    kinds = [PreferenceKind.GENERAL, PreferenceKind.IDENTICAL]
+    shapes = [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
+    rng = random.Random(seed)
+    for i in range(count):
+        yield gen_random(rng.randint(1, 4), rng.randint(0, 6), kinds[i % 2], shapes[i % 3],
+                         WIDE[i % len(WIDE)], rng.randrange(10**6))
+
+
+def scan(count, seed, tops=(3,)):
     """General preferences on random digraphs, sized so that brute force
     scans more than 8192 assignments (k^m, k its candidate owners): welfare
-    and complete at n 4-6, m 6-8, and Pareto at n 3-4, m 6-7.  Yields the
-    instance and the goals to solve it for."""
+    and complete at n 4-6, m 6-8, and Pareto at n 3-4, m 6-7, with
+    utilities up to each of ``tops`` in turn.  Yields the instance and the
+    goals to solve it for."""
     rng = random.Random(seed)
     while count:
         pareto = count % 2 == 0
@@ -74,7 +92,8 @@ def scan(count, seed):
         count -= 1
         goals = ([EfficiencyGoal.PARETO] if pareto
                  else [EfficiencyGoal.COMPLETE, EfficiencyGoal.MAX_WELFARE])
-        yield gen_random(n, m, PreferenceKind.GENERAL, None, 3, rng.randrange(10**6)), goals
+        top = tops[count % len(tops)]
+        yield gen_random(n, m, PreferenceKind.GENERAL, None, top, rng.randrange(10**6)), goals
 
 
 def corpus():
@@ -86,6 +105,7 @@ def corpus():
     yield from ((f"case5-{i}", inst) for i, inst in enumerate(case5(300, 2, 4, 6)))
     yield from ((f"case5-big-{i}", inst) for i, inst in enumerate(case5(12, 3, 9, 10)))
     yield from ((f"ident-gen-{i}", inst) for i, inst in enumerate(identical_general(300, 4)))
+    yield from ((f"wide-{i}", inst) for i, inst in enumerate(wide(160, 6)))
 
 
 def solve_line(name, inst, notion, goal, algo):
@@ -107,10 +127,11 @@ def main():
             for goal in EfficiencyGoal:
                 for algo in ["auto"] + [r.name for r in ROUTES if r.applies(a, notion, goal)]:
                     solve_line(name, inst, notion, goal, algo)
-    for i, (inst, goals) in enumerate(scan(200, 5)):
-        for notion in FairnessNotion:
-            for goal in goals:
-                solve_line(f"scan-{i}", inst, notion, goal, "brute")
+    for family, scans in (("scan", scan(200, 5)), ("wide-scan", scan(48, 7, WIDE))):
+        for i, (inst, goals) in enumerate(scans):
+            for notion in FairnessNotion:
+                for goal in goals:
+                    solve_line(f"{family}-{i}", inst, notion, goal, "brute")
 
 
 if __name__ == "__main__":

@@ -2,12 +2,17 @@
 
 ``analyze`` computes the facts routing needs once per solve.  ``ROUTES``
 lists every solver with the condition under which it is correct for an
-(instance, notion, goal) triple; a forced route must meet its condition and
-the automatic route takes the first row that meets it.  A row is the only
-place its solver's condition is checked: the solvers assume it and read
-graph facts from the one ``Analysis``.  Every row but ``brute`` (and
-``alg2``, whose greedy pass needs no agent) wants at least one agent, and
-the automatic route sends every instance without agents to ``brute``.
+(instance, notion, goal) triple; a forced route must meet its condition.  A
+row is the only place its solver's condition is checked: the solvers assume
+it and read graph facts from the one ``Analysis``.  Every row but ``brute``
+(and ``alg2``, whose greedy pass needs no agent) wants at least one agent,
+and the automatic route sends every instance without agents to ``brute``.
+
+The automatic route takes the first closed form that meets its condition.
+Otherwise it takes the cheapest search whose node bound fits the budget,
+ties going to row order; a search's cost is a fixed time plus a time per
+node of its bound (``COST``).  When no bound fits, it takes the first search
+in row order, skipping those whose exact bound is over the budget.
 
 Complete-goal rows also serve Pareto and MaxWelfare under identical
 preferences: there a fair allocation is complete (once worthless resources
@@ -23,15 +28,18 @@ result counts the nodes of both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import GuardError
 from .exact import (
     DEFAULT_BUDGET,
+    ResourceTypeTable,
     _sgef_owners,
     brute_force,
+    ilp_search_size,
     sgef_fpt_search_size,
     solve_identical_enum,
     solve_ilp,
@@ -59,18 +67,59 @@ from .poly import (
 from .structures import solve_gef_identical_structures
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
-COMPLETE = EfficiencyGoal.COMPLETE
+COMPLETE, PARETO, WELFARE = EfficiencyGoal
 
-# beyond this many enumeration nodes the strict case split defers to the ILP
-SGEF_FPT_LIMIT = 10**6
+# The search rows, which auto compares by cost; every other row is a closed
+# form.  Rows whose node bound is exact are skipped when it exceeds the budget.
+SEARCHES = ("sgef-fpt", "ident-enum", "struct-fpt", "ilp", "brute")
+EXACT_BOUND = ("sgef-fpt", "ident-enum")
+
+# goal -> route -> (fixed seconds, seconds per node of the route's bound); a
+# row whose bound is 0 answers without searching, in about NO_SEARCH_S.
+# Measured on a 2-CPU machine (numpy kernels, Python 3.11.7): each search row
+# that applies to a search solve of the benchmark's routed-mix corpus was
+# timed after analysis (best of 9), and the constants were picked from a
+# coarse grid around the measured medians so that the rows they choose on
+# seeds 1 and 3 take the least total time.  On seeds 5 and 7 the rows chosen
+# take 49 ms, first-row routing 123 ms, and the fastest row of each solve
+# 44 ms.  The grid told an ilp fixed cost of 60 us from the kernel's 90 us
+# by 0.3 % only; at 90 us the ilp's least bound rules it out of most small
+# complete solves before its type table is built.  A bound is the most nodes
+# a search can count, and pruning keeps most of them from being visited, so
+# the kernel's and the ilp's costs per node of the bound are far below those
+# of a visited node; struct-fpt's (about 100 us per pattern) only sizes its
+# record.
+NO_SEARCH_S = 10e-6
+COST = {
+    goal: {
+        "sgef-fpt": (90e-6, 2e-9),
+        "ident-enum": (90e-6, 2e-9),
+        "struct-fpt": (100e-6, 100e-6),
+        "ilp": (90e-6, 0.5e-6),
+        # Pareto brute force builds the frontier before it scans
+        "brute": (400e-6, 200e-9) if goal is PARETO else (90e-6, 2e-9),
+    }
+    for goal in EfficiencyGoal
+}
+
+
+class Estimate(NamedTuple):
+    """A search row's node bound (``math.inf`` when it has none) and the
+    seconds it may take: its fixed cost plus its cost per node times the
+    bound, capped at the budget, and under MaxWelfare plus the brute-force
+    fallback's."""
+
+    bound: float
+    seconds: float
 
 
 @dataclass(frozen=True)
 class Analysis:
     """Routing facts of one instance: the instance with worthless resources
     stripped, the kept-column map (new index -> old index), the preference
-    class of the stripped instance and, on first use, its graph class and
-    the owners of the strict case split."""
+    class of the stripped instance and, on first use, its graph class, the
+    owners of the strict case split, its resource types and the estimates
+    of the search rows."""
 
     inst: Instance
     stripped: Instance
@@ -86,6 +135,28 @@ class Analysis:
         """The agents ``sgef-fpt`` scans, ``None`` when the strict case
         split answers infeasible (``exact._sgef_owners``)."""
         return _sgef_owners(self.stripped, self.graph)
+
+    @cached_property
+    def _estimates(self) -> dict:
+        return {}
+
+    @cached_property
+    def types(self) -> ResourceTypeTable:
+        """The resource types of the stripped instance, for ``ilp``."""
+        return ResourceTypeTable.build(self.stripped)
+
+    def estimates(
+        self, notion: FairnessNotion, goal: EfficiencyGoal, budget: int
+    ) -> dict[str, Estimate]:
+        """The estimate of every search row that applies, in row order.
+        Empty when ``brute`` is the only one; ``ilp`` is left out when a
+        lower bound on its estimate already exceeds that of a row whose
+        bound fits ``budget``."""
+        key = (notion.value, goal.value, budget)
+        est = self._estimates.get(key)
+        if est is None:
+            est = self._estimates[key] = _estimate(self, notion, goal, budget)
+        return est
 
     @property
     def acyclic(self) -> bool:
@@ -160,7 +231,7 @@ ROUTES = (
     Route("ilp",
           lambda a, notion, goal: _serves(a, goal) or (a.prefs.zero_one and a.inst.n > 0),
           lambda a, notion, goal, budget:
-          a.lift(solve_ilp(a.stripped, notion, budget=budget, goal=goal))),
+          a.lift(solve_ilp(a.stripped, notion, budget=budget, goal=goal, table=a.types))),
     Route("alg2",
           lambda a, notion, goal: notion is WEAK and goal is EfficiencyGoal.PARETO
           and a.acyclic,
@@ -171,22 +242,81 @@ ROUTES = (
 )
 ROUTE = {route.name: route for route in ROUTES}
 ALGORITHMS = ("auto",) + tuple(ROUTE)
+CLOSED_FORMS = tuple(route for route in ROUTES if route.name not in SEARCHES)
+SEARCH_ROUTES = tuple(route for route in ROUTES if route.name in SEARCHES)
 
 
-def select_algorithm(a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal) -> str:
-    """Name of the first route the automatic solve runs."""
+def _bound(a: Analysis, name: str, goal: EfficiencyGoal) -> float:
+    """Most nodes the search row ``name`` visits on ``a``."""
+    s = a.stripped
+    if name == "brute":
+        return (a.inst.n + (goal is not COMPLETE)) ** a.inst.m
+    if name == "sgef-fpt":
+        return sgef_fpt_search_size(a.sgef_owners, s.m)
+    if name == "ident-enum":
+        return 0 if s.n > s.m > 0 else s.n ** s.m
+    if name == "ilp":
+        return ilp_search_size(s.n, a.types, goal)
+    # struct-fpt visits no node when there is nothing to deal; otherwise it
+    # has no cheap bound
+    return 0 if s.m == 0 else math.inf
+
+
+def _estimate(
+    a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal, budget: int
+) -> dict[str, Estimate]:
+    names = [r.name for r in SEARCH_ROUTES if r.applies(a, notion, goal)]
+    if names == ["brute"]:
+        return {}
+    cost = COST[goal]
+
+    def estimate(name: str, bound: float, fallback: float = 0.0) -> Estimate:
+        fixed, per_node = cost[name]
+        seconds = fixed + per_node * max(0, min(bound, budget)) if bound else NO_SEARCH_S
+        return Estimate(bound, seconds + fallback)
+
+    brute = estimate("brute", _bound(a, "brute", goal))
+    # an infeasible answer to MaxWelfare falls through to brute force, but
+    # without resources of value the empty allocation is weakly fair
+    fallback = 0.0
+    if goal is WELFARE and not (notion is WEAK and a.stripped.m == 0):
+        fallback = brute.seconds
+    est = {}
+    for name in names[:-1]:
+        if name == "ilp":
+            # the type table costs more than every other bound: skip it when
+            # the ilp loses even at its least bound, one type dealt to every
+            # agent that may take it (ilp is the last row before brute)
+            n, m = a.stripped.n, a.stripped.m
+            least = 1 if m == 0 else 1 + n * (math.comb(m + n - 1, n - 1) if goal is COMPLETE else 1)
+            best = min([e.seconds for e in (*est.values(), brute) if e.bound <= budget],
+                       default=math.inf)
+            if estimate(name, least, fallback).seconds > best:
+                continue
+        est[name] = estimate(name, _bound(a, name, goal), fallback)
+    est["brute"] = brute
+    return est
+
+
+def select_algorithm(
+    a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal, budget: int = DEFAULT_BUDGET
+) -> str:
+    """Name of the first route the automatic solve runs: the first closed
+    form that applies, else the cheapest search whose bound fits ``budget``,
+    else the first search in row order that may still answer within it."""
     if a.inst.n == 0 or (goal is not COMPLETE and a.inst.m == 0):
         # brute is the one row that answers every goal without agents, and
         # with nothing to hand out the empty allocation is the Pareto and
         # welfare answer, which no class-based route reports
         return "brute"
-    return next(
-        route.name
-        for route in ROUTES
-        if route.applies(a, notion, goal)
-        and (route.name != "sgef-fpt"
-             or sgef_fpt_search_size(a.sgef_owners, a.stripped.m) <= SGEF_FPT_LIMIT)
-    )
+    for route in CLOSED_FORMS:
+        if route.applies(a, notion, goal):
+            return route.name
+    est = a.estimates(notion, goal, budget)
+    fits = [name for name, e in est.items() if e.bound <= budget]
+    if fits:
+        return min(fits, key=lambda name: est[name].seconds)
+    return next((name for name in est if name not in EXACT_BOUND), "brute")
 
 
 def solve(
@@ -202,7 +332,7 @@ def solve(
         raise GuardError(f"unknown algorithm: {algorithm}")
     a = analyze(inst)
     if algorithm == "auto":
-        algorithm = select_algorithm(a, notion, goal)
+        algorithm = select_algorithm(a, notion, goal, budget)
     elif not ROUTE[algorithm].applies(a, notion, goal):
         raise GuardError(
             f"{algorithm} does not serve this instance with "

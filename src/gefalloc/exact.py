@@ -16,6 +16,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -114,27 +117,24 @@ class ResourceTypeTable:
     types: tuple[tuple[int, ...], ...]      # distinct columns, first-seen order
     multiplicity: tuple[int, ...]
     type_of: tuple[int, ...]                # resource -> type index
-    members: tuple[tuple[int, ...], ...]    # type -> resource indices
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Type -> resource indices."""
+        members: list[list[int]] = [[] for _ in self.types]
+        for r, t in enumerate(self.type_of):
+            members[t].append(r)
+        return tuple(map(tuple, members))
 
     @staticmethod
     def build(inst: Instance) -> "ResourceTypeTable":
-        seen: dict[tuple[int, ...], int] = {}
-        type_of = []
-        members: list[list[int]] = []
-        for r, col in enumerate(map(tuple, inst.utilities.T.tolist())):
-            if col not in seen:
-                seen[col] = len(seen)
-                members.append([])
-            t = seen[col]
-            type_of.append(t)
-            members[t].append(r)
-        types = tuple(sorted(seen, key=seen.get))
-        return ResourceTypeTable(
-            types,
-            tuple(len(ms) for ms in members),
-            tuple(type_of),
-            tuple(tuple(ms) for ms in members),
-        )
+        index: dict[tuple[int, ...], int] = {}
+        type_of = tuple([index.setdefault(col, len(index))
+                         for col in map(tuple, inst.utilities.T.tolist())])
+        multiplicity = [0] * len(index)
+        for t in type_of:
+            multiplicity[t] += 1
+        return ResourceTypeTable(tuple(index), tuple(multiplicity), type_of)
 
 
 def solve_type_ilp(
@@ -245,17 +245,37 @@ def solve_type_ilp(
     return SolveResult.infeasible(nodes)
 
 
+def ilp_search_size(n: int, table: ResourceTypeTable, goal: EfficiencyGoal) -> int:
+    """Most nodes ``solve_ilp`` can visit over ``table`` and ``n`` agents.
+
+    A type of multiplicity M that k agents may take (all of them under the
+    complete goal, the column's maximisers otherwise) has C(M+k-1, k-1)
+    ways to deal its copies, and each of its n variables sees at most that
+    many prefixes of them; the types before it multiply that count."""
+    complete = goal is EfficiencyGoal.COMPLETE
+    nodes = deals = 1
+    # the search's type order: by falling multiplicity, stable
+    for mult, col in sorted(zip(table.multiplicity, table.types), key=itemgetter(0), reverse=True):
+        k = n if complete else col.count(max(col))
+        deals *= comb(mult + k - 1, k - 1)
+        nodes += n * deals
+    return nodes
+
+
 def solve_ilp(
     inst: Instance,
     notion: FairnessNotion,
     forbidden: Sequence[tuple[int, int]] = (),
     budget: int = DEFAULT_BUDGET,
     goal: EfficiencyGoal = EfficiencyGoal.COMPLETE,
+    table: Optional[ResourceTypeTable] = None,
 ) -> SolveResult:
-    """The type program of ``inst`` with the (agent, type) pairs of
-    ``forbidden`` at count 0; under the Pareto and MaxWelfare goals also every
-    pair whose agent is not a maximiser of the type's column."""
-    table = ResourceTypeTable.build(inst)
+    """The type program of ``inst`` (its ``table``, built here when not
+    given) with the (agent, type) pairs of ``forbidden`` at count 0; under the
+    Pareto and MaxWelfare goals also every pair whose agent is not a
+    maximiser of the type's column."""
+    if table is None:
+        table = ResourceTypeTable.build(inst)
     forbidden = set(forbidden)
     if goal is not EfficiencyGoal.COMPLETE:
         for t, col in enumerate(table.types):

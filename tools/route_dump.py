@@ -12,8 +12,12 @@ and every route whose row applies.  The ``scan`` and ``wide-scan`` families
 run only forced ``brute``, at sizes where the scan spans many prefixes.
 The ``wide`` and ``wide-scan`` families draw utilities up to each of
 ``WIDE`` in turn, so that the kernels' tables take every integer type.
+The ``cost-edge`` family puts brute force's bound on both sides of
+``BUDGET``, so that auto both compares the searches by cost and falls back
+to row order.
 """
 
+import math
 import random
 
 from gefalloc import (ROUTES, EfficiencyGoal, FairnessNotion, GraphKind, Instance,
@@ -96,6 +100,25 @@ def scan(count, seed, tops=(3,)):
         yield gen_random(n, m, PreferenceKind.GENERAL, None, top, rng.randrange(10**6)), goals
 
 
+def cost_edge(count, seed):
+    """General and 0/1 preferences on graphs with a cycle, n 3-6, with m the
+    largest (even instances) or smallest (odd ones) that puts n^m, brute
+    force's complete-goal bound, at most or above ``BUDGET``."""
+    kinds = [PreferenceKind.GENERAL, PreferenceKind.ZERO_ONE]
+    shapes = [GraphKind.STRONGLY_CONNECTED, None]
+    rng = random.Random(seed)
+    i = 0
+    while i < count:
+        n = rng.randint(3, 6)
+        m = int(math.log(BUDGET, n)) + i % 2
+        kind = kinds[i // 2 % 2]
+        inst = gen_random(n, m, kind, shapes[i // 4 % 2],
+                          1 if kind is PreferenceKind.ZERO_ONE else 4, rng.randrange(10**6))
+        if not analyze(inst).acyclic:
+            i += 1
+            yield inst
+
+
 def corpus():
     kinds, shapes = list(PreferenceKind), [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
     rng = random.Random(1)
@@ -106,6 +129,7 @@ def corpus():
     yield from ((f"case5-big-{i}", inst) for i, inst in enumerate(case5(12, 3, 9, 10)))
     yield from ((f"ident-gen-{i}", inst) for i, inst in enumerate(identical_general(300, 4)))
     yield from ((f"wide-{i}", inst) for i, inst in enumerate(wide(160, 6)))
+    yield from ((f"cost-edge-{i}", inst) for i, inst in enumerate(cost_edge(24, 8)))
 
 
 def solve_line(name, inst, notion, goal, algo):

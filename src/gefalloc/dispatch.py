@@ -8,11 +8,13 @@ it and read graph facts from the one ``Analysis``.  Every row but ``brute``
 (and ``alg2``, whose greedy pass needs no agent) wants at least one agent,
 and the automatic route sends every instance without agents to ``brute``.
 
-The automatic route takes the first closed form that meets its condition.
-Otherwise it takes the cheapest search whose node bound fits the budget,
-ties going to row order; a search's cost is a fixed time plus a time per
-node of its bound (``COST``).  When no bound fits, it takes the first search
-in row order, skipping those whose exact bound is over the budget.
+The table is in the automatic route's order, and auto is one pass over it:
+the closed forms come first, and it takes the first that meets its
+condition.  Otherwise it takes the cheapest search whose node bound fits the
+budget, ties going to row order; a search's cost is a fixed time plus a time
+per node of its bound (each search row's ``bound`` and ``cost``).  When no
+bound fits, it takes the first search in row order, skipping those whose
+exact bound is over the budget.
 
 Complete-goal rows also serve Pareto and MaxWelfare under identical
 preferences: there a fair allocation is complete (once worthless resources
@@ -69,38 +71,8 @@ from .structures import solve_gef_identical_structures
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
 COMPLETE, PARETO, WELFARE = EfficiencyGoal
 
-# The search rows, which auto compares by cost; every other row is a closed
-# form.  Rows whose node bound is exact are skipped when it exceeds the budget.
-SEARCHES = ("sgef-fpt", "ident-enum", "struct-fpt", "ilp", "brute")
-EXACT_BOUND = ("sgef-fpt", "ident-enum")
-
-# goal -> route -> (fixed seconds, seconds per node of the route's bound); a
-# row whose bound is 0 answers without searching, in about NO_SEARCH_S.
-# Measured on a 2-CPU machine (numpy kernels, Python 3.11.7): each search row
-# that applies to a search solve of the benchmark's routed-mix corpus was
-# timed after analysis (best of 9), and the constants were picked from a
-# coarse grid around the measured medians so that the rows they choose on
-# seeds 1 and 3 take the least total time.  On seeds 5 and 7 the rows chosen
-# take 49 ms, first-row routing 123 ms, and the fastest row of each solve
-# 44 ms.  The grid told an ilp fixed cost of 60 us from the kernel's 90 us
-# by 0.3 % only; at 90 us the ilp's least bound rules it out of most small
-# complete solves before its type table is built.  A bound is the most nodes
-# a search can count, and pruning keeps most of them from being visited, so
-# the kernel's and the ilp's costs per node of the bound are far below those
-# of a visited node; struct-fpt's (about 100 us per pattern) only sizes its
-# record.
+# A row whose bound is 0 answers without searching, in about NO_SEARCH_S.
 NO_SEARCH_S = 10e-6
-COST = {
-    goal: {
-        "sgef-fpt": (90e-6, 2e-9),
-        "ident-enum": (90e-6, 2e-9),
-        "struct-fpt": (100e-6, 100e-6),
-        "ilp": (90e-6, 0.5e-6),
-        # Pareto brute force builds the frontier before it scans
-        "brute": (400e-6, 200e-9) if goal is PARETO else (90e-6, 2e-9),
-    }
-    for goal in EfficiencyGoal
-}
 
 
 class Estimate(NamedTuple):
@@ -118,8 +90,7 @@ class Analysis:
     """Routing facts of one instance: the instance with worthless resources
     stripped, the kept-column map (new index -> old index), the preference
     class of the stripped instance and, on first use, its graph class, the
-    owners of the strict case split, its resource types and the estimates
-    of the search rows."""
+    owners of the strict case split and its resource types."""
 
     inst: Instance
     stripped: Instance
@@ -137,26 +108,9 @@ class Analysis:
         return _sgef_owners(self.stripped, self.graph)
 
     @cached_property
-    def _estimates(self) -> dict:
-        return {}
-
-    @cached_property
     def types(self) -> ResourceTypeTable:
         """The resource types of the stripped instance, for ``ilp``."""
         return ResourceTypeTable.build(self.stripped)
-
-    def estimates(
-        self, notion: FairnessNotion, goal: EfficiencyGoal, budget: int
-    ) -> dict[str, Estimate]:
-        """The estimate of every search row that applies, in row order.
-        Empty when ``brute`` is the only one; ``ilp`` is left out when a
-        lower bound on its estimate already exceeds that of a row whose
-        bound fits ``budget``."""
-        key = (notion.value, goal.value, budget)
-        est = self._estimates.get(key)
-        if est is None:
-            est = self._estimates[key] = _estimate(self, notion, goal, budget)
-        return est
 
     @property
     def acyclic(self) -> bool:
@@ -188,13 +142,23 @@ def _serves(a: Analysis, goal: EfficiencyGoal) -> bool:
 
 @dataclass(frozen=True)
 class Route:
+    """A row of the route table.  A search row also has ``bound``, the most
+    nodes it visits on an analysis under a goal, and ``cost``, its fixed
+    seconds and seconds per node of that bound under a goal; ``exact`` marks
+    a bound that the search may reach, so auto skips the row when the bound
+    exceeds the budget.  A closed form has neither."""
+
     name: str
     applies: Callable[[Analysis, FairnessNotion, EfficiencyGoal], bool]
     run: Callable[[Analysis, FairnessNotion, EfficiencyGoal, int], SolveResult]
+    bound: Optional[Callable[[Analysis, EfficiencyGoal], float]] = None
+    cost: Optional[Callable[[EfficiencyGoal], tuple[float, float]]] = None
+    exact: bool = False
 
 
-# In automatic order.  The run functions look solvers up by module name at
-# call time, so a wrapper installed on this module's attribute sees the call.
+# In automatic order: the closed forms, then the searches.  The run functions
+# look solvers up by module name at call time, so a wrapper installed on this
+# module's attribute sees the call.
 ROUTES = (
     Route("immediate-infeasible",
           lambda a, notion, goal: notion is STRICT and _serves(a, goal)
@@ -212,78 +176,90 @@ ROUTES = (
           and a.acyclic and a.prefs.u_diff > a.stripped.n,
           lambda a, notion, goal, budget:
           a.lift(solve_sgef_identical_manyvalues(a.stripped, a.graph))),
-    Route("sgef-fpt",
-          lambda a, notion, goal: notion is STRICT and _serves(a, goal),
-          lambda a, notion, goal, budget:
-          a.lift(solve_sgef_fpt_resources(a.stripped, a.sgef_owners, budget))),
     Route("scc-id01",
           lambda a, notion, goal: notion is WEAK and _serves(a, goal)
           and a.prefs.identical and a.prefs.zero_one and a.scc_like,
           lambda a, notion, goal, budget: a.lift(solve_gef_id01_scc(a.stripped))),
-    Route("ident-enum",
-          lambda a, notion, goal: _serves(a, goal) and a.prefs.identical and a.scc_like,
-          lambda a, notion, goal, budget:
-          a.lift(solve_identical_enum(a.stripped, notion, budget))),
-    Route("struct-fpt",
-          lambda a, notion, goal: notion is WEAK and _serves(a, goal) and a.prefs.identical,
-          lambda a, notion, goal, budget:
-          a.lift(solve_gef_identical_structures(a.stripped, a.graph, budget))),
-    Route("ilp",
-          lambda a, notion, goal: _serves(a, goal) or (a.prefs.zero_one and a.inst.n > 0),
-          lambda a, notion, goal, budget:
-          a.lift(solve_ilp(a.stripped, notion, budget=budget, goal=goal, table=a.types))),
     Route("alg2",
           lambda a, notion, goal: notion is WEAK and goal is EfficiencyGoal.PARETO
           and a.acyclic,
           lambda a, notion, goal, budget: solve_efficient_dag(a.inst)),
+    # The searches.  Costs were measured on a 2-CPU machine (numpy kernels,
+    # Python 3.11.7): each search row that applies to a search solve of the
+    # benchmark's routed-mix corpus was timed after analysis (best of 9), and
+    # the constants were picked from a coarse grid around the measured
+    # medians so that the rows they choose on seeds 1 and 3 take the least
+    # total time.  On seeds 5 and 7 the rows chosen take 49 ms, first-row
+    # routing 123 ms, and the fastest row of each solve 44 ms.  The grid told
+    # an ilp fixed cost of 60 us from the kernel's 90 us by 0.3 % only; at
+    # 90 us the ilp's least bound rules it out of most small complete solves
+    # before its type table is built.  A bound is the most nodes a search can
+    # count, and pruning keeps most of them from being visited, so the
+    # kernel's and the ilp's costs per node of the bound are far below those
+    # of a visited node; struct-fpt's (about 100 us per pattern) only sizes
+    # its record.
+    Route("sgef-fpt",
+          lambda a, notion, goal: notion is STRICT and _serves(a, goal),
+          lambda a, notion, goal, budget:
+          a.lift(solve_sgef_fpt_resources(a.stripped, a.sgef_owners, budget)),
+          bound=lambda a, goal: sgef_fpt_search_size(a.sgef_owners, a.stripped.m),
+          cost=lambda goal: (90e-6, 2e-9), exact=True),
+    Route("ident-enum",
+          lambda a, notion, goal: _serves(a, goal) and a.prefs.identical and a.scc_like,
+          lambda a, notion, goal, budget:
+          a.lift(solve_identical_enum(a.stripped, notion, budget)),
+          bound=lambda a, goal: 0 if a.stripped.n > a.stripped.m > 0
+          else a.stripped.n ** a.stripped.m,
+          cost=lambda goal: (90e-6, 2e-9), exact=True),
+    Route("struct-fpt",
+          lambda a, notion, goal: notion is WEAK and _serves(a, goal) and a.prefs.identical,
+          lambda a, notion, goal, budget:
+          a.lift(solve_gef_identical_structures(a.stripped, a.graph, budget)),
+          # no node when there is nothing to deal; otherwise no cheap bound
+          bound=lambda a, goal: 0 if a.stripped.m == 0 else math.inf,
+          cost=lambda goal: (100e-6, 100e-6)),
+    Route("ilp",
+          lambda a, notion, goal: _serves(a, goal) or (a.prefs.zero_one and a.inst.n > 0),
+          lambda a, notion, goal, budget:
+          a.lift(solve_ilp(a.stripped, notion, budget=budget, goal=goal, table=a.types)),
+          bound=lambda a, goal: ilp_search_size(a.stripped.n, a.types, goal),
+          cost=lambda goal: (90e-6, 0.5e-6)),
     Route("brute",
           lambda a, notion, goal: True,
-          lambda a, notion, goal, budget: brute_force(a.inst, notion, goal, budget)),
+          lambda a, notion, goal, budget: brute_force(a.inst, notion, goal, budget),
+          bound=lambda a, goal: (a.inst.n + (goal is not COMPLETE)) ** a.inst.m,
+          # Pareto brute force builds the frontier before it scans
+          cost=lambda goal: (400e-6, 200e-9) if goal is PARETO else (90e-6, 2e-9)),
 )
 ROUTE = {route.name: route for route in ROUTES}
 ALGORITHMS = ("auto",) + tuple(ROUTE)
-CLOSED_FORMS = tuple(route for route in ROUTES if route.name not in SEARCHES)
-SEARCH_ROUTES = tuple(route for route in ROUTES if route.name in SEARCHES)
 
 
-def _bound(a: Analysis, name: str, goal: EfficiencyGoal) -> float:
-    """Most nodes the search row ``name`` visits on ``a``."""
-    s = a.stripped
-    if name == "brute":
-        return (a.inst.n + (goal is not COMPLETE)) ** a.inst.m
-    if name == "sgef-fpt":
-        return sgef_fpt_search_size(a.sgef_owners, s.m)
-    if name == "ident-enum":
-        return 0 if s.n > s.m > 0 else s.n ** s.m
-    if name == "ilp":
-        return ilp_search_size(s.n, a.types, goal)
-    # struct-fpt visits no node when there is nothing to deal; otherwise it
-    # has no cheap bound
-    return 0 if s.m == 0 else math.inf
-
-
-def _estimate(
+def estimates(
     a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal, budget: int
 ) -> dict[str, Estimate]:
-    names = [r.name for r in SEARCH_ROUTES if r.applies(a, notion, goal)]
-    if names == ["brute"]:
+    """The estimate of every search row that applies, in row order.  Empty
+    when ``brute``, the last row, is the only one; ``ilp`` is left out when a
+    lower bound on its estimate already exceeds that of a row whose bound
+    fits ``budget``."""
+    *rows, last = [r for r in ROUTES if r.bound is not None and r.applies(a, notion, goal)]
+    if not rows:
         return {}
-    cost = COST[goal]
 
-    def estimate(name: str, bound: float, fallback: float = 0.0) -> Estimate:
-        fixed, per_node = cost[name]
+    def estimate(route: Route, bound: float, fallback: float = 0.0) -> Estimate:
+        fixed, per_node = route.cost(goal)
         seconds = fixed + per_node * max(0, min(bound, budget)) if bound else NO_SEARCH_S
         return Estimate(bound, seconds + fallback)
 
-    brute = estimate("brute", _bound(a, "brute", goal))
+    brute = estimate(last, last.bound(a, goal))
     # an infeasible answer to MaxWelfare falls through to brute force, but
     # without resources of value the empty allocation is weakly fair
     fallback = 0.0
     if goal is WELFARE and not (notion is WEAK and a.stripped.m == 0):
         fallback = brute.seconds
     est = {}
-    for name in names[:-1]:
-        if name == "ilp":
+    for route in rows:
+        if route.name == "ilp":
             # the type table costs more than every other bound: skip it when
             # the ilp loses even at its least bound, one type dealt to every
             # agent that may take it (ilp is the last row before brute)
@@ -291,9 +267,9 @@ def _estimate(
             least = 1 if m == 0 else 1 + n * (math.comb(m + n - 1, n - 1) if goal is COMPLETE else 1)
             best = min([e.seconds for e in (*est.values(), brute) if e.bound <= budget],
                        default=math.inf)
-            if estimate(name, least, fallback).seconds > best:
+            if estimate(route, least, fallback).seconds > best:
                 continue
-        est[name] = estimate(name, _bound(a, name, goal), fallback)
+        est[route.name] = estimate(route, route.bound(a, goal), fallback)
     est["brute"] = brute
     return est
 
@@ -309,14 +285,16 @@ def select_algorithm(
         # with nothing to hand out the empty allocation is the Pareto and
         # welfare answer, which no class-based route reports
         return "brute"
-    for route in CLOSED_FORMS:
+    for route in ROUTES:
+        if route.bound is not None:
+            break
         if route.applies(a, notion, goal):
             return route.name
-    est = a.estimates(notion, goal, budget)
+    est = estimates(a, notion, goal, budget)
     fits = [name for name, e in est.items() if e.bound <= budget]
     if fits:
         return min(fits, key=lambda name: est[name].seconds)
-    return next((name for name in est if name not in EXACT_BOUND), "brute")
+    return next((name for name in est if not ROUTE[name].exact), "brute")
 
 
 def solve(

@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceededError
 from .graphs import GraphClass
 from .model import (
     Allocation,
@@ -208,10 +207,11 @@ def solve_type_ilp(
             values[x][i] += c * col[x]
 
     def dfs(vi: int) -> bool:
+        """Whether the search stops here: a solution or the budget."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(nodes)
+            return True
         if vi == len(variables):
             for a, b in arcs:
                 if values[a][a] < values[a][b] + delta:
@@ -226,11 +226,9 @@ def solve_type_ilp(
             place(i, t, -c)
         return False
 
-    try:
-        found = dfs(0)
-    except BudgetExceededError:
-        return SolveResult.budget(nodes - 1)
-    if found:
+    if dfs(0):
+        if nodes > budget:
+            return SolveResult.budget(nodes - 1)
         # deal concrete resources in (type, agent-index) order
         assignment = {}
         for t in range(ntypes):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -18,7 +19,7 @@ from gefalloc import (
     solve,
     verify_fairness,
 )
-from gefalloc.dispatch import COST, ROUTE, SEARCHES
+from gefalloc.dispatch import ROUTE, estimates
 from gefalloc.exact import ilp_search_size
 from gefalloc.generators import gen_random
 from gefalloc.graphs import GraphKind
@@ -164,6 +165,16 @@ class TestRouteTable:
     def test_algorithms_are_the_table_rows(self):
         assert ALGORITHMS == ("auto",) + tuple(r.name for r in ROUTES)
 
+    def test_table_is_in_automatic_order(self):
+        # auto returns the first closed form that applies and stops at the
+        # first search row, and estimates take the last row for brute
+        searches = [i for i, r in enumerate(ROUTES) if r.bound is not None]
+        closed = [i for i, r in enumerate(ROUTES) if r.bound is None]
+        assert max(closed) < min(searches)
+        assert ROUTES[-1].name == "brute"
+        assert [r.name for r in ROUTES if r.exact] == ["sgef-fpt", "ident-enum"]
+        assert all(r.cost is not None for r in ROUTES if r.bound is not None)
+
     def test_result_names_the_route(self):
         res = solve(make([[1, 2], [3, 4]], [(0, 1)]), WEAK, COMPLETE)
         assert res.route == "dag"
@@ -276,7 +287,7 @@ class TestCostRouting:
     def test_no_fitting_bound_keeps_row_order(self):
         a = analyze(CASE5_BIG)
         for budget in (10**6, 10**8):
-            est = a.estimates(STRICT, COMPLETE, budget)
+            est = estimates(a, STRICT, COMPLETE, budget)
             assert all(e.bound > budget for e in est.values())
             # sgef-fpt's exact bound rules it out; the ilp is next in row order
             assert select_algorithm(a, STRICT, COMPLETE, budget) == "ilp"
@@ -291,7 +302,7 @@ class TestCostRouting:
         for notion in (WEAK, STRICT):
             # brute and sgef-fpt need up to 2^6 = 64 nodes and the ilp 79;
             # the ilp answers within 10
-            assert all(e.bound > 20 for e in a.estimates(notion, COMPLETE, 20).values())
+            assert all(e.bound > 20 for e in estimates(a, notion, COMPLETE, 20).values())
             assert select_algorithm(a, notion, COMPLETE, 20) == "ilp"
             res = solve(inst, notion, COMPLETE, budget=20)
             assert res.status is Status.FEASIBLE and res.nodes <= 20
@@ -308,12 +319,15 @@ class TestCostRouting:
         def fail(*args):
             raise AssertionError("estimated")
 
-        monkeypatch.setattr("gefalloc.dispatch._bound", fail)
+        # every search row's bound and cost fail when computed
+        monkeypatch.setattr("gefalloc.dispatch.ROUTES", tuple(
+            r if r.bound is None else dataclasses.replace(r, bound=fail, cost=fail)
+            for r in ROUTES))
         general = make([[1, 2], [2, 3]], [(0, 1), (1, 0)])
         a = analyze(general)
         assert select_algorithm(a, STRICT, PARETO) == "brute"
-        assert a.estimates(STRICT, PARETO, 10**8) == {}
-        monkeypatch.setattr("gefalloc.dispatch._estimate", fail)
+        assert estimates(a, STRICT, PARETO, 10**8) == {}
+        monkeypatch.setattr("gefalloc.dispatch.estimates", fail)
         dag = make([[1, 2], [3, 4]], [(0, 1)])
         assert select_algorithm(analyze(dag), WEAK, COMPLETE) == "dag"
 
@@ -321,12 +335,11 @@ class TestCostRouting:
         inst = make([[(i + r) % 2 + 1 for r in range(16)] for i in range(4)],
                     [(0, 1), (1, 2), (2, 3), (3, 0)])
         a = analyze(inst)
-        est = a.estimates(WEAK, COMPLETE, 10**8)
-        assert a.estimates(WEAK, COMPLETE, 10**8) is est
+        est = estimates(a, WEAK, COMPLETE, 10**8)
         assert list(est) == ["ilp", "brute"]
         assert est["brute"].bound == 4**16
         wide = make([[1 - r % 2 for r in range(20)], [r % 2 for r in range(20)]], [(0, 1)])
-        assert analyze(wide).estimates(WEAK, WELFARE, 10**8)["brute"].bound == 3**20
+        assert estimates(analyze(wide), WEAK, WELFARE, 10**8)["brute"].bound == 3**20
 
         import gefalloc.exact as exact
 
@@ -376,9 +389,9 @@ class TestCostRouting:
                         # auto sends these to brute before any row applies
                         if inst.n == 0 or (goal is not COMPLETE and inst.m == 0):
                             continue
-                        if pick not in SEARCHES:
+                        if ROUTE[pick].bound is None:
                             continue
-                        est = a.estimates(notion, goal, budget)
+                        est = estimates(a, notion, goal, budget)
                         fits = {k: e for k, e in est.items() if e.bound <= budget}
                         if not fits:
                             continue
@@ -390,7 +403,7 @@ class TestCostRouting:
                             skipped += 1
                             bound = ilp_search_size(a.stripped.n, a.types, goal)
                             if bound <= budget:
-                                fixed, per_node = COST[goal]["ilp"]
+                                fixed, per_node = ROUTE["ilp"].cost(goal)
                                 seconds = fixed + per_node * bound
                                 if goal is WELFARE and not (notion is WEAK and a.stripped.m == 0):
                                     seconds += est["brute"].seconds

@@ -132,8 +132,10 @@ class TestIlp:
         full = solve_ilp(inst, STRICT)
         assert full.status is Status.FEASIBLE and full.nodes == 149
         assert solve_ilp(inst, STRICT, budget=149) == full
-        cut = solve(inst, STRICT, EfficiencyGoal.COMPLETE, algorithm="ilp", budget=10)
-        assert cut.status is Status.BUDGET and cut.nodes == 10
+        # the result counts the nodes within the budget, none under a budget <= 0
+        for budget, nodes in ((10, 10), (148, 148), (0, 0), (-1, 0)):
+            cut = solve(inst, STRICT, EfficiencyGoal.COMPLETE, algorithm="ilp", budget=budget)
+            assert cut.status is Status.BUDGET and cut.nodes == nodes, budget
 
     def test_forbidden_pairs_respected(self):
         inst = make([[2, 2], [1, 1]], [])

@@ -46,7 +46,10 @@ EXIT_BUDGET = 3
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValidationError(f"{path}: JSON nested too deeply") from None
 
 
 def _dump(doc, path):

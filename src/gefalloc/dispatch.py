@@ -47,13 +47,12 @@ from .exact import (
     solve_ilp,
     solve_sgef_fpt_resources,
 )
-from .graphs import GraphClass, GraphKind, classify_graph
+from .graphs import GraphKind, classify_graph
 from .model import (
     Allocation,
     EfficiencyGoal,
     FairnessNotion,
     Instance,
-    PreferenceClass,
     SolveResult,
     Status,
     classify_preferences,
@@ -70,6 +69,7 @@ from .structures import solve_gef_identical_structures
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
 COMPLETE, PARETO, WELFARE = EfficiencyGoal
+ACYCLIC, STRONGLY_CONNECTED = GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED
 
 # A row whose bound is 0 answers without searching, in about NO_SEARCH_S.
 NO_SEARCH_S = 10e-6
@@ -85,21 +85,24 @@ class Estimate(NamedTuple):
     seconds: float
 
 
-@dataclass(frozen=True)
 class Analysis:
-    """Routing facts of one instance: the instance with worthless resources
-    stripped, the kept-column map (new index -> old index), the preference
-    class of the stripped instance and, on first use, its graph class, the
-    owners of the strict case split and its resource types."""
+    """Routing facts of one instance, computed once per solve: the instance
+    with worthless resources stripped, the kept-column map (new index -> old
+    index), the preference and graph classes of the stripped instance, and
+    the flags the route conditions read.  The owners of the strict case
+    split and the resource types are built on first use."""
 
-    inst: Instance
-    stripped: Instance
-    keep: tuple[int, ...]
-    prefs: PreferenceClass
-
-    @cached_property
-    def graph(self) -> GraphClass:
-        return classify_graph(self.stripped)
+    def __init__(self, inst: Instance):
+        stripped, keep = strip_zero_resources(inst)
+        self.inst, self.stripped, self.keep = inst, stripped, tuple(keep)
+        self.prefs = prefs = classify_preferences(stripped)
+        self.graph = graph = classify_graph(stripped)
+        n = len(inst.agents)
+        self.has_agents = n > 0
+        self.identical = prefs.identical
+        self.zero_one = prefs.zero_one
+        self.acyclic = graph.kind is ACYCLIC
+        self.scc_like = graph.kind is STRONGLY_CONNECTED or n <= 1
 
     @cached_property
     def sgef_owners(self) -> Optional[list[int]]:
@@ -112,14 +115,6 @@ class Analysis:
         """The resource types of the stripped instance, for ``ilp``."""
         return ResourceTypeTable.build(self.stripped)
 
-    @property
-    def acyclic(self) -> bool:
-        return self.graph.kind is GraphKind.ACYCLIC
-
-    @property
-    def scc_like(self) -> bool:
-        return self.graph.kind is GraphKind.STRONGLY_CONNECTED or self.stripped.n <= 1
-
     def lift(self, res: SolveResult) -> SolveResult:
         """Carry a result on the stripped instance back to the original one;
         worthless resources go to agent 0, so the instance needs an agent."""
@@ -131,13 +126,7 @@ class Analysis:
 
 
 def analyze(inst: Instance) -> Analysis:
-    stripped, keep = strip_zero_resources(inst)
-    return Analysis(inst, stripped, tuple(keep), classify_preferences(stripped))
-
-
-def _serves(a: Analysis, goal: EfficiencyGoal) -> bool:
-    """Whether a complete-goal route answers ``goal`` for this instance."""
-    return a.inst.n > 0 and (goal is COMPLETE or a.prefs.identical)
+    return Analysis(inst)
 
 
 @dataclass(frozen=True)
@@ -161,28 +150,28 @@ class Route:
 # module's attribute sees the call.
 ROUTES = (
     Route("immediate-infeasible",
-          lambda a, notion, goal: notion is STRICT and _serves(a, goal)
-          and a.prefs.identical and not a.acyclic,
+          lambda a, notion, goal: notion is STRICT and a.identical and not a.acyclic
+          and a.has_agents,
           lambda a, notion, goal, budget: SolveResult.infeasible()),
     Route("alg1",
-          lambda a, notion, goal: notion is STRICT and _serves(a, goal)
-          and a.prefs.identical and a.prefs.zero_one,
+          lambda a, notion, goal: notion is STRICT and a.identical and a.zero_one
+          and a.has_agents,
           lambda a, notion, goal, budget: a.lift(solve_sgef_id01(a.stripped, a.graph))),
     Route("dag",
-          lambda a, notion, goal: notion is WEAK and _serves(a, goal) and a.acyclic,
+          lambda a, notion, goal: notion is WEAK and a.acyclic and a.has_agents
+          and (goal is COMPLETE or a.identical),
           lambda a, notion, goal, budget: solve_gef_dag(a.inst, a.graph)),
     Route("manyvalues",
-          lambda a, notion, goal: _serves(a, goal) and a.prefs.identical
-          and a.acyclic and a.prefs.u_diff > a.stripped.n,
+          lambda a, notion, goal: a.identical and a.acyclic and a.has_agents
+          and a.prefs.u_diff > a.inst.n,
           lambda a, notion, goal, budget:
           a.lift(solve_sgef_identical_manyvalues(a.stripped, a.graph))),
     Route("scc-id01",
-          lambda a, notion, goal: notion is WEAK and _serves(a, goal)
-          and a.prefs.identical and a.prefs.zero_one and a.scc_like,
+          lambda a, notion, goal: notion is WEAK and a.identical and a.zero_one
+          and a.scc_like and a.has_agents,
           lambda a, notion, goal, budget: a.lift(solve_gef_id01_scc(a.stripped))),
     Route("alg2",
-          lambda a, notion, goal: notion is WEAK and goal is EfficiencyGoal.PARETO
-          and a.acyclic,
+          lambda a, notion, goal: notion is WEAK and goal is PARETO and a.acyclic,
           lambda a, notion, goal, budget: solve_efficient_dag(a.inst)),
     # The searches.  Costs were measured on a 2-CPU machine (numpy kernels,
     # Python 3.11.7): each search row that applies to a search solve of the
@@ -199,27 +188,29 @@ ROUTES = (
     # of a visited node; struct-fpt's (about 100 us per pattern) only sizes
     # its record.
     Route("sgef-fpt",
-          lambda a, notion, goal: notion is STRICT and _serves(a, goal),
+          lambda a, notion, goal: notion is STRICT and a.has_agents
+          and (goal is COMPLETE or a.identical),
           lambda a, notion, goal, budget:
           a.lift(solve_sgef_fpt_resources(a.stripped, a.sgef_owners, budget)),
           bound=lambda a, goal: sgef_fpt_search_size(a.sgef_owners, a.stripped.m),
           cost=lambda goal: (90e-6, 2e-9), exact=True),
     Route("ident-enum",
-          lambda a, notion, goal: _serves(a, goal) and a.prefs.identical and a.scc_like,
+          lambda a, notion, goal: a.identical and a.scc_like and a.has_agents,
           lambda a, notion, goal, budget:
           a.lift(solve_identical_enum(a.stripped, notion, budget)),
           bound=lambda a, goal: 0 if a.stripped.n > a.stripped.m > 0
           else a.stripped.n ** a.stripped.m,
           cost=lambda goal: (90e-6, 2e-9), exact=True),
     Route("struct-fpt",
-          lambda a, notion, goal: notion is WEAK and _serves(a, goal) and a.prefs.identical,
+          lambda a, notion, goal: notion is WEAK and a.identical and a.has_agents,
           lambda a, notion, goal, budget:
           a.lift(solve_gef_identical_structures(a.stripped, a.graph, budget)),
           # no node when there is nothing to deal; otherwise no cheap bound
           bound=lambda a, goal: 0 if a.stripped.m == 0 else math.inf,
           cost=lambda goal: (100e-6, 100e-6)),
     Route("ilp",
-          lambda a, notion, goal: _serves(a, goal) or (a.prefs.zero_one and a.inst.n > 0),
+          lambda a, notion, goal: a.has_agents
+          and (goal is COMPLETE or a.identical or a.zero_one),
           lambda a, notion, goal, budget:
           a.lift(solve_ilp(a.stripped, notion, budget=budget, goal=goal, table=a.types)),
           bound=lambda a, goal: ilp_search_size(a.stripped.n, a.types, goal),
@@ -280,7 +271,7 @@ def select_algorithm(
     """Name of the first route the automatic solve runs: the first closed
     form that applies, else the cheapest search whose bound fits ``budget``,
     else the first search in row order that may still answer within it."""
-    if a.inst.n == 0 or (goal is not COMPLETE and a.inst.m == 0):
+    if not a.has_agents or (goal is not COMPLETE and a.inst.m == 0):
         # brute is the one row that answers every goal without agents, and
         # with nothing to hand out the empty allocation is the Pareto and
         # welfare answer, which no class-based route reports

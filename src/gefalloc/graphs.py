@@ -8,7 +8,8 @@ agent index order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GuardError
 from .model import Instance
@@ -30,14 +31,19 @@ class Condensation:
         return sum(1 for a, b in self.arcs if b == comp)
 
 
-@dataclass(frozen=True)
+@dataclass
 class GraphClass:
     kind: GraphKind
     max_out_degree: int
     sources: tuple[int, ...]  # in-degree 0
     sinks: tuple[int, ...]    # out-degree 0
     inner: tuple[int, ...]    # everything else
-    condensation: Condensation
+    inst: Instance = field(repr=False, compare=False)  # the classified instance
+
+    @cached_property
+    def condensation(self) -> Condensation:
+        """The strongly connected components of ``inst``, built on first use."""
+        return scc_condensation(self.inst)
 
 
 def _adjacency(inst: Instance) -> list[list[int]]:
@@ -108,23 +114,62 @@ def scc_condensation(inst: Instance) -> Condensation:
 
 
 def classify_graph(inst: Instance) -> GraphClass:
-    cond = scc_condensation(inst)
+    """Degrees, sources, sinks and inner agents from one pass over the arcs.
+
+    The kind needs no condensation.  With n <= 1 the graph is acyclic.  A
+    source or a sink rules out strong connectivity, and Kahn's peel then
+    tells acyclic from general; without either the graph has a cycle, and
+    it is strongly connected iff agent 0 reaches every agent both along the
+    arcs and against them.
+    """
     n = inst.n
-    out_deg = [0] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
     in_deg = [0] * n
     for a, b in inst.arc_pairs():
-        out_deg[a] += 1
+        succ[a].append(b)
         in_deg[b] += 1
-    if all(len(c) == 1 for c in cond.components):
+    out_deg = list(map(len, succ))
+    sources = tuple([v for v, d in enumerate(in_deg) if not d])
+    sinks = tuple([v for v, d in enumerate(out_deg) if not d])
+    inner = tuple([v for v in range(n) if in_deg[v] and out_deg[v]])
+    if n <= 1:
         kind = GraphKind.ACYCLIC
-    elif len(cond.components) == 1:
-        kind = GraphKind.STRONGLY_CONNECTED
+    elif sources or sinks:
+        # Kahn's peel, counting in_deg down: every agent leaves iff there
+        # is no cycle
+        ready = list(sources)
+        peeled = 0
+        while ready:
+            peeled += 1
+            for w in succ[ready.pop()]:
+                in_deg[w] -= 1
+                if not in_deg[w]:
+                    ready.append(w)
+        kind = GraphKind.ACYCLIC if peeled == n else GraphKind.GENERAL
     else:
         kind = GraphKind.GENERAL
-    sources = tuple(v for v in range(n) if in_deg[v] == 0)
-    sinks = tuple(v for v in range(n) if out_deg[v] == 0)
-    inner = tuple(v for v in range(n) if in_deg[v] > 0 and out_deg[v] > 0)
-    return GraphClass(kind, max(out_deg, default=0), sources, sinks, inner, cond)
+        if _reaches_all(succ):
+            pred: list[list[int]] = [[] for _ in range(n)]
+            for a, b in inst.arc_pairs():
+                pred[b].append(a)
+            if _reaches_all(pred):
+                kind = GraphKind.STRONGLY_CONNECTED
+    return GraphClass(kind, max(out_deg, default=0), sources, sinks, inner, inst)
+
+
+def _reaches_all(adj: list[list[int]]) -> bool:
+    """Whether agent 0 reaches every agent along ``adj``."""
+    seen = [False] * len(adj)
+    seen[0] = True
+    frontier = [0]
+    count = 1
+    while frontier:
+        for w in adj[frontier.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                frontier.append(w)
+    return count == len(adj)
 
 
 def topological_order(inst: Instance) -> list[int]:

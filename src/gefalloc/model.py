@@ -39,18 +39,22 @@ class PreferenceKind(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
+@dataclass
 class PreferenceClass:
     kind: PreferenceKind
     u_diff: int  # number of distinct values in the utility matrix
 
     @property
     def identical(self) -> bool:
-        return self.kind in (PreferenceKind.IDENTICAL, PreferenceKind.IDENTICAL_ZERO_ONE)
+        return self.kind in _IDENTICAL_KINDS
 
     @property
     def zero_one(self) -> bool:
-        return self.kind in (PreferenceKind.ZERO_ONE, PreferenceKind.IDENTICAL_ZERO_ONE)
+        return self.kind in _ZERO_ONE_KINDS
+
+
+_IDENTICAL_KINDS = (PreferenceKind.IDENTICAL, PreferenceKind.IDENTICAL_ZERO_ONE)
+_ZERO_ONE_KINDS = (PreferenceKind.ZERO_ONE, PreferenceKind.IDENTICAL_ZERO_ONE)
 
 
 class Instance:
@@ -347,15 +351,16 @@ def strip_zero_resources(inst: Instance) -> tuple[Instance, list[int]]:
     fairness and welfare are unchanged; for completeness a dropped resource
     may be appended to any agent afterwards.
     """
-    if inst.m == 0:
+    n, m = inst.utilities.shape
+    if m == 0:
         return inst, []
-    keep = np.flatnonzero(inst.utilities.max(axis=0)).tolist() if inst.n else []
-    if len(keep) == inst.m:
-        return inst, list(range(inst.m))
+    keep = inst.utilities.max(axis=0).nonzero()[0].tolist() if n else []
+    if len(keep) == m:
+        return inst, keep
     reduced = Instance._derived(
         inst.agents,
-        tuple(inst.resources[j] for j in keep),
-        inst.utilities[:, keep],
+        tuple([inst.resources[j] for j in keep]),
+        inst.utilities.take(keep, axis=1),
         inst.arcs,
         inst._arc_pairs,
     )
@@ -363,14 +368,22 @@ def strip_zero_resources(inst: Instance) -> tuple[Instance, list[int]]:
 
 
 def classify_preferences(inst: Instance) -> PreferenceClass:
-    """Most specific class first; u_diff counts distinct matrix values."""
+    """Most specific class first; u_diff counts distinct matrix values.
+
+    One pass over the rows tells identical rows; one sort of the first row
+    (identical rows) or of the whole matrix gives the distinct values and
+    the largest.
+    """
     util = inst.utilities
     if util.size == 0:
         return PreferenceClass(PreferenceKind.IDENTICAL_ZERO_ONE, 0)
-    identical = bool((util == util[0]).all())
-    values = np.sort(util[0] if identical else util, axis=None)
+    # the first row whose bytes differ from row 0's ends the scan
+    first = util[0].tobytes()
+    identical = all(row.tobytes() == first for row in util)
+    values = (util[0] if identical else util).flatten()
+    values.sort()
     u_diff = 1 + int(np.count_nonzero(values[1:] != values[:-1]))
-    zero_one = bool(values[-1] <= 1)  # utilities are non-negative
+    zero_one = int(values[-1]) <= 1  # utilities are non-negative
     if identical and zero_one:
         kind = PreferenceKind.IDENTICAL_ZERO_ONE
     elif identical:

@@ -77,6 +77,13 @@ class TestSolve:
         assert main(["solve", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_deeply_nested_file_malformed(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_forced_ident_enum_honours_budget(self, tmp_path, capsys):
         path = write_instance(tmp_path, "i.json", [[1] * 8] * 2, [(0, 1), (1, 0)])
         argv = ["solve", "--notion", "strict", "--algo", "ident-enum", path]
@@ -207,6 +214,17 @@ class TestVerify:
         inst = write_instance(tmp_path, "i.json", [[1]], [])
         alloc = self.write_alloc(tmp_path, {"r9": "a0"})
         assert main(["verify", inst, alloc]) == 2
+
+    @pytest.mark.parametrize("nested", ["instance", "allocation"])
+    def test_deeply_nested_file_malformed(self, tmp_path, capsys, nested):
+        inst = write_instance(tmp_path, "i.json", [[1]], [])
+        alloc = self.write_alloc(tmp_path, {"r0": "a0"})
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        args = [str(deep), alloc] if nested == "instance" else [inst, str(deep)]
+        assert main(["verify", *args]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_array_agent_malformed(self, tmp_path, capsys):
         inst = write_instance(tmp_path, "i.json", [[1]], [])

@@ -409,3 +409,42 @@ class TestCostRouting:
                                     seconds += est["brute"].seconds
                                 assert est[pick].seconds < seconds
         assert compared > 300 and skipped > 100
+
+
+class TestLazyCondensation:
+    def test_only_struct_fpt_builds_the_condensation(self, monkeypatch):
+        """The analysis classifies the graph without a condensation; only
+        ``struct-fpt`` reads one, built once, on the solve's stripped
+        instance."""
+        import gefalloc.graphs as graphs
+
+        calls = []
+        condensation = graphs.scc_condensation
+        monkeypatch.setattr(graphs, "scc_condensation",
+                            lambda inst: calls.append(inst) or condensation(inst))
+        rng = random.Random(151)
+        kinds, shapes = list(PreferenceKind), [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
+        auto = struct = built = 0
+        for trial in range(120):
+            inst = gen_random(rng.randint(1, 5), rng.randint(0, 5), kinds[trial % 4],
+                              shapes[trial % 3], 3, 9000 + trial)
+            a = analyze(inst)
+            for notion in (WEAK, STRICT):
+                for goal in (COMPLETE, PARETO, WELFARE):
+                    for algo in ["auto"] + [r.name for r in ROUTES if r.applies(a, notion, goal)]:
+                        calls.clear()
+                        res = solve(inst, notion, goal, algo, budget=10**6)
+                        if "struct-fpt" not in res.route:
+                            auto += algo == "auto"
+                            assert calls == [], (algo, res.route)
+                            continue
+                        struct += 1
+                        built += len(calls)
+                        # one condensation, of the stripped instance, unless
+                        # nothing of value is left to deal
+                        assert len(calls) == (a.stripped.m > 0), res.route
+                        if calls:
+                            assert calls[0] == a.stripped
+                        want = brute_force(inst, notion, goal, 10**6)
+                        assert res.status == want.status, inst.to_document()
+        assert auto > 600 and struct > 200 and built > 100

@@ -135,6 +135,87 @@ class TestClassifyGraph:
         assert 1 in gc.sinks and 0 in gc.sources and gc.inner == ()
 
 
+def graph_corpus(count, seed):
+    """Seeded digraphs, n 0-9 and arc density 0-1, in four families: plain
+    random ones; random ones with isolated agents; a few cycles joined one
+    way, so that there is no source or sink, yet agent 0 cannot reach some
+    cycle or some cycle cannot reach agent 0; and a random graph on agents
+    1.. with a cycle through agent 0 added."""
+    rng = random.Random(seed)
+    for i in range(count):
+        family, n, p = i % 4, rng.randint(0, 9), rng.random()
+        arcs = set(random_arcs(rng, n, p))
+        if family == 1 and n:
+            for v in rng.sample(range(n), rng.randint(1, n)):
+                arcs = {(a, b) for a, b in arcs if v not in (a, b)}
+        elif family == 2 and n >= 4:
+            agents = rng.sample(range(n), n)
+            sizes = [2] * rng.randint(2, min(3, n // 2))
+            for _ in range(n - 2 * len(sizes)):
+                sizes[rng.randrange(len(sizes))] += 1
+            ends = list(itertools.accumulate(sizes))
+            cycles = [agents[lo:hi] for lo, hi in zip([0] + ends, ends)]
+            arcs = {(c[k], c[(k + 1) % len(c)]) for c in cycles for k in range(len(c))}
+            # arcs only from earlier cycles to later ones
+            for x, y in itertools.combinations(cycles, 2):
+                arcs |= {(a, b) for a in x for b in y if rng.random() < p}
+        elif family == 3 and n >= 3:
+            k = rng.randint(2, n - 1)
+            arcs = {(a, b) for a, b in arcs if a and b}
+            arcs |= {(v, (v + 1) % k) for v in range(k)}
+        yield n, sorted(arcs)
+
+
+def reference_class(inst):
+    """kind, max out-degree, sources, sinks and inner agents, through the
+    condensation."""
+    n = inst.n
+    cond = scc_condensation(inst)
+    out_deg, in_deg = [0] * n, [0] * n
+    for a, b in inst.arc_pairs():
+        out_deg[a] += 1
+        in_deg[b] += 1
+    if all(len(c) == 1 for c in cond.components):
+        kind = GraphKind.ACYCLIC
+    elif len(cond.components) == 1:
+        kind = GraphKind.STRONGLY_CONNECTED
+    else:
+        kind = GraphKind.GENERAL
+    return (kind, max(out_deg, default=0),
+            tuple(v for v in range(n) if in_deg[v] == 0),
+            tuple(v for v in range(n) if out_deg[v] == 0),
+            tuple(v for v in range(n) if in_deg[v] and out_deg[v]))
+
+
+class TestClassifyAgainstCondensation:
+    def test_matches_condensation_on_seeded_digraphs(self):
+        kinds = {kind: 0 for kind in GraphKind}
+        for n, arcs in itertools.chain([(0, []), (1, [])], graph_corpus(2400, 17)):
+            inst = make(n, arcs)
+            gc = classify_graph(inst)
+            got = (gc.kind, gc.max_out_degree, gc.sources, gc.sinks, gc.inner)
+            assert got == reference_class(inst), (n, arcs)
+            assert gc.condensation == scc_condensation(inst)
+            kinds[gc.kind] += 1
+        # every kind shows up often
+        assert min(kinds.values()) > 300
+
+    def test_sourceless_sinkless_general_graphs_are_covered(self):
+        """Cycles joined one way: forward reach from agent 0 alone, or
+        backward reach alone, would call some of them strongly connected."""
+        forward_only = backward_only = 0
+        for n, arcs in graph_corpus(2400, 17):
+            inst = make(n, arcs)
+            gc = classify_graph(inst)
+            if gc.sources or gc.sinks or gc.kind is not GraphKind.GENERAL:
+                continue
+            reach = reachable_from(inst, [0])
+            back = reachable_from(make(n, [(b, a) for a, b in arcs]), [0])
+            forward_only += len(reach) == n
+            backward_only += len(back) == n
+        assert forward_only > 20 and backward_only > 20
+
+
 class TestTopologicalOrder:
     def test_lexicographically_smallest(self):
         inst = make(4, [(2, 1), (3, 1), (1, 0)])

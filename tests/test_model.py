@@ -336,6 +336,51 @@ class TestStripZeros:
                 array[...] = 0
 
 
+def strip_and_classify_reference(rows, m):
+    """Kept columns, then the kind and u_diff of the stripped matrix, in
+    plain Python."""
+    keep = [j for j in range(m) if any(row[j] for row in rows)]
+    stripped = [[row[j] for j in keep] for row in rows]
+    values = {v for row in stripped for v in row}
+    if not values:
+        return keep, PreferenceKind.IDENTICAL_ZERO_ONE, 0
+    identical = all(row == stripped[0] for row in stripped)
+    zero_one = values <= {0, 1}
+    kind = {
+        (True, True): PreferenceKind.IDENTICAL_ZERO_ONE,
+        (True, False): PreferenceKind.IDENTICAL,
+        (False, True): PreferenceKind.ZERO_ONE,
+        (False, False): PreferenceKind.GENERAL,
+    }[identical, zero_one]
+    return keep, kind, len(values)
+
+
+class TestEdgeMatrices:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("rows, m", [
+        ([], 0),
+        ([], 3),
+        ([[], [], []], 0),
+        ([[0, 0, 0, 0]] * 3, 4),
+        ([[0, 2, 0, 1]], 4),
+        ([[3, 0, 3, 0, 1]] * 4, 5),
+        ([[1, 1, 1]] * 3, 3),
+        ([[1, 0, 1], [0, 1, 1]], 3),
+        ([[2, 0, 2], [2, 0, 1]], 3),
+    ], ids=["n0-m0", "n0", "m0", "all-zero", "one-agent", "identical-zero-columns",
+            "zero-one-no-zero", "zero-one-no-zero-column", "general-zero-column"])
+    def test_kept_columns_kind_and_values(self, rows, m, dtype):
+        n = len(rows)
+        inst = Instance([f"a{i}" for i in range(n)], [f"r{j}" for j in range(m)],
+                        np.array(rows, dtype=dtype).reshape(n, m), [])
+        stripped, keep = strip_zero_resources(inst)
+        prefs = classify_preferences(stripped)
+        assert (keep, prefs.kind, prefs.u_diff) == strip_and_classify_reference(rows, m)
+        assert stripped.resources == tuple(inst.resources[j] for j in keep)
+        assert stripped.utilities.shape == (n, len(keep))
+        assert stripped.utilities.dtype == inst.utilities.dtype
+
+
 class TestEnumerationOrder:
     def test_canonical_partial_order(self):
         inst = make([[1, 1], [1, 1]], [])

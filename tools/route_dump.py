@@ -4,8 +4,10 @@ versions of gefalloc to list every solve whose route or result changed.
     PYTHONPATH=src python tools/route_dump.py > dump.txt
 
 Per instance, one line of analysis facts: instance id, ``analysis``,
-preference kind, u_diff, graph kind, sources, sinks, inner agents and the
-number of stripped resources.  Then one line per solve: instance id, notion,
+preference kind, u_diff, graph kind, sources, sinks, inner agents, the
+number of stripped resources and the owners of the strict case split
+(``none`` when it answers infeasible), so that every fact auto's estimates
+read shows.  Then one line per solve: instance id, notion,
 goal, requested algorithm, route, status, welfare, nodes, witness (owner per
 resource).  Each instance runs under both notions and all goals, with auto
 and every route whose row applies.  The ``scan`` and ``wide-scan`` families
@@ -144,9 +146,10 @@ def main():
     for name, inst in corpus():
         a = analyze(inst)
         g = a.graph
+        owners = "none" if a.sgef_owners is None else ",".join(map(str, a.sgef_owners)) or "-"
         print(name, "analysis", a.prefs.kind.value, a.prefs.u_diff, g.kind.value,
               *(",".join(map(str, agents)) or "-" for agents in (g.sources, g.sinks, g.inner)),
-              inst.m - a.stripped.m)
+              inst.m - a.stripped.m, owners)
         for notion in FairnessNotion:
             for goal in EfficiencyGoal:
                 for algo in ["auto"] + [r.name for r in ROUTES if r.applies(a, notion, goal)]:

@@ -29,9 +29,7 @@ from .graphs import (
     GraphClass,
     GraphKind,
     classify_graph,
-    longest_path_labels,
     scc_condensation,
-    topological_order,
 )
 from .model import (
     Allocation,

@@ -20,9 +20,3 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, nodes: int):
         super().__init__(f"search budget exceeded after {nodes} nodes")
         self.nodes = nodes
-
-
-def require(cond: bool, msg: str) -> None:
-    """Raise GuardError with ``msg`` unless ``cond`` holds."""
-    if not cond:
-        raise GuardError(msg)

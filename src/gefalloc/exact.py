@@ -336,12 +336,10 @@ def _sgef_owners(inst: Instance, graph: GraphClass) -> Optional[list[int]]:
         return owners
     if graph.sources:
         return sorted(set(owners) | {min(graph.sources)})
-    watchers: list[set[int]] = [set() for _ in range(n)]
-    for a, b in inst.arc_pairs():
-        watchers[b].add(a)
-    by_watchers: dict[frozenset[int], list[int]] = {}
+    # predecessor lists ascend, so equal watcher sets give equal tuples
+    by_watchers: dict[tuple[int, ...], list[int]] = {}
     for s in graph.sinks:
-        by_watchers.setdefault(frozenset(watchers[s]), []).append(s)
+        by_watchers.setdefault(tuple(graph.pred[s]), []).append(s)
     return sorted(owners + [s for same in by_watchers.values() for s in same[:m]])
 
 

@@ -1,8 +1,18 @@
-"""Attention-graph analysis: components, condensation, path labels.
+"""Attention-graph analysis: one reading of the arcs per instance.
 
-Everything here is deterministic: strongly connected components are
-reported sorted by their smallest member, and derived orders follow
-agent index order.
+``classify_graph`` reads an instance's arcs once, and the solvers take
+their graph facts from the ``GraphClass`` it returns: the successor and
+predecessor lists, the kind, the largest out-degree, the sources, sinks
+and inner agents, and ``order``, the lexicographically smallest
+topological order from one Kahn peel, shorter than n exactly when the
+graph has a cycle.  On first use it adds the longest-path labels, a DP
+over ``order``, and the condensation, for which Tarjan's pass reads the
+arcs again.
+
+Everything here is deterministic: the arcs arrive lexsorted, so every
+successor and predecessor list ascends; strongly connected components are
+reported sorted by their smallest member, and derived orders follow agent
+index order.
 """
 
 from __future__ import annotations
@@ -10,8 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 
-from .errors import GuardError
 from .model import Instance
 
 
@@ -26,9 +36,10 @@ class Condensation:
     components: tuple[tuple[int, ...], ...]  # sorted members, comps by min member
     component_of: tuple[int, ...]            # agent -> component index
     arcs: frozenset[tuple[int, int]]         # arcs between distinct components
+    in_degrees: tuple[int, ...]              # component -> arcs into it
 
     def in_degree(self, comp: int) -> int:
-        return sum(1 for a, b in self.arcs if b == comp)
+        return self.in_degrees[comp]
 
 
 @dataclass
@@ -38,7 +49,21 @@ class GraphClass:
     sources: tuple[int, ...]  # in-degree 0
     sinks: tuple[int, ...]    # out-degree 0
     inner: tuple[int, ...]    # everything else
+    succ: list[list[int]] = field(repr=False)  # agent -> out-neighbours, ascending
+    pred: list[list[int]] = field(repr=False)  # agent -> in-neighbours, ascending
+    order: list[int] = field(repr=False)       # least topological order; short on a cycle
     inst: Instance = field(repr=False, compare=False)  # the classified instance
+
+    @cached_property
+    def labels(self) -> list[int]:
+        """Longest-path labels of an acyclic graph: the number of arcs on
+        the longest path starting at each agent, a DP over the reversed
+        topological order.  These are the least bundle sizes of the strict
+        notion under identical 0/1 preferences."""
+        label = [0] * len(self.succ)
+        for v in reversed(self.order):
+            label[v] = max((label[w] + 1 for w in self.succ[v]), default=0)
+        return label
 
     @cached_property
     def condensation(self) -> Condensation:
@@ -46,18 +71,38 @@ class GraphClass:
         return scc_condensation(self.inst)
 
 
-def _adjacency(inst: Instance) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(inst.n)]
-    for a, b in inst.arc_pairs():
-        adj[a].append(b)
-    return adj
+def arc_lists(n: int, pairs) -> tuple[list[list[int]], list[list[int]]]:
+    """Successor and predecessor lists of ``n`` agents from arc ``pairs``."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        succ[a].append(b)
+        pred[b].append(a)
+    return succ, pred
+
+
+def kahn_order(succ: list[list[int]], pred: list[list[int]]) -> list[int]:
+    """Kahn's peel (Kahn 1962) that always takes the smallest ready agent:
+    the lexicographically smallest topological order.  It is shorter than
+    the number of agents exactly when the graph has a cycle."""
+    in_deg = list(map(len, pred))
+    ready = [v for v, d in enumerate(in_deg) if not d]  # ascending: a heap
+    order = []
+    while ready:
+        v = heappop(ready)
+        order.append(v)
+        for w in succ[v]:
+            in_deg[w] -= 1
+            if not in_deg[w]:
+                heappush(ready, w)
+    return order
 
 
 def scc_condensation(inst: Instance) -> Condensation:
     """Tarjan's algorithm, iterative so very large graphs do not hit the
     interpreter recursion limit."""
     n = inst.n
-    adj = _adjacency(inst)
+    adj, _ = arc_lists(n, inst.arc_pairs())
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -110,51 +155,36 @@ def scc_condensation(inst: Instance) -> Condensation:
         ca, cb = comp_of[a], comp_of[b]
         if ca != cb:
             carcs.add((ca, cb))
-    return Condensation(tuple(tuple(c) for c in comps), tuple(comp_of), frozenset(carcs))
+    in_deg = [0] * len(comps)
+    for _, cb in carcs:
+        in_deg[cb] += 1
+    return Condensation(tuple(tuple(c) for c in comps), tuple(comp_of),
+                        frozenset(carcs), tuple(in_deg))
 
 
 def classify_graph(inst: Instance) -> GraphClass:
-    """Degrees, sources, sinks and inner agents from one pass over the arcs.
+    """The graph facts of ``inst`` from one pass over its arcs and one Kahn
+    peel.
 
-    The kind needs no condensation.  With n <= 1 the graph is acyclic.  A
-    source or a sink rules out strong connectivity, and Kahn's peel then
-    tells acyclic from general; without either the graph has a cycle, and
-    it is strongly connected iff agent 0 reaches every agent both along the
-    arcs and against them.
+    The graph is acyclic iff the peel takes every agent.  Otherwise a
+    source or a sink rules out strong connectivity; without either, the
+    graph is strongly connected iff agent 0 reaches every agent both along
+    the arcs and against them.
     """
     n = inst.n
-    succ: list[list[int]] = [[] for _ in range(n)]
-    in_deg = [0] * n
-    for a, b in inst.arc_pairs():
-        succ[a].append(b)
-        in_deg[b] += 1
-    out_deg = list(map(len, succ))
-    sources = tuple([v for v, d in enumerate(in_deg) if not d])
-    sinks = tuple([v for v, d in enumerate(out_deg) if not d])
-    inner = tuple([v for v in range(n) if in_deg[v] and out_deg[v]])
-    if n <= 1:
+    succ, pred = arc_lists(n, inst.arc_pairs())
+    order = kahn_order(succ, pred)
+    sources = tuple([v for v in range(n) if not pred[v]])
+    sinks = tuple([v for v in range(n) if not succ[v]])
+    inner = tuple([v for v in range(n) if pred[v] and succ[v]])
+    if len(order) == n:
         kind = GraphKind.ACYCLIC
-    elif sources or sinks:
-        # Kahn's peel, counting in_deg down: every agent leaves iff there
-        # is no cycle
-        ready = list(sources)
-        peeled = 0
-        while ready:
-            peeled += 1
-            for w in succ[ready.pop()]:
-                in_deg[w] -= 1
-                if not in_deg[w]:
-                    ready.append(w)
-        kind = GraphKind.ACYCLIC if peeled == n else GraphKind.GENERAL
-    else:
+    elif sources or sinks or not (_reaches_all(succ) and _reaches_all(pred)):
         kind = GraphKind.GENERAL
-        if _reaches_all(succ):
-            pred: list[list[int]] = [[] for _ in range(n)]
-            for a, b in inst.arc_pairs():
-                pred[b].append(a)
-            if _reaches_all(pred):
-                kind = GraphKind.STRONGLY_CONNECTED
-    return GraphClass(kind, max(out_deg, default=0), sources, sinks, inner, inst)
+    else:
+        kind = GraphKind.STRONGLY_CONNECTED
+    return GraphClass(kind, max(map(len, succ), default=0), sources, sinks, inner,
+                      succ, pred, order, inst)
 
 
 def _reaches_all(adj: list[list[int]]) -> bool:
@@ -172,54 +202,12 @@ def _reaches_all(adj: list[list[int]]) -> bool:
     return count == len(adj)
 
 
-def topological_order(inst: Instance) -> list[int]:
-    """Lexicographically smallest topological order (Kahn with a min choice)."""
-    import heapq
-
-    n = inst.n
-    adj = _adjacency(inst)
-    in_deg = [0] * n
-    for a, b in inst.arc_pairs():
-        in_deg[b] += 1
-    heap = [v for v in range(n) if in_deg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in adj[v]:
-            in_deg[w] -= 1
-            if in_deg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) != n:
-        raise GuardError("graph has a cycle; no topological order")
-    return order
-
-
-def longest_path_labels(inst: Instance) -> list[int]:
-    """Minimum bundle-size labels for the strict notion on an acyclic graph.
-
-    Reverse all arcs, add a virtual super-source with an arc to every agent
-    that has no outgoing arc in the original graph, and label each agent with
-    (longest path from the super-source) - 1.  A label is then the number of
-    agents on the longest original path starting at that agent, minus one.
-    """
-    order = topological_order(inst)  # also rejects cyclic graphs
-    adj = _adjacency(inst)
-    label = [0] * inst.n
-    # longest path in the reversed graph = DP over reversed topological order
-    for v in reversed(order):
-        label[v] = max((label[w] + 1 for w in adj[v]), default=0)
-    return label
-
-
-def reachable_from(inst: Instance, starts) -> set[int]:
-    adj = _adjacency(inst)
+def reachable_from(graph: GraphClass, starts) -> set[int]:
+    """Agents reachable from ``starts`` along the arcs of ``graph``."""
     seen = set(int(s) for s in starts)
     frontier = list(seen)
     while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
+        for w in graph.succ[frontier.pop()]:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)

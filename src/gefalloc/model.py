@@ -85,7 +85,12 @@ class Instance:
         if len(set(self.resources)) != m:
             raise ValidationError("duplicate resource names")
 
-        util = np.asarray(utilities)
+        nested = (list, tuple)
+        if (isinstance(utilities, nested) and utilities
+                and all(isinstance(row, nested) for row in utilities)):
+            util = _utility_rows(utilities, n, m)
+        else:
+            util = np.asarray(utilities)
         if util.size == 0 and n * m == 0:
             # empty inputs arrive as float arrays of ambiguous shape
             util = np.zeros((n, m), dtype=np.int64)
@@ -124,7 +129,7 @@ class Instance:
                 raise ValidationError("duplicate arcs are not allowed")
         arc_arr.setflags(write=False)
         self.arcs = arc_arr
-        self._arc_pairs: Optional[tuple[tuple[int, int], ...]] = None
+        self._arc_pairs: tuple[tuple[int, int], ...] = tuple(map(tuple, arc_arr.tolist()))
 
     @classmethod
     def _derived(cls, agents: tuple[str, ...], resources: tuple[str, ...], utilities,
@@ -132,7 +137,7 @@ class Instance:
         """An instance from fields that are already valid, without checks:
         distinct names, a non-negative integer matrix of shape (n, m) that
         no one else writes to, and a read-only lexsorted (A, 2) int64 array
-        of valid arcs, with ``arc_pairs`` its Python pairs, or None."""
+        of valid arcs, with ``arc_pairs`` its Python pairs."""
         inst = cls.__new__(cls)
         utilities.setflags(write=False)
         arcs.setflags(write=False)
@@ -149,8 +154,6 @@ class Instance:
         return len(self.resources)
 
     def arc_pairs(self) -> tuple[tuple[int, int], ...]:
-        if self._arc_pairs is None:
-            self._arc_pairs = tuple(map(tuple, self.arcs.tolist()))
         return self._arc_pairs
 
     def to_document(self) -> dict:
@@ -179,9 +182,6 @@ class Allocation:
 
     def __init__(self, assignment: Mapping[int, int]):
         self.assignment = {int(r): int(a) for r, a in assignment.items()}
-
-    def owner(self, resource: int) -> Optional[int]:
-        return self.assignment.get(resource)
 
     def bundles(self, n: int) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(n)]
@@ -230,6 +230,23 @@ class SolveResult:
         return SolveResult(Status.BUDGET, None, 0, nodes)
 
 
+def _utility_rows(rows: Sequence, n: int, m: int) -> np.ndarray:
+    """Nested lists (or tuples) of utilities as an (n, m) int64 array: the
+    one check of such input, for ``Instance`` and ``parse_validate``.
+    There must be n rows of m cells, and every cell must be an integer
+    (bools are not) that fits in 64 bits; numpy integer scalars count, for
+    library callers."""
+    if len(rows) != n or any(len(row) != m for row in rows):
+        raise ValidationError("utility matrix shape does not match agents x resources")
+    types = set(map(type, itertools.chain.from_iterable(rows)))
+    if any(not issubclass(t, (int, np.integer)) or issubclass(t, bool) for t in types):
+        raise ValidationError("utilities must be integers")
+    try:
+        return np.array(rows, dtype=np.int64).reshape(n, m)
+    except OverflowError:
+        raise ValidationError("utilities must fit in 64-bit integers") from None
+
+
 def parse_validate(doc: dict) -> Instance:
     """Build an Instance from a plain-dict document, with field checks."""
     if not isinstance(doc, dict):
@@ -246,11 +263,7 @@ def parse_validate(doc: dict) -> Instance:
     util = doc["utilities"]
     if not isinstance(util, list) or not all(isinstance(row, list) for row in util):
         raise ValidationError("utilities must be a list of rows")
-    if len(util) != len(agents) or any(len(row) != len(resources) for row in util):
-        raise ValidationError("utility matrix shape does not match agents x resources")
-    types = set(map(type, itertools.chain.from_iterable(util)))
-    if any(not issubclass(t, int) or issubclass(t, bool) for t in types):
-        raise ValidationError("utilities must be integers")
+    matrix = _utility_rows(util, len(agents), len(resources))
     index = {a: i for i, a in enumerate(agents)}
     arcs = []
     if not isinstance(doc["arcs"], list):
@@ -262,10 +275,6 @@ def parse_validate(doc: dict) -> Instance:
         if not (isinstance(a, str) and isinstance(b, str) and a in index and b in index):
             raise ValidationError(f"arc references unknown agent: {arc}")
         arcs.append((index[a], index[b]))
-    try:
-        matrix = np.array(util, dtype=np.int64).reshape(len(agents), len(resources))
-    except OverflowError:
-        raise ValidationError("utilities must fit in 64-bit integers") from None
     return Instance(agents, resources, matrix, arcs)
 
 
@@ -362,7 +371,7 @@ def strip_zero_resources(inst: Instance) -> tuple[Instance, list[int]]:
         tuple([inst.resources[j] for j in keep]),
         inst.utilities.take(keep, axis=1),
         inst.arcs,
-        inst._arc_pairs,
+        inst.arc_pairs(),
     )
     return reduced, keep
 

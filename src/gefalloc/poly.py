@@ -9,7 +9,7 @@ in as the ``GraphClass`` the route already holds.  Every solver but
 
 from __future__ import annotations
 
-from .graphs import GraphClass, GraphKind, longest_path_labels, topological_order
+from .graphs import GraphClass, GraphKind
 from .model import (
     Allocation,
     FairnessNotion,
@@ -62,7 +62,7 @@ def solve_sgef_id01(inst: Instance, graph: GraphClass) -> SolveResult:
     """
     if graph.kind is not GraphKind.ACYCLIC:
         return SolveResult.infeasible()
-    labels = longest_path_labels(inst)
+    labels = graph.labels
     if sum(labels) > inst.m:
         return SolveResult.infeasible()
     assignment = {}
@@ -92,8 +92,7 @@ def solve_sgef_identical_manyvalues(inst: Instance, graph: GraphClass) -> SolveR
     top_values = sorted(chosen, reverse=True)[: inst.n]
     picks = [chosen[v] for v in top_values]  # strictly decreasing values
 
-    order = topological_order(inst)
-    assignment = {picks[pos]: agent for pos, agent in enumerate(order)}
+    assignment = {picks[pos]: agent for pos, agent in enumerate(graph.order)}
     leftovers_to = min(graph.sources)
     for r in range(inst.m):
         if r not in assignment:

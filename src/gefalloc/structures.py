@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .exact import DEFAULT_BUDGET, solve_identical_enum
-from .graphs import Condensation, GraphClass, reachable_from
+from .graphs import GraphClass, arc_lists, kahn_order, reachable_from
 from .model import (
     Allocation,
     FairnessNotion,
@@ -77,21 +77,7 @@ def _pair_list(q: int) -> list[tuple[int, int]]:
 
 
 def _is_dag(q: int, arcs: Iterable[tuple[int, int]]) -> bool:
-    adj: dict[int, list[int]] = {i: [] for i in range(q)}
-    indeg = [0] * q
-    for a, b in arcs:
-        adj[a].append(b)
-        indeg[b] += 1
-    queue = [v for v in range(q) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == q
+    return len(kahn_order(*arc_lists(q, arcs))) == q
 
 
 def _equal_split(inst: Instance, pack: tuple[int, ...], rho: int) -> Optional[list[list[int]]]:
@@ -219,17 +205,17 @@ def directed_colored_subiso(
 # the solver built on structures
 
 
-def _kept_components(inst: Instance, cond: Condensation) -> list[int]:
+def _kept_components(inst: Instance, graph: GraphClass) -> list[int]:
     """Indices of the components that may hold resources in a fair complete
     allocation under identical positive preferences.  A component with more
     than m agents, or with condensation in-degree above m, never can, and
     neither can anything it watches.  One pass is the fixed point: a doomed
     predecessor would doom a component, so a kept component keeps every
     predecessor, hence its size and in-degree."""
-    m = inst.m
+    m, cond = inst.m, graph.condensation
     seeds = [v for ci, comp in enumerate(cond.components)
              if len(comp) > m or cond.in_degree(ci) > m for v in comp]
-    doomed = reachable_from(inst, seeds)
+    doomed = reachable_from(graph, seeds)
     return [ci for ci, comp in enumerate(cond.components) if comp[0] not in doomed]
 
 
@@ -249,7 +235,7 @@ def solve_gef_identical_structures(
     if inst.m == 0:
         return SolveResult.feasible(inst, Allocation({}))
     cond = graph.condensation
-    kept = _kept_components(inst, cond)
+    kept = _kept_components(inst, graph)
     if not kept:
         return SolveResult.infeasible()
     pos = {ci: k for k, ci in enumerate(kept)}

@@ -15,11 +15,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from gefalloc import ColoredDigraph, GuardError, Instance, Structure, scc_condensation
-from gefalloc.errors import require
+from gefalloc import (ColoredDigraph, GuardError, Instance, Structure, classify_graph,
+                      scc_condensation)
 from gefalloc.graphs import reachable_from
 from gefalloc.model import classify_preferences
 from gefalloc.structures import _equal_split, _is_dag, _pair_list, _partitions
+
+
+def require(cond: bool, msg: str) -> None:
+    """Raise GuardError with ``msg`` unless ``cond`` holds."""
+    if not cond:
+        raise GuardError(msg)
 
 
 def enumerate_structures(inst: Instance):
@@ -94,7 +100,8 @@ def prune_fixed_point(inst: Instance) -> tuple[int, ...]:
         ]
         if not bad:
             return tuple(alive)
-        doomed = reachable_from(sub, [v for ci in bad for v in cond.components[ci]])
+        doomed = reachable_from(classify_graph(sub),
+                                [v for ci in bad for v in cond.components[ci]])
         alive = [alive[v] for v in range(sub.n) if v not in doomed]
 
 

@@ -21,7 +21,6 @@ from gefalloc import (
     classify_preferences,
     is_complete,
     is_pareto_efficient,
-    longest_path_labels,
     max_welfare_bound,
     select_algorithm,
     solve,
@@ -168,7 +167,7 @@ def test_ac05_threshold_flip_at_label_sum():
         n = rng.randint(2, 6)
         trees.append((n, [(rng.randint(0, i - 1), i) for i in range(1, n)]))
     for n, arcs in trees:
-        labels = longest_path_labels(make([[1]] * n, arcs))
+        labels = classify_graph(make([[1]] * n, arcs)).labels
         need = sum(labels)
         top = max(need + 2, 7)
         for m in range(0, top + 1):

@@ -283,6 +283,13 @@ class TestGenerate:
     def test_unknown_variant(self, capsys):
         assert main(["generate", "--variant", "bogus"]) == 2
 
+    def test_max_utility_beyond_64_bits(self, capsys):
+        code = main(["generate", "--variant", "random", "--n", "2", "--m", "3",
+                     "--max-utility", "99999999999999999999"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == \
+            "error: utilities must fit in 64-bit integers"
+
 
 def child_env():
     """Environment of a child interpreter that imports the package this test

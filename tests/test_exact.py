@@ -177,8 +177,9 @@ class TestIdenticalEnum:
 
 def kept_agents(inst):
     """Agents of the components the struct-fpt prune keeps."""
-    cond = classify_graph(inst).condensation
-    return tuple(sorted(v for ci in _kept_components(inst, cond)
+    graph = classify_graph(inst)
+    cond = graph.condensation
+    return tuple(sorted(v for ci in _kept_components(inst, graph)
                         for v in cond.components[ci]))
 
 

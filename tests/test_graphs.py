@@ -1,19 +1,25 @@
+import functools
+import importlib.util
 import itertools
+import pathlib
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gefalloc import (
+    EfficiencyGoal,
+    FairnessNotion,
     GraphKind,
-    GuardError,
     Instance,
+    PreferenceKind,
+    analyze,
     classify_graph,
-    longest_path_labels,
+    gen_random,
     scc_condensation,
-    topological_order,
+    solve,
 )
+from gefalloc.exact import _sgef_owners
 from gefalloc.graphs import reachable_from
 
 
@@ -209,8 +215,8 @@ class TestClassifyAgainstCondensation:
             gc = classify_graph(inst)
             if gc.sources or gc.sinks or gc.kind is not GraphKind.GENERAL:
                 continue
-            reach = reachable_from(inst, [0])
-            back = reachable_from(make(n, [(b, a) for a, b in arcs]), [0])
+            reach = reachable_from(gc, [0])
+            back = reachable_from(classify_graph(make(n, [(b, a) for a, b in arcs])), [0])
             forward_only += len(reach) == n
             backward_only += len(back) == n
         assert forward_only > 20 and backward_only > 20
@@ -219,11 +225,7 @@ class TestClassifyAgainstCondensation:
 class TestTopologicalOrder:
     def test_lexicographically_smallest(self):
         inst = make(4, [(2, 1), (3, 1), (1, 0)])
-        assert topological_order(inst) == [2, 3, 1, 0]
-
-    def test_cycle_raises(self):
-        with pytest.raises(GuardError):
-            topological_order(make(2, [(0, 1), (1, 0)]))
+        assert classify_graph(inst).order == [2, 3, 1, 0]
 
     def test_every_arc_respects_order(self):
         rng = random.Random(7)
@@ -235,7 +237,7 @@ class TestTopologicalOrder:
                 for b in range(a + 1, n)
                 if rng.random() < 0.4
             ]
-            order = topological_order(make(n, arcs))
+            order = classify_graph(make(n, arcs)).order
             pos = {v: i for i, v in enumerate(order)}
             assert all(pos[a] < pos[b] for a, b in arcs)
 
@@ -243,11 +245,11 @@ class TestTopologicalOrder:
 class TestLongestPathLabels:
     def test_path(self):
         # chain a0 -> a1 -> a2: labels count the hops still ahead
-        assert longest_path_labels(make(3, [(0, 1), (1, 2)])) == [2, 1, 0]
+        assert classify_graph(make(3, [(0, 1), (1, 2)])).labels == [2, 1, 0]
 
     def test_diamond(self):
         arcs = [(0, 1), (0, 2), (1, 3), (2, 3)]
-        assert longest_path_labels(make(4, arcs)) == [2, 1, 1, 0]
+        assert classify_graph(make(4, arcs)).labels == [2, 1, 1, 0]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -257,13 +259,133 @@ class TestLongestPathLabels:
         arcs = sorted(
             data.draw(st.sets(st.sampled_from(pairs))) if pairs else []
         )
-        labels = longest_path_labels(make(n, arcs))
+        labels = classify_graph(make(n, arcs)).labels
         for a, b in arcs:
             assert labels[a] >= labels[b] + 1
 
 
 def test_is_acyclic_and_reachability():
     inst = make(4, [(0, 1), (1, 2)])
-    assert classify_graph(inst).kind is GraphKind.ACYCLIC
-    assert reachable_from(inst, [0]) == {0, 1, 2}
-    assert reachable_from(inst, [3]) == {3}
+    graph = classify_graph(inst)
+    assert graph.kind is GraphKind.ACYCLIC
+    assert reachable_from(graph, [0]) == {0, 1, 2}
+    assert reachable_from(graph, [3]) == {3}
+
+
+def reference_order(n, arcs):
+    """Kahn's peel by definition: place the smallest agent none of whose
+    in-neighbours is still unplaced, until no such agent is left."""
+    left, order = set(range(n)), []
+    while True:
+        ready = [v for v in sorted(left) if not any(a in left for a, b in arcs if b == v)]
+        if not ready:
+            return order
+        order.append(ready[0])
+        left.remove(ready[0])
+
+
+def reference_labels(n, arcs):
+    """Longest path (in arcs) starting at each agent, by memoized DFS."""
+    @functools.lru_cache(maxsize=None)
+    def longest(v):
+        return max((1 + longest(b) for a, b in arcs if a == v), default=0)
+
+    return [longest(v) for v in range(n)]
+
+
+def old_case5_owners(inst, graph):
+    """``_sgef_owners``'s case 5 as it was: sinks keyed by frozensets of
+    their watchers, recounted from the arcs."""
+    m, sinks = inst.m, set(graph.sinks)
+    owners = [v for v in range(inst.n) if v not in sinks]
+    watchers = [set() for _ in range(inst.n)]
+    for a, b in inst.arc_pairs():
+        watchers[b].add(a)
+    by_watchers = {}
+    for s in graph.sinks:
+        by_watchers.setdefault(frozenset(watchers[s]), []).append(s)
+    return sorted(owners + [s for same in by_watchers.values() for s in same[:m]])
+
+
+def route_dump():
+    """``tools/route_dump.py``, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "route_dump.py"
+    spec = importlib.util.spec_from_file_location("route_dump", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGraphFacts:
+    """Every fact ``GraphClass`` carries against a recount from the arcs."""
+
+    def test_facts_match_references(self):
+        for n, arcs in itertools.chain([(0, []), (1, [])], graph_corpus(600, 23)):
+            inst = make(n, arcs)
+            gc = classify_graph(inst)
+            assert gc.succ == [[b for a, b in arcs if a == v] for v in range(n)]
+            assert gc.pred == [[a for a, b in arcs if b == v] for v in range(n)]
+            assert gc.order == reference_order(n, arcs), (n, arcs)
+            assert (len(gc.order) == n) == (gc.kind is GraphKind.ACYCLIC)
+            if gc.kind is GraphKind.ACYCLIC:
+                assert gc.labels == reference_labels(n, arcs)
+            cond = gc.condensation
+            for c in range(len(cond.components)):
+                assert cond.in_degree(c) == sum(b == c for _, b in cond.arcs)
+                assert cond.in_degree(c) == len({cond.component_of[a] for a, b in arcs
+                                                 if cond.component_of[b] == c
+                                                 and cond.component_of[a] != c})
+
+    def test_case5_owners_match_watcher_sets(self):
+        dump = route_dump()
+        checked = 0
+        for inst in itertools.chain(dump.case5(300, 2, 4, 6), dump.case5(12, 3, 9, 10)):
+            graph = classify_graph(inst)
+            if graph.sources or inst.m >= inst.n:
+                continue
+            owners = _sgef_owners(inst, graph)
+            if owners is None or len(owners) == inst.m:
+                continue
+            assert owners == old_case5_owners(inst, graph), inst
+            checked += 1
+        assert checked > 250
+
+
+class TestOneReadingOfTheArcs:
+    def test_auto_solves_read_the_arcs_once(self, monkeypatch):
+        """An auto solve turns the instance's arcs into adjacency lists once,
+        in ``classify_graph``; ``struct-fpt`` adds Tarjan's reading when the
+        stripped instance has a resource.  A small budget lets auto pick
+        ``struct-fpt`` on identical preferences over general graphs."""
+        import gefalloc.graphs as graphs
+
+        reads = []
+        build = graphs.arc_lists
+        monkeypatch.setattr(graphs, "arc_lists",
+                            lambda n, pairs: reads.append(pairs) or build(n, pairs))
+        seen = {}
+        rng, dump = random.Random(19), route_dump()
+        shapes = [(kind, graph) for kind in PreferenceKind
+                  for graph in (GraphKind.ACYCLIC, None)]
+        corpus = itertools.chain(
+            (gen_random(rng.randint(1, 5), rng.randint(0, 6), *shapes[i % len(shapes)],
+                        rng.choice([1, 9]), i) for i in range(400)),
+            dump.case5(60, 2, 4, 6), dump.identical_general(60, 5))
+        for inst in corpus:
+            a = analyze(inst)
+            n, m = a.stripped.n, a.stripped.m
+            case5 = not a.graph.sources and n - len(a.graph.sinks) < m < n
+            want = {"alg1": 1, "manyvalues": 1, "sgef-fpt": 1 if case5 else None,
+                    "struct-fpt": 2 if m else 1}
+            for notion in FairnessNotion:
+                for goal in EfficiencyGoal:
+                    reads.clear()
+                    res = solve(inst, notion, goal, budget=1000)
+                    if want.get(res.route) is None:
+                        continue
+                    own = sum(pairs is inst.arc_pairs() for pairs in reads)
+                    assert own == want[res.route], (res.route, inst.to_document())
+                    key = (res.route, own)
+                    seen[key] = seen.get(key, 0) + 1
+        assert set(seen) == {("alg1", 1), ("manyvalues", 1), ("sgef-fpt", 1),
+                             ("struct-fpt", 1), ("struct-fpt", 2)}, seen

@@ -12,6 +12,7 @@ from gefalloc import (
     Instance,
     PreferenceKind,
     ValidationError,
+    analyze,
     classify_preferences,
     dominates,
     gen_random,
@@ -122,6 +123,36 @@ class TestValidation:
         doc = {"agents": ["a"], "resources": ["r", "s"],
                "utilities": [[Level.LOW, Level.HIGH]], "arcs": []}
         assert parse_validate(doc).utilities.tolist() == [[1, 3]]
+
+    @pytest.mark.parametrize("util, message", [
+        ([[1, True]], "utilities must be integers"),
+        ([[1, 2**70]], "utilities must fit in 64-bit integers"),
+        ([[1], [1, 2]], "utility matrix shape does not match agents x resources"),
+    ], ids=["bool", "beyond-64-bits", "ragged"])
+    def test_list_input_checked_like_parse_validate(self, util, message):
+        """The constructor, given lists or tuples, and ``parse_validate``
+        check nested rows alike."""
+        agents = [f"a{i}" for i in range(len(util))]
+        doc = {"agents": agents, "resources": ["x", "y"], "utilities": util, "arcs": []}
+        for build in (lambda: parse_validate(doc),
+                      lambda: Instance(agents, ["x", "y"], util, []),
+                      lambda: Instance(agents, ["x", "y"], tuple(map(tuple, util)), [])):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                build()
+
+    def test_empty_list_for_no_resources_accepted(self):
+        assert Instance(["a", "b"], [], [], []).utilities.shape == (2, 0)
+
+    def test_list_of_numpy_integers_accepted(self):
+        inst = Instance(["a"], ["x", "y", "z"], [[np.int8(1), np.uint64(2), 3]], [])
+        assert inst.utilities.tolist() == [[1, 2, 3]]
+
+    def test_parse_validate_checks_utilities_before_arcs(self):
+        doc = {"agents": ["a"], "resources": ["r"], "utilities": [[2**64]],
+               "arcs": [["a", "b"]]}
+        with pytest.raises(ValidationError,
+                           match="^utilities must fit in 64-bit integers$"):
+            parse_validate(doc)
 
     def test_parse_validate_utility_beyond_64_bits(self):
         doc = {"agents": ["a"], "resources": ["r", "s"],
@@ -294,6 +325,10 @@ class TestStripZeros:
         assert stripped.m == 2
         assert [int(v) for v in stripped.utilities[0]] == [1, 2]
 
+    def test_stripped_instance_shares_the_arc_pairs(self):
+        inst = make([[1, 0, 2], [3, 0, 0]], [(1, 0), (0, 1)])
+        assert analyze(inst).stripped.arc_pairs() is inst.arc_pairs()
+
     def test_no_op_when_all_valued(self):
         inst = make([[1, 1]], [])
         stripped, keep = strip_zero_resources(inst)
@@ -311,12 +346,11 @@ class TestStripZeros:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 5), st.integers(0, 6), st.sampled_from([np.int8, np.uint16, np.int64]),
-           st.booleans(), st.data())
-    def test_derived_matches_validated(self, n, m, dtype, cached, data):
+           st.data())
+    def test_derived_matches_validated(self, n, m, dtype, data):
         """The stripped instance skips validation; it must equal the one the
         validating constructor builds from the same data, pairs and
-        read-only arrays included, whether or not the parent's pairs were
-        computed first."""
+        read-only arrays included."""
         rows = [data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
                 for _ in range(n)]
         arcs = data.draw(st.lists(
@@ -324,8 +358,6 @@ class TestStripZeros:
             .filter(lambda arc: arc[0] != arc[1]), unique=True)) if n > 1 else []
         inst = Instance([f"a{i}" for i in range(n)], [f"r{j}" for j in range(m)],
                         np.array(rows, dtype=dtype).reshape(n, m), arcs)
-        if cached:
-            inst.arc_pairs()
         stripped, keep = strip_zero_resources(inst)
         validated = Instance(list(inst.agents), [inst.resources[j] for j in keep],
                              np.array(rows, dtype=dtype).reshape(n, m)[:, keep], arcs)

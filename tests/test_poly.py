@@ -11,7 +11,6 @@ from gefalloc import (
     brute_force,
     classify_graph,
     is_complete,
-    longest_path_labels,
     max_welfare_bound,
     solve,
     utilitarian_welfare,
@@ -115,7 +114,7 @@ class TestAlg1:
 
     def test_labels_bound_consumption(self):
         inst = make([[1] * 4] * 4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        labels = longest_path_labels(inst)
+        labels = classify_graph(inst).labels
         assert sum(labels) == 2 + 1 + 1 + 0
         assert solve_sgef_id01(inst, classify_graph(inst)).status is Status.FEASIBLE
 

@@ -37,15 +37,16 @@ of at most ``SUFFIX_ROWS`` columns, and the walk takes the outer
 assignments in canonical order, shifting the block's sums when an outer
 digit moves.  Per block, one comparison finds the prefixes that some suffix
 could make fair (``prefix_slack + max(slack) >= delta`` on every arc) and,
-in mode 1, one sum gives their welfare.  The scan visits the surviving
-prefixes in canonical order, drops again, whenever the best welfare grows,
-the block's remaining prefixes that can no longer beat it (one vectorized
-test), and tests all of a prefix's suffix assignments at once:
-``slack + prefix_slack >= delta`` on every arc.  Skipped assignments still
-count as nodes.  When ``k**m <= SUFFIX_ROWS`` there is one block of one
-prefix.  Memory is ``O((A + n) * (2 * SUFFIX_ROWS + m))`` for ``A`` arcs: no
-table spans more than ``SUFFIX_ROWS`` prefixes, whatever the budget, and
-the work before the first node grows only with the input.
+in mode 1, one sum those that can beat the best welfare so far.  The scan
+visits the surviving prefixes in canonical order, drops again, whenever the
+best welfare grows, the block's remaining prefixes that can no longer beat
+it (one vectorized test), and tests all of a prefix's suffix assignments at
+once: ``slack + prefix_slack >= delta`` on every arc.  Skipped assignments
+still count as nodes.  When ``k**m <= SUFFIX_ROWS`` the suffix table holds
+every assignment, and the scan is that one test on the empty prefix, with no
+floor and no walk.  Memory is ``O((A + n) * (2 * SUFFIX_ROWS + m))`` for
+``A`` arcs: no table spans more than ``SUFFIX_ROWS`` prefixes, whatever the
+budget, and the work before the first node grows only with the input.
 
 The suffix table must stay C-contiguous, one row per quantity, so that a
 test of one quantity reads contiguous memory: in another memory order a
@@ -75,6 +76,8 @@ check and never a wrong witness.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,16 +160,12 @@ class _Split:
         """Yield ``(start, block, alive)`` per block of prefixes in
         canonical order while ``start``, the index of the block's first
         assignment, is below ``limit``.  Column ``i`` of ``block`` sums
-        ``V[r] * S[c]`` over the ``i``-th prefix of the block, whose first
-        assignment is ``start + i * size`` (``size`` the suffix's
-        assignments), for the prefixes that start below ``limit``.
-        ``alive[i]`` tells whether the prefix's leading sums reach
-        ``floor``: ``block[:len(floor), i] >= floor``.
-
-        A block holds the prefixes of one outer assignment: their sums are
-        the middle table, built by the suffix table's broadcast and shifted
-        when an outer digit moves, and ``floor`` is tested on the whole
-        block in one comparison."""
+        ``V[r] * S[c]`` over the block's ``i``-th prefix, which starts at
+        ``start + i * size`` (``size`` the suffix's assignments) below
+        ``limit``; ``alive[i]`` tells whether its leading sums reach
+        ``floor``.  A block holds the prefixes of one outer assignment: the
+        middle table, built by the suffix table's broadcast and shifted
+        when an outer digit moves."""
         o, k, V, S = self.outer, self.k, self.V, self.S
         size = self.table.shape[1]
         seed = self.zero
@@ -192,6 +191,31 @@ class _Split:
             if i < 0:
                 return
 
+    def scan(self, limit, floor, test, keep=None):
+        """Run ``test(first, sums)`` on the prefixes that start below
+        ``limit`` in canonical order (``first`` a prefix's first assignment,
+        ``sums`` its column) and return its first answer other than ``None``
+        and ``False``, or ``None``.  With one suffix table the empty prefix
+        is the only one: no floor, no walk.  Otherwise the walk tests the
+        alive prefixes of ``blocks(limit, floor())``, and ``keep(block)``,
+        when given, returns a function that picks the ones worth a test,
+        applied again to the rest whenever ``test`` returns ``False``."""
+        if self.prefix == 0:
+            answer = test(0, self.zero[:, 0]) if limit > 0 else None
+            return None if answer is False else answer
+        size = self.table.shape[1]
+        for start, block, alive in self.blocks(limit, floor()):
+            prune = (lambda rest: rest) if keep is None else keep(block)
+            rest = prune(alive.nonzero()[0])
+            while len(rest):
+                i, rest = int(rest[0]), rest[1:]
+                answer = test(start + i * size, block[:, i])
+                if answer is False:
+                    rest = prune(rest)
+                elif answer is not None:
+                    return answer
+        return None
+
     def assignment(self, index):
         """Owner per resource of the assignment at 0-based position
         ``index`` in canonical order."""
@@ -213,32 +237,34 @@ def search(utilities, arcs, delta, candidates, mode, limit):
     slack, profile = split.table[:A], split.table[A:]
     # mode 0 needs the welfare of the one assignment it returns
     wel = profile.sum(axis=0, dtype=np.int64) if mode == 1 else None
-    top = int(wel.max()) if mode == 1 else 0
     best, best_wel = None, -1
+
+    def test(first, sums):
+        """Test all suffixes of a prefix: mode 0's answer if one is fair;
+        mode 1 keeps the best and returns ``False`` when it grows."""
+        nonlocal best, best_wel
+        rows = min(size, limit - first)
+        fair = (slack[:, :rows] >= (delta - sums[:A])[:, None]).all(axis=0)
+        j = int(fair.argmax() if mode == 0 else np.where(fair, wel[:rows], -1).argmax())
+        if not fair[j]:
+            return None
+        welfare = sum(sums[A:].tolist()) + sum(profile[:, j].tolist())
+        if mode == 0:
+            return 0, split.assignment(first + j), welfare, first + j + 1
+        if welfare > best_wel:
+            best_wel, best = welfare, split.assignment(first + j)
+            return False
+        return None
+
+    def keep(block):
+        # when maximising, the prefixes that can beat the best so far
+        reach = block[A:].sum(axis=0, dtype=np.int64) + int(wel.max())
+        return lambda rest: rest[reach[rest] > best_wel]
+
     # alive: some suffix can make the prefix fair
-    for start, block, alive in split.blocks(limit, delta - slack.max(axis=1)):
-        if mode == 1:
-            # when maximising, drop the prefixes that cannot beat the best
-            # so far: at the block's start here, and as the best grows below
-            bases = block[A:].sum(axis=0, dtype=np.int64)
-            alive &= bases + top > best_wel
-        rest = alive.nonzero()[0]
-        while len(rest):
-            i, rest = int(rest[0]), rest[1:]
-            first = start + i * size
-            rows = min(size, limit - first)
-            fair = (slack[:, :rows] >= (delta - block[:A, i])[:, None]).all(axis=0)
-            if mode == 0:
-                j = int(fair.argmax())
-                if fair[j]:
-                    welfare = int((block[A:, i] + profile[:, j]).sum(dtype=np.int64))
-                    return 0, split.assignment(first + j), welfare, first + j + 1
-            else:
-                j = int(np.where(fair, wel[:rows], -1).argmax())
-                welfare = int(bases[i] + wel[j])
-                if fair[j] and welfare > best_wel:
-                    best_wel, best = welfare, split.assignment(first + j)
-                    rest = rest[bases[rest] + top > best_wel]
+    answer = split.scan(limit, lambda: delta - slack.max(axis=1), test, keep if mode else None)
+    if answer is not None:
+        return answer
     if best is None:
         best = np.full(split.m, -1, dtype=np.int64)
     if split.total > limit:
@@ -297,13 +323,16 @@ def _partial_split(utilities, arcs, cover=0):
     return _Split(utilities, arcs, np.append(np.arange(len(utilities)), -1), cover)
 
 
+@lru_cache(maxsize=None)
 def _key_weights(n):
     """The membership key's fixed odd multipliers, one per agent, as a
-    column: splitmix64 of 1, ..., n."""
+    read-only column: splitmix64 of 1, ..., n."""
     w = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     w = (w ^ (w >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     w = (w ^ (w >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return ((w ^ (w >> np.uint64(31))) | np.uint64(1))[:, None]
+    w = ((w ^ (w >> np.uint64(31))) | np.uint64(1))[:, None]
+    w.flags.writeable = False
+    return w
 
 
 def _keys(cols, w):
@@ -318,25 +347,26 @@ def first_fair_on_frontier(utilities, arcs, delta, frontier):
     unassigned) whose utility profile is a row of ``frontier``, a non-empty
     array of profiles, as an owner per resource, or ``None``."""
     split = _partial_split(utilities, arcs)
-    A, size = split.arcs, split.table.shape[1]
+    A = split.arcs
     slack, profile = split.table[:A], split.table[A:]
     frontier = np.asarray(frontier)
     w = _key_weights(len(profile))
     front_keys = _keys(frontier.T, w)
     ordered = np.sort(front_keys)
     suffix_keys = _keys(profile, w)
-    for start, block, alive in split.blocks(split.total, delta - slack.max(axis=1)):
-        prefix_keys = _keys(block[A:], w)
-        for i in alive.nonzero()[0].tolist():
-            fair = np.flatnonzero((slack >= (delta - block[:A, i])[:, None]).all(axis=0))
-            keys = suffix_keys[fair] + prefix_keys[i]
-            found = np.take(ordered, np.searchsorted(ordered, keys), mode="clip") == keys
-            for j in np.flatnonzero(found).tolist():
-                # a key can collide: check the profile against its key's rows
-                full = profile[:, fair[j]] + block[A:, i]
-                if (frontier[front_keys == keys[j]] == full).all(axis=1).any():
-                    return split.assignment(start + i * size + int(fair[j]))
-    return None
+
+    def test(first, sums):
+        fair = np.flatnonzero((slack >= (delta - sums[:A])[:, None]).all(axis=0))
+        keys = suffix_keys[fair] + _keys(sums[A:, None], w)
+        found = np.take(ordered, np.searchsorted(ordered, keys), mode="clip") == keys
+        for j in np.flatnonzero(found).tolist():
+            # a key can collide: check the profile against its key's rows
+            full = profile[:, fair[j]] + sums[A:]
+            if (frontier[front_keys == keys[j]] == full).all(axis=1).any():
+                return split.assignment(first + int(fair[j]))
+        return None
+
+    return split.scan(split.total, lambda: delta - slack.max(axis=1), test)
 
 
 def first_dominating(utilities, profile, limit):
@@ -348,13 +378,11 @@ def first_dominating(utilities, profile, limit):
     split = _partial_split(utilities, (), int(np.abs(profile).max(initial=0)))
     table, size = split.table, split.table.shape[1]
     profile = profile.astype(table.dtype)
-    for start, block, alive in split.blocks(limit, profile - table.max(axis=1)):
-        for i in alive.nonzero()[0].tolist():
-            first = start + i * size
-            margin = table[:, :min(size, limit - first)] + (block[:, i] - profile)[:, None]
-            hit = (margin >= 0).all(axis=0) & (margin > 0).any(axis=0)
-            j = int(hit.argmax())
-            if hit[j]:
-                return first + j + 1
-    return None
 
+    def test(first, sums):
+        margin = table[:, :min(size, limit - first)] + (sums - profile)[:, None]
+        hit = (margin >= 0).all(axis=0) & (margin > 0).any(axis=0)
+        j = int(hit.argmax())
+        return first + j + 1 if hit[j] else None
+
+    return split.scan(limit, lambda: profile - table.max(axis=1), test)

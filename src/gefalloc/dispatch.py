@@ -25,7 +25,10 @@ which are welfare-maximal and Pareto-efficient; when there are none, no
 fair allocation is Pareto-efficient, while a welfare optimum may still exist
 below the bound.  So a MaxWelfare solve whose route answers infeasible falls
 through to brute force, which gets what that route left of the budget; the
-result counts the nodes of both.
+result counts the nodes of both.  A ``final`` answer does not fall through:
+along a cycle under strict fairness and one shared valuation, or with fewer
+valued resources than agents with an out-arc, each of whom needs one, no
+allocation at all is fair, not even the empty one.
 """
 
 from __future__ import annotations
@@ -117,10 +120,10 @@ class Analysis:
 
     def lift(self, res: SolveResult) -> SolveResult:
         """Carry a result on the stripped instance back to the original one;
-        worthless resources go to agent 0, so the instance needs an agent."""
+        the dropped resources go to agent 0, so the instance needs an agent."""
         if res.allocation is None or len(self.keep) == self.inst.m:
             return res
-        assignment = dict.fromkeys(range(self.inst.m), 0)
+        assignment = dict.fromkeys(sorted(set(range(self.inst.m)) - set(self.keep)), 0)
         assignment.update((self.keep[r], a) for r, a in res.allocation.assignment.items())
         return SolveResult(res.status, Allocation(assignment), res.welfare, res.nodes)
 
@@ -135,7 +138,8 @@ class Route:
     nodes it visits on an analysis under a goal, and ``cost``, its fixed
     seconds and seconds per node of that bound under a goal; ``exact`` marks
     a bound that the search may reach, so auto skips the row when the bound
-    exceeds the budget.  A closed form has neither."""
+    exceeds the budget.  A closed form has neither.  ``final`` tells whether
+    an infeasible answer rules out every allocation, the empty one included."""
 
     name: str
     applies: Callable[[Analysis, FairnessNotion, EfficiencyGoal], bool]
@@ -143,6 +147,7 @@ class Route:
     bound: Optional[Callable[[Analysis, EfficiencyGoal], float]] = None
     cost: Optional[Callable[[EfficiencyGoal], tuple[float, float]]] = None
     exact: bool = False
+    final: Callable[[Analysis], bool] = lambda a: False
 
 
 # In automatic order: the closed forms, then the searches.  The run functions
@@ -152,7 +157,7 @@ ROUTES = (
     Route("immediate-infeasible",
           lambda a, notion, goal: notion is STRICT and a.identical and not a.acyclic
           and a.has_agents,
-          lambda a, notion, goal, budget: SolveResult.infeasible()),
+          lambda a, notion, goal, budget: SolveResult.infeasible(), final=lambda a: True),
     Route("alg1",
           lambda a, notion, goal: notion is STRICT and a.identical and a.zero_one
           and a.has_agents,
@@ -193,7 +198,7 @@ ROUTES = (
           lambda a, notion, goal, budget:
           a.lift(solve_sgef_fpt_resources(a.stripped, a.sgef_owners, budget)),
           bound=lambda a, goal: sgef_fpt_search_size(a.sgef_owners, a.stripped.m),
-          cost=lambda goal: (90e-6, 2e-9), exact=True),
+          cost=lambda goal: (90e-6, 2e-9), exact=True, final=lambda a: a.sgef_owners is None),
     Route("ident-enum",
           lambda a, notion, goal: a.identical and a.scc_like and a.has_agents,
           lambda a, notion, goal, budget:
@@ -220,7 +225,8 @@ ROUTES = (
           lambda a, notion, goal, budget: brute_force(a.inst, notion, goal, budget),
           bound=lambda a, goal: (a.inst.n + (goal is not COMPLETE)) ** a.inst.m,
           # Pareto brute force builds the frontier before it scans
-          cost=lambda goal: (400e-6, 200e-9) if goal is PARETO else (90e-6, 2e-9)),
+          cost=lambda goal: (400e-6, 200e-9) if goal is PARETO else (90e-6, 2e-9),
+          final=lambda a: True),
 )
 ROUTE = {route.name: route for route in ROUTES}
 ALGORITHMS = ("auto",) + tuple(ROUTE)
@@ -309,11 +315,7 @@ def solve(
         )
     res = ROUTE[algorithm].run(a, notion, goal, budget)
     chain, nodes = algorithm, res.nodes
-    if (
-        goal is EfficiencyGoal.MAX_WELFARE
-        and res.status is Status.INFEASIBLE
-        and algorithm != "brute"
-    ):
+    if goal is WELFARE and res.status is Status.INFEASIBLE and not ROUTE[algorithm].final(a):
         res = brute_force(inst, notion, goal, budget - nodes)
         chain += "->brute"
         nodes += res.nodes

@@ -7,10 +7,12 @@ import pytest
 from gefalloc import (
     ALGORITHMS,
     ROUTES,
+    Allocation,
     EfficiencyGoal,
     FairnessNotion,
     GuardError,
     Instance,
+    SolveResult,
     analyze,
     brute_force,
     is_complete,
@@ -202,6 +204,41 @@ class TestRouteTable:
             res = solve(inst, STRICT, WELFARE, "ilp", budget=budget)
             assert res.route == "ilp->brute"
             assert res.status is Status.BUDGET and res.nodes == budget
+
+    def test_final_infeasible_does_not_fall_through(self):
+        # along a cycle under strict fairness and one shared valuation no
+        # allocation is fair, the empty one included: brute force agrees
+        # after all 4^4 partial allocations (at budget 10 it ends BUDGET),
+        # and its own infeasible answer does not fall through either
+        cycle = make([[1, 1, 2, 1]] * 3, [(0, 1), (1, 2), (2, 0)])
+        res = solve(cycle, STRICT, WELFARE, algorithm="brute")
+        assert (res.route, res.status, res.nodes) == ("brute", Status.INFEASIBLE, 4**4)
+        for algo in ("auto", "immediate-infeasible"):
+            res = solve(cycle, STRICT, WELFARE, algorithm=algo, budget=10)
+            assert (res.route, res.status, res.nodes) == (
+                "immediate-infeasible", Status.INFEASIBLE, 0)
+        # sgef-fpt's case 2: one valued resource, two agents with an out-arc
+        path = make([[2], [2], [2]], [(0, 1), (1, 2)])
+        assert analyze(path).sgef_owners is None
+        assert brute_force(path, STRICT, WELFARE).status is Status.INFEASIBLE
+        res = solve(path, STRICT, WELFARE, algorithm="sgef-fpt", budget=2)
+        assert (res.route, res.status, res.nodes) == ("sgef-fpt", Status.INFEASIBLE, 0)
+        # an infeasible answer that is not final still falls through
+        res = solve(make([[1], [1]], [(0, 1), (1, 0)]), WEAK, WELFARE)
+        assert res.route == "scc-id01->brute" and res.status is Status.FEASIBLE
+
+    def test_lift_fills_only_the_dropped_columns(self):
+        # r1 is worthless and goes to agent 0; r0, valued by b, stays
+        # unassigned as the stripped answer left it
+        inst = Instance(["a", "b"], ["r0", "r1"], [[0, 0], [2, 0]], [(1, 0)])
+        a = analyze(inst)
+        assert a.keep == (0,)
+        empty = SolveResult(Status.FEASIBLE, Allocation({}), 0, 1)
+        lifted = a.lift(empty)
+        assert lifted.allocation == Allocation({1: 0})
+        assert verify_fairness(inst, lifted.allocation, WEAK) is None
+        given = a.lift(SolveResult(Status.FEASIBLE, Allocation({0: 1}), 2, 1))
+        assert given.allocation == Allocation({0: 1, 1: 0})
 
     def test_no_agents_with_resources_is_infeasible(self):
         inst = Instance([], ["r0"], np.zeros((0, 1), dtype=np.int64), [])

@@ -164,6 +164,44 @@ def test_table_backend_matches_counter(monkeypatch, rows):
     assert spans >= 10 or rows == 1 << 13
 
 
+def test_one_table_scans_skip_the_walk(monkeypatch):
+    """When one suffix table holds every assignment, ``search`` in both
+    modes, ``first_fair_on_frontier`` and ``first_dominating`` test the
+    empty prefix alone and never enter the block walk; they still answer
+    as the references do, also at limits that cut the table and at limits
+    of zero and below."""
+    def walk(*args):
+        raise AssertionError("a one-table scan entered the block walk")
+
+    monkeypatch.setattr(_kernels._Split, "blocks", walk)
+    rng = random.Random(53)
+    for trial in range(40):
+        n, m = rng.randint(1, 3), rng.randint(0, 5)
+        util = np.array([[rng.randint(0, 3) for _ in range(m)] for _ in range(n)],
+                        dtype=np.int64).reshape(n, m)
+        arcs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.5]
+        cands = list(range(n)) + ([-1] if trial % 2 else [])
+        assert _kernels._Split(util, arcs, cands).prefix == 0
+        total = len(cands) ** m
+        for limit in sorted({-1, 0, 1, total // 2, total, total + 1}):
+            for delta in (0, 1):
+                for mode in (0, 1):
+                    run_both(util, arcs, delta, cands, mode, limit)
+        plain = util.tolist()
+        frontier = _kernels.pareto_frontier(util)
+        for delta in (0, 1):
+            got = _kernels.first_fair_on_frontier(util, arcs, delta, frontier)
+            want = oracle.first_fair_pareto(plain, arcs, bool(delta), m)
+            assert (None if got is None else
+                    {r: int(a) for r, a in enumerate(got) if a >= 0}) == want
+        owners = [rng.randint(-1, n - 1) for _ in range(m)]
+        base = oracle.profile(plain, {r: a for r, a in enumerate(owners) if a >= 0})
+        for target in (base, [p + 1 for p in base], [0] * n):
+            for limit in (0, 1, 7, (n + 1) ** m):
+                assert (_kernels.first_dominating(util, target, limit)
+                        == oracle.first_dominating(plain, target, m, limit))
+
+
 def test_table_backend_bounded_before_first_node():
     """With 6^40 assignments the table scan reaches its budget of five
     nodes within a second and 64 MB: it never tabulates the prefixes."""

@@ -25,17 +25,17 @@ which are welfare-maximal and Pareto-efficient; when there are none, no
 fair allocation is Pareto-efficient, while a welfare optimum may still exist
 below the bound.  So a MaxWelfare solve whose route answers infeasible falls
 through to brute force, which gets what that route left of the budget; the
-result counts the nodes of both.  A ``final`` answer does not fall through:
-along a cycle under strict fairness and one shared valuation, or with fewer
-valued resources than agents with an out-arc, each of whom needs one, no
-allocation at all is fair, not even the empty one.
+result counts the nodes of both, unless the answer settles the solve
+(``Route.settles``).  Brute force under auto, as a row or as the fallback,
+scans the stripped instance and lifts its answer: worthless resources change
+neither fairness nor welfare and sit on agent 0 in canonical order, so only
+``nodes`` differs from forced ``brute``, the oracle on the original instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .errors import GuardError
@@ -77,6 +77,8 @@ ACYCLIC, STRONGLY_CONNECTED = GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED
 # A row whose bound is 0 answers without searching, in about NO_SEARCH_S.
 NO_SEARCH_S = 10e-6
 
+_LAZY = object()  # an analysis fact not built yet
+
 
 class Estimate(NamedTuple):
     """A search row's node bound (``math.inf`` when it has none) and the
@@ -93,7 +95,8 @@ class Analysis:
     with worthless resources stripped, the kept-column map (new index -> old
     index), the preference and graph classes of the stripped instance, and
     the flags the route conditions read.  The owners of the strict case
-    split and the resource types are built on first use."""
+    split and the resource types are built on first read, without the lock
+    of a cached_property."""
 
     def __init__(self, inst: Instance):
         stripped, keep = strip_zero_resources(inst)
@@ -106,17 +109,22 @@ class Analysis:
         self.zero_one = prefs.zero_one
         self.acyclic = graph.kind is ACYCLIC
         self.scc_like = graph.kind is STRONGLY_CONNECTED or n <= 1
+        self._owners = self._types = _LAZY
 
-    @cached_property
+    @property
     def sgef_owners(self) -> Optional[list[int]]:
         """The agents ``sgef-fpt`` scans, ``None`` when the strict case
         split answers infeasible (``exact._sgef_owners``)."""
-        return _sgef_owners(self.stripped, self.graph)
+        if self._owners is _LAZY:
+            self._owners = _sgef_owners(self.stripped, self.graph)
+        return self._owners
 
-    @cached_property
+    @property
     def types(self) -> ResourceTypeTable:
         """The resource types of the stripped instance, for ``ilp``."""
-        return ResourceTypeTable.build(self.stripped)
+        if self._types is _LAZY:
+            self._types = ResourceTypeTable.build(self.stripped)
+        return self._types
 
     def lift(self, res: SolveResult) -> SolveResult:
         """Carry a result on the stripped instance back to the original one;
@@ -126,6 +134,13 @@ class Analysis:
         assignment = dict.fromkeys(sorted(set(range(self.inst.m)) - set(self.keep)), 0)
         assignment.update((self.keep[r], a) for r, a in res.allocation.assignment.items())
         return SolveResult(res.status, Allocation(assignment), res.welfare, res.nodes)
+
+    def brute(self, notion: FairnessNotion, goal: EfficiencyGoal, budget: int) -> SolveResult:
+        """Brute force on the stripped instance, lifted back; without agents
+        there is no agent 0 to lift to, so the instance is scanned as it is."""
+        if not self.has_agents:
+            return brute_force(self.inst, notion, goal, budget)
+        return self.lift(brute_force(self.stripped, notion, goal, budget))
 
 
 def analyze(inst: Instance) -> Analysis:
@@ -138,8 +153,8 @@ class Route:
     nodes it visits on an analysis under a goal, and ``cost``, its fixed
     seconds and seconds per node of that bound under a goal; ``exact`` marks
     a bound that the search may reach, so auto skips the row when the bound
-    exceeds the budget.  A closed form has neither.  ``final`` tells whether
-    an infeasible answer rules out every allocation, the empty one included."""
+    exceeds the budget.  A closed form has neither.  ``final`` marks a row
+    whose infeasible answer rules out every allocation (see ``settles``)."""
 
     name: str
     applies: Callable[[Analysis, FairnessNotion, EfficiencyGoal], bool]
@@ -149,6 +164,21 @@ class Route:
     exact: bool = False
     final: Callable[[Analysis], bool] = lambda a: False
 
+    def settles(self, a: Analysis, notion: FairnessNotion) -> bool:
+        """Whether an infeasible answer rules out every allocation.  Under
+        strict fairness and one shared valuation every row's does: each answers
+        the complete question, a source can take what a fair partial allocation
+        leaves, and no cycle is fair."""
+        return (notion is STRICT and a.identical) or self.final(a)
+
+    def fallback(self, a: Analysis, notion: FairnessNotion, goal: EfficiencyGoal,
+                 brute: Estimate) -> float:
+        """The MaxWelfare fallback's seconds (``brute``'s) in this row's estimate:
+        none when an infeasible answer settles the solve or cannot come."""
+        unsettled = goal is WELFARE and not self.settles(a, notion)
+        # when nothing has value, the empty allocation is weakly fair
+        return brute.seconds if unsettled and not (notion is WEAK and a.stripped.m == 0) else 0.0
+
 
 # In automatic order: the closed forms, then the searches.  The run functions
 # look solvers up by module name at call time, so a wrapper installed on this
@@ -157,7 +187,7 @@ ROUTES = (
     Route("immediate-infeasible",
           lambda a, notion, goal: notion is STRICT and a.identical and not a.acyclic
           and a.has_agents,
-          lambda a, notion, goal, budget: SolveResult.infeasible(), final=lambda a: True),
+          lambda a, notion, goal, budget: SolveResult.infeasible()),
     Route("alg1",
           lambda a, notion, goal: notion is STRICT and a.identical and a.zero_one
           and a.has_agents,
@@ -222,8 +252,8 @@ ROUTES = (
           cost=lambda goal: (90e-6, 0.5e-6)),
     Route("brute",
           lambda a, notion, goal: True,
-          lambda a, notion, goal, budget: brute_force(a.inst, notion, goal, budget),
-          bound=lambda a, goal: (a.inst.n + (goal is not COMPLETE)) ** a.inst.m,
+          lambda a, notion, goal, budget: a.brute(notion, goal, budget),
+          bound=lambda a, goal: (a.stripped.n + (goal is not COMPLETE)) ** a.stripped.m,
           # Pareto brute force builds the frontier before it scans
           cost=lambda goal: (400e-6, 200e-9) if goal is PARETO else (90e-6, 2e-9),
           final=lambda a: True),
@@ -249,13 +279,9 @@ def estimates(
         return Estimate(bound, seconds + fallback)
 
     brute = estimate(last, last.bound(a, goal))
-    # an infeasible answer to MaxWelfare falls through to brute force, but
-    # without resources of value the empty allocation is weakly fair
-    fallback = 0.0
-    if goal is WELFARE and not (notion is WEAK and a.stripped.m == 0):
-        fallback = brute.seconds
     est = {}
     for route in rows:
+        fallback = route.fallback(a, notion, goal, brute)
         if route.name == "ilp":
             # the type table costs more than every other bound: skip it when
             # the ilp loses even at its least bound, one type dealt to every
@@ -306,6 +332,7 @@ def solve(
     if algorithm not in ALGORITHMS:
         raise GuardError(f"unknown algorithm: {algorithm}")
     a = analyze(inst)
+    forced = algorithm
     if algorithm == "auto":
         algorithm = select_algorithm(a, notion, goal, budget)
     elif not ROUTE[algorithm].applies(a, notion, goal):
@@ -313,10 +340,13 @@ def solve(
             f"{algorithm} does not serve this instance with "
             f"notion={notion.value}, goal={goal.value}"
         )
-    res = ROUTE[algorithm].run(a, notion, goal, budget)
+    route = ROUTE[algorithm]
+    # forced brute force is the oracle: it scans the original instance
+    res = (brute_force(inst, notion, goal, budget) if forced == "brute"
+           else route.run(a, notion, goal, budget))
     chain, nodes = algorithm, res.nodes
-    if goal is WELFARE and res.status is Status.INFEASIBLE and not ROUTE[algorithm].final(a):
-        res = brute_force(inst, notion, goal, budget - nodes)
+    if goal is WELFARE and res.status is Status.INFEASIBLE and not route.settles(a, notion):
+        res = a.brute(notion, goal, budget - nodes)
         chain += "->brute"
         nodes += res.nodes
     return SolveResult(res.status, res.allocation, res.welfare, nodes, chain)

@@ -40,13 +40,14 @@ def _delta(notion: FairnessNotion) -> int:
     return 1 if notion is FairnessNotion.STRICT else 0
 
 
-def _result_from_kernel(inst: Instance, status, assignment, nodes) -> SolveResult:
+def _result_from_kernel(inst: Instance, status, assignment, welfare, nodes) -> SolveResult:
+    """A kernel answer as a result; ``welfare`` is ``None`` to compute it."""
     if status == 2:
         return SolveResult.budget(nodes)
     if status == 1:
         return SolveResult.infeasible(nodes)
-    alloc = Allocation({r: int(a) for r, a in enumerate(assignment) if a >= 0})
-    return SolveResult.feasible(inst, alloc, nodes)
+    alloc = Allocation({r: a for r, a in enumerate(assignment.tolist()) if a >= 0})
+    return SolveResult.feasible(inst, alloc, nodes, welfare)
 
 
 def search_complete(
@@ -59,10 +60,9 @@ def search_complete(
     if candidates is None:
         candidates = range(inst.n)
     cands = np.asarray(list(candidates), dtype=np.int64)
-    status, assignment, _, nodes = _kernels.search(
+    return _result_from_kernel(inst, *_kernels.search(
         inst.utilities, inst.arcs, _delta(notion), cands, 0, budget
-    )
-    return _result_from_kernel(inst, status, assignment, nodes)
+    ))
 
 
 def brute_force(
@@ -86,10 +86,9 @@ def brute_force(
 
     if goal is EfficiencyGoal.MAX_WELFARE:
         cands = np.concatenate([np.arange(n, dtype=np.int64), [-1]])
-        status, assignment, _, nodes = _kernels.search(
+        return _result_from_kernel(inst, *_kernels.search(
             inst.utilities, inst.arcs, _delta(notion), cands, 1, budget
-        )
-        return _result_from_kernel(inst, status, assignment, nodes)
+        ))
 
     # Pareto: every one of the (n+1)^m partial assignments counts as a node;
     # the witness is the first fair one whose profile is on the frontier
@@ -102,7 +101,7 @@ def brute_force(
     )
     if assignment is None:
         return SolveResult.infeasible(nodes)
-    return _result_from_kernel(inst, 0, assignment, nodes)
+    return _result_from_kernel(inst, 0, assignment, None, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -218,8 +218,11 @@ class SolveResult:
     route: str = field(default="", compare=False)
 
     @staticmethod
-    def feasible(inst: "Instance", alloc: Allocation, nodes: int = 0) -> "SolveResult":
-        return SolveResult(Status.FEASIBLE, alloc, utilitarian_welfare(inst, alloc), nodes)
+    def feasible(inst: "Instance", alloc: Allocation, nodes: int = 0,
+                 welfare: Optional[int] = None) -> "SolveResult":
+        if welfare is None:
+            welfare = utilitarian_welfare(inst, alloc)
+        return SolveResult(Status.FEASIBLE, alloc, welfare, nodes)
 
     @staticmethod
     def infeasible(nodes: int = 0) -> "SolveResult":

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,11 +22,14 @@ from gefalloc import (
     solve,
     verify_fairness,
 )
-from gefalloc.dispatch import ROUTE, estimates
+import gefalloc.dispatch as dispatch
+from gefalloc.dispatch import NO_SEARCH_S, ROUTE, estimates
 from gefalloc.exact import ilp_search_size
 from gefalloc.generators import gen_random
 from gefalloc.graphs import GraphKind
 from gefalloc.model import PreferenceKind, Status
+
+import oracle
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
 COMPLETE = EfficiencyGoal.COMPLETE
@@ -441,11 +445,171 @@ class TestCostRouting:
                             bound = ilp_search_size(a.stripped.n, a.types, goal)
                             if bound <= budget:
                                 fixed, per_node = ROUTE["ilp"].cost(goal)
-                                seconds = fixed + per_node * bound
-                                if goal is WELFARE and not (notion is WEAK and a.stripped.m == 0):
-                                    seconds += est["brute"].seconds
+                                seconds = fixed + per_node * bound + ROUTE["ilp"].fallback(
+                                    a, notion, goal, est["brute"])
                                 assert est[pick].seconds < seconds
         assert compared > 300 and skipped > 100
+
+
+def _with_worthless(rng, count):
+    """Seeded instances of n 1-4 and m 1-6 with 1 to m worthless columns
+    put at random places, over every preference kind and graph shape."""
+    kinds, shapes = list(PreferenceKind), [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
+    out = []
+    for i in range(count):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        base = gen_random(n, m - rng.randint(1, m), kinds[i % 4], shapes[i % 3], 3,
+                          rng.randrange(10**6))
+        rows = base.utilities.tolist()
+        while len(rows[0]) < m:
+            at = rng.randint(0, len(rows[0]))
+            for row in rows:
+                row.insert(at, 0)
+        out.append(make(rows, base.arc_pairs()))
+    return out
+
+
+def _oracle_answer(inst, notion, goal):
+    """The oracle's verdict and, under MaxWelfare, optimal welfare, or
+    ``None`` when the instance is too large to enumerate here."""
+    util, arcs, strict = inst.utilities.tolist(), inst.arc_pairs(), notion is STRICT
+    if goal is COMPLETE:
+        return oracle.exists_fair_complete(util, arcs, strict), None
+    if (inst.n + 1) ** inst.m > (256 if goal is PARETO else 4096):
+        return None
+    if goal is PARETO:
+        return oracle.exists_fair_pareto(util, arcs, strict), None
+    best = oracle.max_fair_welfare(util, arcs, strict)
+    return best is not None, best
+
+
+class TestStrippedBrute:
+    """Auto's brute force and the MaxWelfare fallback scan the stripped
+    instance; forced brute force scans the original one."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The instance and result of every brute-force scan dispatch runs."""
+        scans = []
+        brute = dispatch.brute_force
+
+        def spy(inst, notion, goal, budget):
+            res = brute(inst, notion, goal, budget)
+            scans.append((inst, res))
+            return res
+
+        monkeypatch.setattr(dispatch, "brute_force", spy)
+        return scans
+
+    def test_auto_brute_and_welfare_fallbacks_match_forced_brute(self, scans):
+        runs = Counter()
+        for inst in _with_worthless(random.Random(191), 150):
+            a = analyze(inst)
+            n, m, kept = inst.n, inst.m, a.stripped.m
+            assert kept < m
+            for notion in (WEAK, STRICT):
+                for goal in (COMPLETE, PARETO, WELFARE):
+                    scans.clear()
+                    want = solve(inst, notion, goal, "brute")
+                    # forced brute force scans the original instance
+                    assert [s[0] for s in scans] == [inst]
+                    if goal is not COMPLETE:
+                        assert want.nodes == (n + 1) ** m
+                    truth = _oracle_answer(inst, notion, goal)
+                    if truth is not None:
+                        found = want.status is Status.FEASIBLE
+                        assert truth == (found, want.welfare if found and goal is WELFARE
+                                         else None)
+                    for algo in ["auto"] + [r.name for r in ROUTES[:-1]
+                                            if r.applies(a, notion, goal)]:
+                        scans.clear()
+                        got = solve(inst, notion, goal, algo)
+                        if not scans:
+                            continue
+                        doc = (algo, got.route, notion, goal, inst.to_document())
+                        assert got.route == "brute" or got.route.endswith("->brute"), doc
+                        runs[got.route == "brute", goal] += 1
+                        (scanned, res), = scans
+                        assert scanned == a.stripped, doc
+                        if goal is COMPLETE and res.status is Status.FEASIBLE:
+                            assert res.nodes <= n ** kept, doc
+                        else:
+                            assert res.nodes == (n + (goal is not COMPLETE)) ** kept, doc
+                        assert (got.status, got.welfare, got.allocation) == (
+                            want.status, want.welfare, want.allocation), doc
+                        if got.allocation is not None:
+                            assert verify_fairness(inst, got.allocation, notion) is None, doc
+        # auto's brute under every goal, and fallbacks after other routes
+        assert runs[True, COMPLETE] >= 10 and runs[True, PARETO] >= 20, runs
+        assert runs[True, WELFARE] >= 50 and runs[False, WELFARE] >= 30, runs
+
+    def test_pareto_budget_boundary_is_the_stripped_count(self):
+        # general rows on a cycle, so only brute serves Pareto: two valued
+        # resources and two worthless ones among 2 agents
+        inst = make([[1, 0, 2, 0], [2, 0, 1, 0]], [(0, 1), (1, 0)])
+        assert analyze(inst).stripped.m == 2
+        for notion in (WEAK, STRICT):
+            want = solve(inst, notion, PARETO, "brute")
+            assert want.status is Status.FEASIBLE and want.nodes == 3**4
+            res = solve(inst, notion, PARETO, budget=3**2)
+            assert (res.route, res.status, res.nodes) == ("brute", want.status, 3**2)
+            assert res.allocation == want.allocation
+            res = solve(inst, notion, PARETO, budget=3**2 - 1)
+            assert (res.route, res.status, res.nodes) == ("brute", Status.BUDGET, 3**2 - 1)
+            forced = solve(inst, notion, PARETO, "brute", budget=3**2)
+            assert (forced.status, forced.nodes) == (Status.BUDGET, 3**2)
+
+    def test_strict_shared_valuation_infeasible_is_final(self):
+        rng = random.Random(193)
+        kinds = [PreferenceKind.IDENTICAL, PreferenceKind.IDENTICAL_ZERO_ONE]
+        shapes = [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
+        settled = Counter()
+        for trial in range(150):
+            inst = gen_random(rng.randint(1, 4), rng.randint(0, 5), kinds[trial % 2],
+                              shapes[trial % 3], 3, rng.randrange(10**6))
+            a = analyze(inst)
+            for algo in [r.name for r in ROUTES if r.applies(a, STRICT, WELFARE)]:
+                res = solve(inst, STRICT, WELFARE, algo)
+                assert res.route == algo, (algo, inst.to_document())
+                if res.status is Status.INFEASIBLE:
+                    settled[algo] += 1
+                    assert oracle.max_fair_welfare(
+                        inst.utilities.tolist(), inst.arc_pairs(), True) is None
+        assert all(settled[algo] >= 5 for algo in ("alg1", "ident-enum", "sgef-fpt", "ilp")), \
+            settled
+        # under weak fairness an infeasible complete answer still falls through
+        two = [(0, 1), (1, 0)]
+        res = solve(make([[1], [1]], two), WEAK, WELFARE)
+        assert (res.route, res.status, res.welfare) == ("scc-id01->brute", Status.FEASIBLE, 0)
+        res = solve(make([[2], [2]], two), WEAK, WELFARE, "ident-enum")
+        assert (res.route, res.status, res.welfare) == ("ident-enum->brute", Status.FEASIBLE, 0)
+
+    def test_final_row_is_charged_no_fallback(self):
+        # sgef-fpt's case 2 on a 5-agent path: three valued resources for
+        # the four agents with an out-arc
+        path = make([[2, 1, 3]] * 5, [(i, i + 1) for i in range(4)])
+        a = analyze(path)
+        assert a.sgef_owners is None
+        est = estimates(a, STRICT, WELFARE, 10**8)
+        assert est["sgef-fpt"] == (0, NO_SEARCH_S)
+        assert ROUTE["ilp"].fallback(a, WEAK, WELFARE, est["brute"]) == est["brute"].seconds
+        res = solve(path, STRICT, WELFARE)
+        assert (res.route, res.status, res.nodes) == ("sgef-fpt", Status.INFEASIBLE, 0)
+        assert brute_force(path, STRICT, WELFARE).status is Status.INFEASIBLE
+
+    def test_no_agents_answers_on_the_original_instance(self, scans):
+        inst = Instance([], ["r0", "r1"], np.zeros((0, 2), dtype=np.int64), [])
+        for notion in (WEAK, STRICT):
+            for goal in (COMPLETE, PARETO, WELFARE):
+                want = brute_force(inst, notion, goal)
+                scans.clear()
+                res = solve(inst, notion, goal)
+                assert [s[0] for s in scans] == [inst]
+                assert res.route == "brute"
+                assert (res.status, res.allocation, res.welfare, res.nodes) == (
+                    want.status, want.allocation, want.welfare, want.nodes)
+                assert res.status is (Status.INFEASIBLE if goal is COMPLETE
+                                      else Status.FEASIBLE)
 
 
 class TestLazyCondensation:

@@ -24,7 +24,7 @@ from gefalloc.exact import (
     solve_sgef_fpt_resources,
 )
 from gefalloc.generators import gen_random
-from gefalloc.model import PreferenceKind, Status
+from gefalloc.model import PreferenceKind, Status, utilitarian_welfare
 from gefalloc.structures import _kept_components
 
 import oracle
@@ -89,6 +89,24 @@ class TestBruteForce:
                 res = brute_force(inst, notion, EfficiencyGoal.PARETO)
                 want = oracle.exists_fair_pareto(util, arcs, strict)
                 assert (res.status is Status.FEASIBLE) == want
+
+    def test_kernel_welfare_is_the_allocations_welfare(self):
+        # the complete scan (kernel mode 0) and the welfare scan (mode 1)
+        # report their witness's welfare; the Pareto scan's is computed
+        seen = 0
+        for inst in corpus(60, seed0=6):
+            for notion in (WEAK, STRICT):
+                for goal in EfficiencyGoal:
+                    res = brute_force(inst, notion, goal)
+                    if res.allocation is None:
+                        continue
+                    seen += 1
+                    assert type(res.welfare) is int
+                    assert all(type(a) is int for a in res.allocation.assignment.values())
+                    assert res.welfare == utilitarian_welfare(inst, res.allocation)
+                    assert res.welfare == oracle.welfare(inst.utilities.tolist(),
+                                                         res.allocation.assignment)
+        assert seen > 200
 
     def test_budget_verdict(self):
         inst = make([[1] * 6] * 4, [(0, 1), (1, 0)])

@@ -1,7 +1,8 @@
-"""Print one line per solve of a seeded corpus; diff the output of two
+"""Print one line per solve of a seeded corpus; compare the output of two
 versions of gefalloc to list every solve whose route or result changed.
 
     PYTHONPATH=src python tools/route_dump.py > dump.txt
+    python tools/route_dump.py --compare OLD NEW
 
 Per instance, one line of analysis facts: instance id, ``analysis``,
 preference kind, u_diff, graph kind, sources, sinks, inner agents, the
@@ -17,10 +18,18 @@ The ``wide`` and ``wide-scan`` families draw utilities up to each of
 The ``cost-edge`` family puts brute force's bound on both sides of
 ``BUDGET``, so that auto both compares the searches by cost and falls back
 to row order.
+
+``--compare OLD NEW`` reads two dumps and counts the lines that differ,
+grouped by requested algorithm, route change (``old => new``, or the one
+route when it did not change) and changed fields among ``FIELDS``; a line
+found in one dump only counts as ``added`` or ``removed``.  It reads the
+two files only and runs no solve.
 """
 
+import argparse
 import math
 import random
+from collections import Counter
 
 from gefalloc import (ROUTES, EfficiencyGoal, FairnessNotion, GraphKind, Instance,
                       PreferenceKind, analyze, gen_random, solve)
@@ -142,7 +151,50 @@ def solve_line(name, inst, notion, goal, algo):
           res.welfare, res.nodes, witness or "()")
 
 
-def main():
+FIELDS = ("status", "welfare", "nodes", "witness")
+
+
+def read_dump(path):
+    """A dump's lines keyed by instance id and ``analysis``, or by instance
+    id, notion, goal and requested algorithm; the value is the rest."""
+    rows = {}
+    with open(path) as f:
+        for parts in map(str.split, f):
+            if parts:
+                cut = 2 if parts[1] == "analysis" else 4
+                rows[tuple(parts[:cut])] = parts[cut:]
+    return rows
+
+
+def compare(old, new):
+    """Counter of differing lines of two read dumps by (requested algorithm,
+    route change, changed fields); analysis lines count under ``analysis``."""
+    groups = Counter()
+    for key in old.keys() | new.keys():
+        was, now = old.get(key), new.get(key)
+        if was == now:
+            continue
+        algo = key[-1] if len(key) == 4 else "analysis"
+        if was is None or now is None:
+            groups[algo, "-", "added" if was is None else "removed"] += 1
+        elif algo == "analysis":
+            groups[algo, "-", "facts"] += 1
+        else:
+            route = was[0] if was[0] == now[0] else f"{was[0]} => {now[0]}"
+            fields = [f for f, x, y in zip(FIELDS, was[1:], now[1:]) if x != y]
+            groups[algo, route, ",".join(fields) or "-"] += 1
+    return groups
+
+
+def print_comparison(old_path, new_path):
+    old, new = read_dump(old_path), read_dump(new_path)
+    groups = compare(old, new)
+    print(f"{sum(groups.values())} of {len(new)} lines differ ({len(old)} before)")
+    for (algo, route, fields), count in sorted(groups.items(), key=lambda g: (-g[1], g[0])):
+        print(f"{count:7d}  {algo:<21} {route:<32} {fields}")
+
+
+def dump():
     for name, inst in corpus():
         a = analyze(inst)
         g = a.graph
@@ -159,6 +211,17 @@ def main():
             for notion in FairnessNotion:
                 for goal in goals:
                     solve_line(f"{family}-{i}", inst, notion, goal, "brute")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="count the differing lines of two dumps instead of dumping")
+    args = parser.parse_args(argv)
+    if args.compare:
+        print_comparison(*args.compare)
+    else:
+        dump()
 
 
 if __name__ == "__main__":

@@ -63,8 +63,10 @@ int64.  On small utilities the comparisons then read an eighth of the
 memory, and the verdicts, witnesses and node counts are those of int64.
 
 The same tables and walk serve the Pareto goal: ``pareto_frontier`` builds
-the undominated profiles, ``first_fair_on_frontier`` finds the Pareto
-brute-force witness (the block test is the arcs' reach, as above) and
+the undominated profiles, pruning in batches so that numpy's fixed cost is
+paid a few times per frontier rather than once per resource;
+``first_fair_on_frontier`` finds the Pareto brute-force witness among the
+complete assignments (the block test is the arcs' reach, as above) and
 ``first_dominating`` decides Pareto efficiency (the block test is whether a
 prefix plus the most each agent can still gain reaches the profile).
 Frontier membership goes by a linear key, ``k(p) = sum(p[i] * w[i])``
@@ -274,6 +276,8 @@ def search(utilities, arcs, delta, candidates, mode, limit):
 
 # Pareto pruning compares at most this many (candidate, rival) pairs at once.
 PRUNE_PAIRS = 1 << 22
+# The frontier grows unpruned until its next sum would exceed this many points.
+FRONT_ROWS = 128
 
 
 def _maximal(points):
@@ -301,11 +305,14 @@ def _maximal(points):
 
 def pareto_frontier(utilities):
     """Utility profiles of partial allocations that no other partial
-    allocation dominates, one row each (Nemhauser-Ullmann): resources are
-    added one at a time and dominated partial profiles dropped, which is
-    exact because an extension of a dominated profile is dominated by the
-    same extension of its dominator.  Leaving a resource that someone
-    values unassigned is dominated by giving it to that agent."""
+    allocation dominates, one row each, in order of first occurrence
+    (Nemhauser-Ullmann): resources are added one at a time, and dominated
+    and repeated profiles dropped whenever the next sum would exceed
+    ``FRONT_ROWS`` points, and at the end.  This is exact because an
+    extension of a dominated (or repeated) profile is beaten (or repeated)
+    by the same extension of its dominator (or first copy), which comes
+    earlier.  Leaving a resource that someone values unassigned is
+    dominated by giving it to that agent."""
     util = np.asarray(utilities, dtype=np.int64)
     util = util.astype(_table_type(util))
     n = util.shape[0]
@@ -313,14 +320,10 @@ def pareto_frontier(utilities):
     for col in util.T:
         gains = np.diag(col)[col > 0]
         if len(gains):
-            front = _maximal((front[:, None, :] + gains).reshape(-1, n))
-    return front
-
-
-def _partial_split(utilities, arcs, cover=0):
-    """``_Split`` of the partial allocations: the candidates are every agent,
-    then unassigned."""
-    return _Split(utilities, arcs, np.append(np.arange(len(utilities)), -1), cover)
+            if len(front) * len(gains) > FRONT_ROWS:
+                front = _maximal(front)
+            front = (front[:, None, :] + gains).reshape(-1, n)
+    return _maximal(front)
 
 
 @lru_cache(maxsize=None)
@@ -344,9 +347,14 @@ def _keys(cols, w):
 
 def first_fair_on_frontier(utilities, arcs, delta, frontier):
     """First fair partial allocation in canonical order (agents before
-    unassigned) whose utility profile is a row of ``frontier``, a non-empty
-    array of profiles, as an owner per resource, or ``None``."""
-    split = _partial_split(utilities, arcs)
+    unassigned) whose utility profile is a row of ``frontier``, the rows of
+    ``pareto_frontier``, as an owner per resource, or ``None``.  It scans
+    the complete assignments only ("unassigned" alone when there is no
+    agent): an unassigned valued resource leaves the profile dominated, and
+    an unassigned worthless one can sit on agent 0 instead, with the same
+    profile and slacks and earlier in canonical order."""
+    n = len(utilities)
+    split = _Split(utilities, arcs, range(n) if n else [-1])
     A = split.arcs
     slack, profile = split.table[:A], split.table[A:]
     frontier = np.asarray(frontier)
@@ -375,7 +383,8 @@ def first_dominating(utilities, profile, limit):
     looking at the first ``limit`` allocations only; ``None`` if there is
     none among them."""
     profile = np.asarray(profile, dtype=np.int64)
-    split = _partial_split(utilities, (), int(np.abs(profile).max(initial=0)))
+    split = _Split(utilities, (), np.append(np.arange(len(utilities)), -1),
+                   int(np.abs(profile).max(initial=0)))
     table, size = split.table, split.table.shape[1]
     profile = profile.astype(table.dtype)
 

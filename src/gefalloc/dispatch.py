@@ -221,7 +221,13 @@ ROUTES = (
     # count, and pruning keeps most of them from being visited, so the
     # kernel's and the ilp's costs per node of the bound are far below those
     # of a visited node; struct-fpt's (about 100 us per pattern) only sizes
-    # its record.
+    # its record.  Pareto brute force, re-timed the same way on seeds 1 and 3
+    # with its frontier pruned in batches and its witness sought among
+    # complete assignments, takes 140 us in the median, and a least-squares
+    # line over bounds 16-2401 gives 50 us plus 200 ns per node.  Its row
+    # keeps the (400 us, 200 ns) measured before: at the fitted figures auto
+    # would move 23 of those solves to brute force, which takes 3.1 ms on
+    # them against 1.4 ms for the rows auto picks now.
     Route("sgef-fpt",
           lambda a, notion, goal: notion is STRICT and a.has_agents
           and (goal is COMPLETE or a.identical),

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gefalloc import _kernels
+from gefalloc import EfficiencyGoal, FairnessNotion, _kernels
+from gefalloc.exact import brute_force
 from gefalloc.model import UTILITY_BOUND, PreferenceKind
 from gefalloc.generators import gen_random
 
@@ -282,9 +283,11 @@ def frontier_rows(frontier):
 @pytest.mark.parametrize("pairs", [1, 7, _kernels.PRUNE_PAIRS])
 def test_pareto_frontier_matches_oracle(monkeypatch, pairs):
     """The frontier equals the distinct undominated profiles of all partial
-    assignments, in order of first occurrence, over n 0-6 and m 0-5 with
-    small utilities (many equal profiles) and some all-zero columns, also
-    when pruning compares one or seven pairs at a time."""
+    assignments, in order of first occurrence and in the table type, over
+    n 0-6 and m 0-5 with small utilities (many equal profiles) and some
+    all-zero columns, also when pruning compares one or seven pairs at a
+    time, and whether the frontier is pruned before every sum, whenever it
+    would pass five points, or only at the end (no sum here has 2**20)."""
     monkeypatch.setattr(_kernels, "PRUNE_PAIRS", pairs)
     rng = random.Random(pairs)
     for trial in range(60):
@@ -297,9 +300,13 @@ def test_pareto_frontier_matches_oracle(monkeypatch, pairs):
         for r in range(m):
             if rng.random() < 0.2:
                 util[:, r] = 0
-        got = _kernels.pareto_frontier(util)
-        assert got.shape[1] == n
-        assert frontier_rows(got) == oracle.pareto_profiles(util.tolist(), m), util
+        want = oracle.pareto_profiles(util.tolist(), m)
+        for front_rows in (1, 5, 1 << 20):
+            monkeypatch.setattr(_kernels, "FRONT_ROWS", front_rows)
+            got = _kernels.pareto_frontier(util)
+            assert got.shape[1] == n
+            assert got.dtype == table_type(int(util.sum(axis=1).max(initial=0)))
+            assert frontier_rows(got) == want, (util, front_rows)
 
 
 # Largest row sums on each side of the points where the table type widens
@@ -370,6 +377,61 @@ def test_type_boundaries(monkeypatch, rows):
             for limit in (7, (n + 1) ** m):
                 assert (_kernels.first_dominating(util, target, limit)
                         == oracle.first_dominating(plain, target, m, limit))
+
+
+@pytest.mark.parametrize("rows", [1, 4, 36, _kernels.SUFFIX_ROWS])
+def test_first_fair_on_frontier_matches_oracle(monkeypatch, rows):
+    """The first fair allocation on the frontier, found among the complete
+    assignments only, is the reference's first fair undominated partial
+    one, over n 0-4 and m 0-6 with some all-zero columns and under both
+    notions: with no agent too, where the empty allocation is the answer,
+    and with suffixes that make the scan walk blocks or take one table.
+    (n=4, m=6 is left out: the reference takes seconds there.)"""
+    monkeypatch.setattr(_kernels, "SUFFIX_ROWS", rows)
+    rng = random.Random(59)
+    for trial in range(100):
+        n, m = rng.randint(0, 4), rng.randint(0, 6)
+        while (n + 1) ** m > 5000:
+            m -= 1
+        util = np.array([[rng.randint(0, 3) for _ in range(m)] for _ in range(n)],
+                        dtype=np.int64).reshape(n, m)
+        for r in range(m):
+            if rng.random() < 0.2:
+                util[:, r] = 0
+        arcs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.4]
+        frontier = _kernels.pareto_frontier(util)
+        for delta in (0, 1):
+            got = _kernels.first_fair_on_frontier(util, arcs, delta, frontier)
+            want = oracle.first_fair_pareto(util.tolist(), arcs, bool(delta), m)
+            assert (None if got is None else
+                    {r: int(a) for r, a in enumerate(got) if a >= 0}) == want, (util, arcs)
+
+
+def test_pareto_brute_force_prunes_in_batches_and_scans_complete(monkeypatch):
+    """Pareto brute force on a seeded 3 x 6 general instance prunes its
+    frontier fewer times than it has valued resources, and looks for the
+    witness among complete assignments: no table has an "unassigned"
+    candidate."""
+    calls, cands = [], []
+    maximal, split = _kernels._maximal, _kernels._Split
+
+    def spy_maximal(points):
+        calls.append(len(points))
+        return maximal(points)
+
+    def spy_split(utilities, arcs, candidates, cover=0):
+        cands.append(list(candidates))
+        return split(utilities, arcs, candidates, cover)
+
+    monkeypatch.setattr(_kernels, "_maximal", spy_maximal)
+    monkeypatch.setattr(_kernels, "_Split", spy_split)
+    inst = gen_random(3, 6, PreferenceKind.GENERAL, None, 3, 5)
+    valued = int((inst.utilities > 0).any(axis=0).sum())
+    for notion in FairnessNotion:
+        calls.clear()
+        brute_force(inst, notion, EfficiencyGoal.PARETO)
+        assert 1 <= len(calls) < valued
+    assert cands == [[0, 1, 2]] * 2
 
 
 def test_frontier_membership_survives_key_collisions(monkeypatch):

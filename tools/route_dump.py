@@ -11,8 +11,9 @@ number of stripped resources and the owners of the strict case split
 read shows.  Then one line per solve: instance id, notion,
 goal, requested algorithm, route, status, welfare, nodes, witness (owner per
 resource).  Each instance runs under both notions and all goals, with auto
-and every route whose row applies.  The ``scan`` and ``wide-scan`` families
-run only forced ``brute``, at sizes where the scan spans many prefixes.
+and every route whose row applies.  The ``scan``, ``wide-scan`` and
+``pareto-walk`` families run only forced ``brute``, at sizes where the scan
+spans many prefixes.
 The ``wide`` and ``wide-scan`` families draw utilities up to each of
 ``WIDE`` in turn, so that the kernels' tables take every integer type.
 The ``cost-edge`` family puts brute force's bound on both sides of
@@ -111,6 +112,18 @@ def scan(count, seed, tops=(3,)):
         yield gen_random(n, m, PreferenceKind.GENERAL, None, top, rng.randrange(10**6)), goals
 
 
+def pareto_walk(count, seed):
+    """General preferences on random digraphs at n=3, m=9 and n=4, m=7 in
+    turn, so that the Pareto witness scan, which takes the n^m complete
+    assignments, spans more than 8192 of them and walks blocks.  Yields
+    the instance and the goals to solve it for, as ``scan`` does."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, m = ((3, 9), (4, 7))[i % 2]
+        yield (gen_random(n, m, PreferenceKind.GENERAL, None, 3, rng.randrange(10**6)),
+               [EfficiencyGoal.PARETO])
+
+
 def cost_edge(count, seed):
     """General and 0/1 preferences on graphs with a cycle, n 3-6, with m the
     largest (even instances) or smallest (odd ones) that puts n^m, brute
@@ -206,7 +219,8 @@ def dump():
             for goal in EfficiencyGoal:
                 for algo in ["auto"] + [r.name for r in ROUTES if r.applies(a, notion, goal)]:
                     solve_line(name, inst, notion, goal, algo)
-    for family, scans in (("scan", scan(200, 5)), ("wide-scan", scan(48, 7, WIDE))):
+    for family, scans in (("scan", scan(200, 5)), ("wide-scan", scan(48, 7, WIDE)),
+                          ("pareto-walk", pareto_walk(8, 9))):
         for i, (inst, goals) in enumerate(scans):
             for notion in FairnessNotion:
                 for goal in goals:

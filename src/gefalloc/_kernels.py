@@ -62,19 +62,27 @@ most twice a utility, and ``delta - x`` adds one.  Welfare is summed in
 int64.  On small utilities the comparisons then read an eighth of the
 memory, and the verdicts, witnesses and node counts are those of int64.
 
-The same tables and walk serve the Pareto goal: ``pareto_frontier`` builds
-the undominated profiles, pruning in batches so that numpy's fixed cost is
-paid a few times per frontier rather than once per resource;
-``first_fair_on_frontier`` finds the Pareto brute-force witness among the
-complete assignments (the block test is the arcs' reach, as above) and
-``first_dominating`` decides Pareto efficiency (the block test is whether a
-prefix plus the most each agent can still gain reaches the profile).
-Frontier membership goes by a linear key, ``k(p) = sum(p[i] * w[i])``
-modulo 2**64 with fixed odd multipliers ``w``: the frontier's keys are
-sorted once, the suffix table's keys built once, a prefix adds one scalar,
-and one ``searchsorted`` tests all of a prefix's fair suffixes.  A key hit
-is checked against the frontier rows of that key, so a collision costs one
-check and never a wrong witness.
+The same tables and walk serve the Pareto goal.  ``first_fair_efficient``
+finds the Pareto brute-force witness among the complete assignments.
+Utilities are non-negative, so some complete allocation covers every
+partial one: the frontier of partial allocations is the set of maximal
+complete profiles, and a complete profile lies on it iff no complete
+profile covers it with a larger total.  When one table holds every complete
+assignment, the fair ones are thus checked, a few at a time in canonical
+order, against the whole table, and no frontier is built; a checked one's
+cover of largest total lies on the frontier (the presorting argument of
+skyline queries), so it drops the later fair assignments it dominates.
+Otherwise ``pareto_frontier`` builds the undominated profiles, pruning in
+batches so that numpy's fixed cost is paid a few times per frontier rather
+than once per resource, and the walk seeks a fair assignment on it (the
+block test is the arcs' reach, as above).  ``first_dominating`` decides
+Pareto efficiency (the block test is whether a prefix plus the most each
+agent can still gain reaches the profile).  Frontier membership goes by a
+linear key, ``k(p) = sum(p[i] * w[i])`` modulo 2**64 with fixed odd
+multipliers ``w``: the frontier's keys are sorted once, the suffix table's
+keys built once, a prefix adds one scalar, and one ``searchsorted`` tests
+all of a prefix's fair suffixes.  A key hit is checked against the frontier
+rows of that key, so a collision costs one check and never a wrong witness.
 """
 
 from __future__ import annotations
@@ -278,6 +286,8 @@ def search(utilities, arcs, delta, candidates, mode, limit):
 PRUNE_PAIRS = 1 << 22
 # The frontier grows unpruned until its next sum would exceed this many points.
 FRONT_ROWS = 128
+# The one-table Pareto witness test checks this many fair assignments at once.
+WITNESS_ROWS = 8
 
 
 def _maximal(points):
@@ -345,19 +355,39 @@ def _keys(cols, w):
     return (cols.astype(np.uint64) * w).sum(axis=0, dtype=np.uint64)
 
 
-def first_fair_on_frontier(utilities, arcs, delta, frontier):
+def first_fair_efficient(utilities, arcs, delta):
     """First fair partial allocation in canonical order (agents before
-    unassigned) whose utility profile is a row of ``frontier``, the rows of
-    ``pareto_frontier``, as an owner per resource, or ``None``.  It scans
-    the complete assignments only ("unassigned" alone when there is no
-    agent): an unassigned valued resource leaves the profile dominated, and
-    an unassigned worthless one can sit on agent 0 instead, with the same
-    profile and slacks and earlier in canonical order."""
+    unassigned) that no partial allocation dominates, as an owner per
+    resource, or ``None``.  It scans the complete assignments only
+    ("unassigned" alone when there is no agent): an unassigned valued
+    resource leaves the profile dominated, and an unassigned worthless one
+    can sit on agent 0 instead, with the same profile and slacks and earlier
+    in canonical order.  When one table holds them, no frontier is built
+    (see the module docstring)."""
     n = len(utilities)
     split = _Split(utilities, arcs, range(n) if n else [-1])
     A = split.arcs
     slack, profile = split.table[:A], split.table[A:]
-    frontier = np.asarray(frontier)
+    if split.prefix == 0:
+        total = profile.sum(axis=0, dtype=np.int64)
+        rest = np.flatnonzero((slack >= delta).all(axis=0))
+        while len(rest):
+            batch, rest = rest[:WITNESS_ROWS], rest[WITNESS_ROWS:]
+            covers = np.ones((len(batch), len(total)), dtype=bool)
+            for row in profile:
+                covers &= row >= row[batch][:, None]
+            # each one's cover of largest total: of its own total iff undominated
+            best = np.where(covers, total, -1).argmax(axis=1)
+            free = np.flatnonzero(total[best] <= total[batch])
+            if len(free):
+                return split.assignment(int(batch[free[0]]))
+            # the learned frontier points: drop the later fair ones they dominate
+            beaten = total[best] > total[rest][:, None]
+            for row in profile:
+                beaten &= row[best] >= row[rest][:, None]
+            rest = rest[~beaten.any(axis=1)]
+        return None
+    frontier = pareto_frontier(utilities)
     w = _key_weights(len(profile))
     front_keys = _keys(frontier.T, w)
     ordered = np.sort(front_keys)

@@ -227,7 +227,11 @@ ROUTES = (
     # line over bounds 16-2401 gives 50 us plus 200 ns per node.  Its row
     # keeps the (400 us, 200 ns) measured before: at the fitted figures auto
     # would move 23 of those solves to brute force, which takes 3.1 ms on
-    # them against 1.4 ms for the rows auto picks now.
+    # them against 1.4 ms for the rows auto picks now.  With the witness
+    # checked against one table of the complete assignments and no frontier,
+    # its 124 solves take 78-123 us in the median (174-273 us before, three
+    # interleaved rounds) and the line gives 75-118 us plus 8-12 ns per
+    # node; the row keeps its figures until the search costs are re-fitted.
     Route("sgef-fpt",
           lambda a, notion, goal: notion is STRICT and a.has_agents
           and (goal is COMPLETE or a.identical),
@@ -260,7 +264,7 @@ ROUTES = (
           lambda a, notion, goal: True,
           lambda a, notion, goal, budget: a.brute(notion, goal, budget),
           bound=lambda a, goal: (a.stripped.n + (goal is not COMPLETE)) ** a.stripped.m,
-          # Pareto brute force builds the frontier before it scans
+          # Pareto brute force's figures predate its one-table witness test
           cost=lambda goal: (400e-6, 200e-9) if goal is PARETO else (90e-6, 2e-9),
           final=lambda a: True),
 )

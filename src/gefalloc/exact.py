@@ -78,7 +78,11 @@ def brute_force(
     assignment of maximum welfare, lexicographically first among ties, with
     "unassigned" ordered after the last agent.  Pareto: first fair partial
     assignment not dominated by any assignment at all; its node count is
-    (n+1)^m, the number of partial assignments.
+    (n+1)^m, the number of partial assignments.  The witness is complete,
+    and since utilities are non-negative a complete profile is undominated
+    iff no complete profile covers it with a larger total: when the n^m
+    complete assignments fit one table, the fair ones are checked against
+    that table and no frontier is built (``_kernels.first_fair_efficient``).
     """
     n = inst.n
     if goal is EfficiencyGoal.COMPLETE:
@@ -91,14 +95,11 @@ def brute_force(
         ))
 
     # Pareto: every one of the (n+1)^m partial assignments counts as a node;
-    # the witness is the first fair one whose profile is on the frontier
+    # the witness is the first fair one that nothing dominates
     nodes = (n + 1) ** inst.m
     if nodes > budget:
         return SolveResult.budget(max(budget, 0))
-    frontier = _kernels.pareto_frontier(inst.utilities)
-    assignment = _kernels.first_fair_on_frontier(
-        inst.utilities, inst.arcs, _delta(notion), frontier
-    )
+    assignment = _kernels.first_fair_efficient(inst.utilities, inst.arcs, _delta(notion))
     if assignment is None:
         return SolveResult.infeasible(nodes)
     return _result_from_kernel(inst, 0, assignment, None, nodes)

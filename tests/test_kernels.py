@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gefalloc import EfficiencyGoal, FairnessNotion, _kernels
+from gefalloc import EfficiencyGoal, FairnessNotion, Instance, _kernels
 from gefalloc.exact import brute_force
-from gefalloc.model import UTILITY_BOUND, PreferenceKind
+from gefalloc.graphs import GraphKind
+from gefalloc.model import UTILITY_BOUND, PreferenceKind, Status
 from gefalloc.generators import gen_random
 
 import oracle
@@ -167,7 +168,7 @@ def test_table_backend_matches_counter(monkeypatch, rows):
 
 def test_one_table_scans_skip_the_walk(monkeypatch):
     """When one suffix table holds every assignment, ``search`` in both
-    modes, ``first_fair_on_frontier`` and ``first_dominating`` test the
+    modes, ``first_fair_efficient`` and ``first_dominating`` test the
     empty prefix alone and never enter the block walk; they still answer
     as the references do, also at limits that cut the table and at limits
     of zero and below."""
@@ -189,9 +190,8 @@ def test_one_table_scans_skip_the_walk(monkeypatch):
                 for mode in (0, 1):
                     run_both(util, arcs, delta, cands, mode, limit)
         plain = util.tolist()
-        frontier = _kernels.pareto_frontier(util)
         for delta in (0, 1):
-            got = _kernels.first_fair_on_frontier(util, arcs, delta, frontier)
+            got = _kernels.first_fair_efficient(util, arcs, delta)
             want = oracle.first_fair_pareto(plain, arcs, bool(delta), m)
             assert (None if got is None else
                     {r: int(a) for r, a in enumerate(got) if a >= 0}) == want
@@ -366,7 +366,7 @@ def test_type_boundaries(monkeypatch, rows):
         assert frontier.dtype == table_type(s)
         assert frontier_rows(frontier) == oracle.pareto_profiles(plain, m)
         for delta in (0, 1):
-            got = _kernels.first_fair_on_frontier(util, arcs, delta, frontier)
+            got = _kernels.first_fair_efficient(util, arcs, delta)
             want = oracle.first_fair_pareto(plain, arcs, bool(delta), m)
             assert (None if got is None else
                     {r: int(a) for r, a in enumerate(got) if a >= 0}) == want
@@ -399,32 +399,40 @@ def test_first_fair_on_frontier_matches_oracle(monkeypatch, rows):
             if rng.random() < 0.2:
                 util[:, r] = 0
         arcs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.4]
-        frontier = _kernels.pareto_frontier(util)
         for delta in (0, 1):
-            got = _kernels.first_fair_on_frontier(util, arcs, delta, frontier)
+            got = _kernels.first_fair_efficient(util, arcs, delta)
             want = oracle.first_fair_pareto(util.tolist(), arcs, bool(delta), m)
             assert (None if got is None else
                     {r: int(a) for r, a in enumerate(got) if a >= 0}) == want, (util, arcs)
 
 
-def test_pareto_brute_force_prunes_in_batches_and_scans_complete(monkeypatch):
-    """Pareto brute force on a seeded 3 x 6 general instance prunes its
-    frontier fewer times than it has valued resources, and looks for the
-    witness among complete assignments: no table has an "unassigned"
-    candidate."""
-    calls, cands = [], []
-    maximal, split = _kernels._maximal, _kernels._Split
-
-    def spy_maximal(points):
-        calls.append(len(points))
-        return maximal(points)
+def spy_tables(monkeypatch):
+    """The candidates of every ``_Split`` built from now on, one list each."""
+    cands, split = [], _kernels._Split
 
     def spy_split(utilities, arcs, candidates, cover=0):
         cands.append(list(candidates))
         return split(utilities, arcs, candidates, cover)
 
-    monkeypatch.setattr(_kernels, "_maximal", spy_maximal)
     monkeypatch.setattr(_kernels, "_Split", spy_split)
+    return cands
+
+
+def test_pareto_brute_force_prunes_in_batches_and_scans_complete(monkeypatch):
+    """When the complete assignments need a walk (suffixes of four rows
+    here), Pareto brute force on a seeded 3 x 6 general instance prunes its
+    frontier fewer times than it has valued resources, and looks for the
+    witness among complete assignments: no table has an "unassigned"
+    candidate."""
+    calls, maximal = [], _kernels._maximal
+
+    def spy_maximal(points):
+        calls.append(len(points))
+        return maximal(points)
+
+    monkeypatch.setattr(_kernels, "SUFFIX_ROWS", 4)
+    monkeypatch.setattr(_kernels, "_maximal", spy_maximal)
+    cands = spy_tables(monkeypatch)
     inst = gen_random(3, 6, PreferenceKind.GENERAL, None, 3, 5)
     valued = int((inst.utilities > 0).any(axis=0).sum())
     for notion in FairnessNotion:
@@ -434,10 +442,75 @@ def test_pareto_brute_force_prunes_in_batches_and_scans_complete(monkeypatch):
     assert cands == [[0, 1, 2]] * 2
 
 
+def refuse(*args):
+    raise AssertionError("built a Pareto frontier")
+
+
+def test_one_table_pareto_brute_force_builds_no_frontier(monkeypatch):
+    """When one table holds every complete assignment (3^6 here), Pareto
+    brute force on the seeded 3 x 6 instance above calls neither
+    ``pareto_frontier`` nor ``_maximal``, and builds one table per solve,
+    of the complete assignments."""
+    monkeypatch.setattr(_kernels, "pareto_frontier", refuse)
+    monkeypatch.setattr(_kernels, "_maximal", refuse)
+    cands = spy_tables(monkeypatch)
+    inst = gen_random(3, 6, PreferenceKind.GENERAL, None, 3, 5)
+    for notion in FairnessNotion:
+        brute_force(inst, notion, EfficiencyGoal.PARETO)
+    assert cands == [[0, 1, 2]] * 2
+
+
+def test_no_fair_complete_assignment_needs_no_frontier(monkeypatch):
+    """Agents a and b watch each other and value three resources alike, so
+    no complete assignment is fair under either notion: Pareto brute force
+    answers infeasible, with the nominal 3^3 nodes, without a frontier."""
+    monkeypatch.setattr(_kernels, "pareto_frontier", refuse)
+    inst = Instance(["a", "b"], ["r0", "r1", "r2"], [[1, 1, 1], [1, 1, 1]], [(0, 1), (1, 0)])
+    for notion in FairnessNotion:
+        res = brute_force(inst, notion, EfficiencyGoal.PARETO)
+        assert (res.status, res.nodes) == (Status.INFEASIBLE, 27)
+
+
+def test_one_table_witness_matches_the_walk(monkeypatch):
+    """The one-table witness test answers as the frontier walk does (at
+    suffixes of 64 rows) over n 1-7 with n^m at most 8192, every preference
+    kind and graph shape, utilities up to 1 or 3 and both notions: 0/1 and
+    identical rows give many equal profiles.  With no agent or no resource
+    too."""
+    rng = random.Random(67)
+    kinds, shapes = list(PreferenceKind), [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
+    cases = [(np.zeros((0, m), dtype=np.int64), []) for m in (0, 3)]
+    cases.append((np.zeros((3, 0), dtype=np.int64), [(0, 1), (1, 2), (2, 0)]))
+    for trial in range(160):
+        n = rng.randint(1, 7)
+        top = 1
+        while n > 1 and n ** (top + 1) <= _kernels.SUFFIX_ROWS:
+            top += 1
+        inst = gen_random(n, rng.randint(max(top - 2, 0), top + 8 * (n == 1)),
+                          kinds[trial % 4], shapes[trial % 3], rng.choice([1, 3]), trial)
+        cases.append((inst.utilities, inst.arcs))
+    walked = 0
+    for util, arcs in cases:
+        n = len(util)
+        for delta in (0, 1):
+            monkeypatch.setattr(_kernels, "SUFFIX_ROWS", 1 << 13)
+            assert _kernels._Split(util, arcs, range(n) if n else [-1]).prefix == 0
+            got = _kernels.first_fair_efficient(util, arcs, delta)
+            monkeypatch.setattr(_kernels, "SUFFIX_ROWS", 64)
+            walked += _kernels._Split(util, arcs, range(n) if n else [-1]).prefix > 0
+            want = _kernels.first_fair_efficient(util, arcs, delta)
+            assert (got is None) == (want is None), (util, arcs, delta)
+            assert got is None or np.array_equal(got, want), (util, arcs, delta)
+    assert walked >= 200
+
+
 def test_frontier_membership_survives_key_collisions(monkeypatch):
     """With every key multiplier 1 the membership key is the welfare, so
     many profiles off the frontier share a key with one on it; the first
-    fair allocation on the frontier is still the reference's."""
+    fair allocation on the frontier is still the reference's.  Suffixes of
+    one row make every scan with two agents or more walk, where membership
+    goes by key."""
+    monkeypatch.setattr(_kernels, "SUFFIX_ROWS", 1)
     monkeypatch.setattr(_kernels, "_key_weights", lambda n: np.ones((n, 1), dtype=np.uint64))
     rng = random.Random(41)
     collided = 0
@@ -447,7 +520,7 @@ def test_frontier_membership_survives_key_collisions(monkeypatch):
         util, arcs = oracle.instance_args(inst)
         frontier = _kernels.pareto_frontier(inst.utilities)
         for delta in (0, 1):
-            got = _kernels.first_fair_on_frontier(inst.utilities, arcs, delta, frontier)
+            got = _kernels.first_fair_efficient(inst.utilities, arcs, delta)
             want = oracle.first_fair_pareto(util, arcs, bool(delta), m)
             assert (None if got is None else
                     {r: int(a) for r, a in enumerate(got) if a >= 0}) == want

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "route_dump.py"
@@ -41,3 +44,16 @@ def test_compare_groups_by_algorithm_route_change_and_fields(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "5 of 6 lines differ (6 before)"
     assert len(out) == 6
+
+
+def test_compare_runs_without_the_package_on_the_path(tmp_path):
+    """``--compare`` reads two files only, so it runs where ``gefalloc``
+    cannot be imported."""
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text(OLD)
+    new.write_text(NEW)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(TOOL), "--compare", str(old), str(new)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "5 of 6 lines differ (6 before)"

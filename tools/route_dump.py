@@ -24,16 +24,14 @@ to row order.
 grouped by requested algorithm, route change (``old => new``, or the one
 route when it did not change) and changed fields among ``FIELDS``; a line
 found in one dump only counts as ``added`` or ``removed``.  It reads the
-two files only and runs no solve.
+two files only and runs no solve; ``gefalloc`` is imported by the functions
+that build or solve instances, so it runs without the package on the path.
 """
 
 import argparse
 import math
 import random
 from collections import Counter
-
-from gefalloc import (ROUTES, EfficiencyGoal, FairnessNotion, GraphKind, Instance,
-                      PreferenceKind, analyze, gen_random, solve)
 
 BUDGET = 10**6
 
@@ -45,6 +43,7 @@ WIDE = [3, 12, 40, 3000, 6000, 2**28, 2**30, 2**56]
 def case5(count, seed, n_lo, n_hi):
     """Strict sgef-fpt case 5 (no source, k < m < n): k inner agents on a
     cycle, sinks that may share watchers, inner and sink indices interleaved."""
+    from gefalloc import Instance
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(n_lo, n_hi)
@@ -70,6 +69,7 @@ def identical_general(count, seed):
     """Identical preferences on general digraphs (n 5-8, m 0-5, arc density
     0.1-0.5), so struct-fpt's component prune fires and often empties the
     host."""
+    from gefalloc import Instance
     rng = random.Random(seed)
     for _ in range(count):
         n, m = rng.randint(5, 8), rng.randint(0, 5)
@@ -83,6 +83,7 @@ def identical_general(count, seed):
 def wide(count, seed):
     """General and identical preferences on every graph shape, n 1-4, m
     0-6, with utilities up to each of ``WIDE`` in turn."""
+    from gefalloc import GraphKind, PreferenceKind, gen_random
     kinds = [PreferenceKind.GENERAL, PreferenceKind.IDENTICAL]
     shapes = [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
     rng = random.Random(seed)
@@ -97,6 +98,7 @@ def scan(count, seed, tops=(3,)):
     and complete at n 4-6, m 6-8, and Pareto at n 3-4, m 6-7, with
     utilities up to each of ``tops`` in turn.  Yields the instance and the
     goals to solve it for."""
+    from gefalloc import EfficiencyGoal, PreferenceKind, gen_random
     rng = random.Random(seed)
     while count:
         pareto = count % 2 == 0
@@ -117,6 +119,7 @@ def pareto_walk(count, seed):
     turn, so that the Pareto witness scan, which takes the n^m complete
     assignments, spans more than 8192 of them and walks blocks.  Yields
     the instance and the goals to solve it for, as ``scan`` does."""
+    from gefalloc import EfficiencyGoal, PreferenceKind, gen_random
     rng = random.Random(seed)
     for i in range(count):
         n, m = ((3, 9), (4, 7))[i % 2]
@@ -128,6 +131,7 @@ def cost_edge(count, seed):
     """General and 0/1 preferences on graphs with a cycle, n 3-6, with m the
     largest (even instances) or smallest (odd ones) that puts n^m, brute
     force's complete-goal bound, at most or above ``BUDGET``."""
+    from gefalloc import GraphKind, PreferenceKind, analyze, gen_random
     kinds = [PreferenceKind.GENERAL, PreferenceKind.ZERO_ONE]
     shapes = [GraphKind.STRONGLY_CONNECTED, None]
     rng = random.Random(seed)
@@ -144,6 +148,7 @@ def cost_edge(count, seed):
 
 
 def corpus():
+    from gefalloc import GraphKind, PreferenceKind, gen_random
     kinds, shapes = list(PreferenceKind), [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
     rng = random.Random(1)
     for i in range(400):
@@ -157,6 +162,7 @@ def corpus():
 
 
 def solve_line(name, inst, notion, goal, algo):
+    from gefalloc import solve
     res = solve(inst, notion, goal, algo, BUDGET)
     asg = res.allocation.assignment if res.allocation else None
     witness = "-" if asg is None else ",".join(str(asg.get(r, "-")) for r in range(inst.m))
@@ -208,6 +214,7 @@ def print_comparison(old_path, new_path):
 
 
 def dump():
+    from gefalloc import ROUTES, EfficiencyGoal, FairnessNotion, analyze
     for name, inst in corpus():
         a = analyze(inst)
         g = a.graph

@@ -4,7 +4,7 @@ algorithm, hardness-style instance generators, and a CLI."""
 
 from .dispatch import ALGORITHMS, ROUTES, analyze, select_algorithm, solve
 from .efficiency import is_pareto_efficient, max_welfare_bound, solve_efficient
-from .errors import BudgetExceededError, GuardError, ValidationError
+from .errors import GuardError, ValidationError
 from .exact import (
     DEFAULT_BUDGET,
     ResourceTypeTable,

@@ -20,8 +20,16 @@ mode 1  scan everything, keep the maximum-welfare fair assignment
 Returns ``(status, assignment, welfare, nodes)`` with status 0 = found,
 1 = exhausted without a fair assignment, 2 = node budget exceeded.  The
 assignment array holds the owning agent per resource, ``-1`` if unassigned.
-At status 2, ``nodes`` is the budget and mode 1 reports the best fair
-assignment among the assignments within it.
+At status 2, ``nodes`` is ``max(limit, 0)`` and mode 1 reports the best
+fair assignment among the assignments within it.
+
+This module is the one place that counts and budgets brute-force scans:
+the Pareto scans count the (n+1)^m partial allocations of ``n`` agents and
+``m`` resources and answer under the same contract, with ``max(limit, 0)``
+nodes at status 2.  ``first_fair_efficient`` returns ``(status,
+assignment, welfare, nodes)``, with status 2 at once when the (n+1)^m pass
+``limit``.  ``first_dominating`` returns ``(status, nodes)``: 0 with the
+1-based position of the first dominating allocation, 1 with (n+1)^m.
 
 Table scan
 ----------
@@ -355,16 +363,19 @@ def _keys(cols, w):
     return (cols.astype(np.uint64) * w).sum(axis=0, dtype=np.uint64)
 
 
-def first_fair_efficient(utilities, arcs, delta):
-    """First fair partial allocation in canonical order (agents before
-    unassigned) that no partial allocation dominates, as an owner per
-    resource, or ``None``.  It scans the complete assignments only
-    ("unassigned" alone when there is no agent): an unassigned valued
+def first_fair_efficient(utilities, arcs, delta, limit):
+    """The first fair partial allocation in canonical order (agents before
+    unassigned) that no partial allocation dominates, under the search
+    contract (see the module docstring).  It scans the complete assignments
+    only ("unassigned" alone when there is no agent): an unassigned valued
     resource leaves the profile dominated, and an unassigned worthless one
     can sit on agent 0 instead, with the same profile and slacks and earlier
-    in canonical order.  When one table holds them, no frontier is built
-    (see the module docstring)."""
-    n = len(utilities)
+    in canonical order.  When one table holds them, no frontier is built."""
+    n, m = np.shape(utilities)
+    nodes = (n + 1) ** m
+    unassigned = np.full(m, -1, dtype=np.int64)
+    if nodes > limit:
+        return 2, unassigned, -1, max(limit, 0)
     split = _Split(utilities, arcs, range(n) if n else [-1])
     A = split.arcs
     slack, profile = split.table[:A], split.table[A:]
@@ -380,13 +391,14 @@ def first_fair_efficient(utilities, arcs, delta):
             best = np.where(covers, total, -1).argmax(axis=1)
             free = np.flatnonzero(total[best] <= total[batch])
             if len(free):
-                return split.assignment(int(batch[free[0]]))
+                j = int(batch[free[0]])
+                return 0, split.assignment(j), int(total[j]), nodes
             # the learned frontier points: drop the later fair ones they dominate
             beaten = total[best] > total[rest][:, None]
             for row in profile:
                 beaten &= row[best] >= row[rest][:, None]
             rest = rest[~beaten.any(axis=1)]
-        return None
+        return 1, unassigned, -1, nodes
     frontier = pareto_frontier(utilities)
     w = _key_weights(len(profile))
     front_keys = _keys(frontier.T, w)
@@ -401,17 +413,18 @@ def first_fair_efficient(utilities, arcs, delta):
             # a key can collide: check the profile against its key's rows
             full = profile[:, fair[j]] + sums[A:]
             if (frontier[front_keys == keys[j]] == full).all(axis=1).any():
-                return split.assignment(first + int(fair[j]))
+                welfare = int(full.sum(dtype=np.int64))
+                return 0, split.assignment(first + int(fair[j])), welfare, nodes
         return None
 
-    return split.scan(split.total, lambda: delta - slack.max(axis=1), test)
+    return split.scan(split.total, lambda: delta - slack.max(axis=1), test) or (
+        1, unassigned, -1, nodes)
 
 
 def first_dominating(utilities, profile, limit):
-    """1-based position in canonical order (agents before unassigned) of the
-    first partial allocation whose utility profile dominates ``profile``,
-    looking at the first ``limit`` allocations only; ``None`` if there is
-    none among them."""
+    """Whether a partial allocation's utility profile dominates ``profile``,
+    among the first ``limit`` in canonical order (agents before unassigned),
+    as ``(status, nodes)``: see the module docstring."""
     profile = np.asarray(profile, dtype=np.int64)
     split = _Split(utilities, (), np.append(np.arange(len(utilities)), -1),
                    int(np.abs(profile).max(initial=0)))
@@ -422,6 +435,9 @@ def first_dominating(utilities, profile, limit):
         margin = table[:, :min(size, limit - first)] + (sums - profile)[:, None]
         hit = (margin >= 0).all(axis=0) & (margin > 0).any(axis=0)
         j = int(hit.argmax())
-        return first + j + 1 if hit[j] else None
+        return (0, first + j + 1) if hit[j] else None
 
-    return split.scan(limit, lambda: profile - table.max(axis=1), test)
+    answer = split.scan(limit, lambda: profile - table.max(axis=1), test)
+    if answer is None:
+        answer = (2, max(limit, 0)) if split.total > limit else (1, split.total)
+    return answer

@@ -13,7 +13,7 @@ import sys
 
 from .dispatch import ALGORITHMS, solve
 from .efficiency import is_pareto_efficient
-from .errors import BudgetExceededError, GuardError, ValidationError
+from .errors import GuardError, ValidationError
 from .exact import DEFAULT_BUDGET
 from .generators import (
     BINPACKING_VARIANTS,
@@ -85,11 +85,13 @@ def _cmd_solve(args) -> int:
         budget=args.budget,
     )
     _dump(_result_document(inst, res), args.out)
-    if res.status is Status.FEASIBLE:
-        return EXIT_FEASIBLE
-    if res.status is Status.BUDGET:
-        return EXIT_BUDGET
-    return EXIT_INFEASIBLE
+    return {Status.FEASIBLE: EXIT_FEASIBLE, Status.INFEASIBLE: EXIT_INFEASIBLE,
+            Status.BUDGET: EXIT_BUDGET}[res.status]
+
+
+def _over_budget(budget: int) -> int:
+    print(f"error: search budget exceeded after {max(budget, 0)} nodes", file=sys.stderr)
+    return EXIT_BUDGET
 
 
 def _cmd_verify(args) -> int:
@@ -109,13 +111,16 @@ def _cmd_verify(args) -> int:
             print("allocation is not complete", file=sys.stderr)
             return EXIT_INFEASIBLE
     elif goal is EfficiencyGoal.PARETO:
-        if not is_pareto_efficient(inst, alloc, args.budget):
+        efficient = is_pareto_efficient(inst, alloc, args.budget)
+        if efficient is None:
+            return _over_budget(args.budget)
+        if not efficient:
             print("allocation is not Pareto-efficient", file=sys.stderr)
             return EXIT_INFEASIBLE
     else:
         best = solve(inst, notion, goal, budget=args.budget)
         if best.status is Status.BUDGET:
-            raise BudgetExceededError(best.nodes)
+            return _over_budget(args.budget)
         if (
             best.status is not Status.FEASIBLE
             or utilitarian_welfare(inst, alloc) != best.welfare
@@ -232,9 +237,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (GuardError, OSError, ValueError, KeyError) as exc:
         # ValueError covers ValidationError and json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)

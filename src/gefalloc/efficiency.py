@@ -3,9 +3,10 @@ solve entry point for these goals (routing lives in ``dispatch``)."""
 
 from __future__ import annotations
 
+from typing import Optional
+
 from . import _kernels
 from .dispatch import solve
-from .errors import BudgetExceededError
 from .exact import DEFAULT_BUDGET
 from .model import (
     Allocation,
@@ -24,16 +25,13 @@ def max_welfare_bound(inst: Instance) -> int:
     return int(inst.utilities.max(axis=0).sum())
 
 
-def is_pareto_efficient(inst: Instance, alloc: Allocation, budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether no partial allocation dominates ``alloc``.  Partial
-    allocations are tried in canonical order; ``BudgetExceededError`` when
-    none of the first ``budget`` dominates and more remain."""
-    hit = _kernels.first_dominating(inst.utilities, utility_profile(inst, alloc), budget)
-    if hit is not None:
-        return False
-    if (inst.n + 1) ** inst.m > budget:
-        raise BudgetExceededError(max(budget, 0) + 1)
-    return True
+def is_pareto_efficient(
+    inst: Instance, alloc: Allocation, budget: int = DEFAULT_BUDGET
+) -> Optional[bool]:
+    """Whether no partial allocation dominates ``alloc``; ``None`` when
+    none of the first ``budget`` in canonical order does and more remain."""
+    status, _ = _kernels.first_dominating(inst.utilities, utility_profile(inst, alloc), budget)
+    return None if status == 2 else status == 1
 
 
 def solve_efficient(

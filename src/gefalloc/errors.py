@@ -12,11 +12,3 @@ class GuardError(RuntimeError):
     Guards are caller bugs, not solvable inputs, so this is deliberately
     not a ValidationError.
     """
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised by bounded decision procedures that cannot finish in budget."""
-
-    def __init__(self, nodes: int):
-        super().__init__(f"search budget exceeded after {nodes} nodes")
-        self.nodes = nodes

@@ -41,7 +41,7 @@ def _delta(notion: FairnessNotion) -> int:
 
 
 def _result_from_kernel(inst: Instance, status, assignment, welfare, nodes) -> SolveResult:
-    """A kernel answer as a result; ``welfare`` is ``None`` to compute it."""
+    """A kernel answer under the search contract as a result."""
     if status == 2:
         return SolveResult.budget(nodes)
     if status == 1:
@@ -71,38 +71,28 @@ def brute_force(
     goal: EfficiencyGoal,
     budget: int = DEFAULT_BUDGET,
 ) -> SolveResult:
-    """Oracle solver.
+    """Oracle solver: one kernel scan under the search contract.
 
     Complete goal: first fair total assignment in canonical order (resource 0
     varies slowest, agents in index order).  MaxWelfare: fair partial
     assignment of maximum welfare, lexicographically first among ties, with
     "unassigned" ordered after the last agent.  Pareto: first fair partial
-    assignment not dominated by any assignment at all; its node count is
-    (n+1)^m, the number of partial assignments.  The witness is complete,
-    and since utilities are non-negative a complete profile is undominated
-    iff no complete profile covers it with a larger total: when the n^m
-    complete assignments fit one table, the fair ones are checked against
-    that table and no frontier is built (``_kernels.first_fair_efficient``).
+    assignment not dominated by any assignment at all; the (n+1)^m partial
+    assignments count as nodes, a rule that lives in ``_kernels``.  The
+    witness is complete, and since utilities are non-negative a complete
+    profile is undominated iff no complete profile covers it with a larger
+    total: when the n^m complete assignments fit one table, the fair ones
+    are checked against that table and no frontier is built.
     """
-    n = inst.n
+    args = (inst.utilities, inst.arcs, _delta(notion))
+    agents = np.arange(inst.n, dtype=np.int64)
     if goal is EfficiencyGoal.COMPLETE:
-        return search_complete(inst, notion, range(n), budget)
-
-    if goal is EfficiencyGoal.MAX_WELFARE:
-        cands = np.concatenate([np.arange(n, dtype=np.int64), [-1]])
-        return _result_from_kernel(inst, *_kernels.search(
-            inst.utilities, inst.arcs, _delta(notion), cands, 1, budget
-        ))
-
-    # Pareto: every one of the (n+1)^m partial assignments counts as a node;
-    # the witness is the first fair one that nothing dominates
-    nodes = (n + 1) ** inst.m
-    if nodes > budget:
-        return SolveResult.budget(max(budget, 0))
-    assignment = _kernels.first_fair_efficient(inst.utilities, inst.arcs, _delta(notion))
-    if assignment is None:
-        return SolveResult.infeasible(nodes)
-    return _result_from_kernel(inst, 0, assignment, None, nodes)
+        answer = _kernels.search(*args, agents, 0, budget)
+    elif goal is EfficiencyGoal.MAX_WELFARE:
+        answer = _kernels.search(*args, np.append(agents, -1), 1, budget)
+    else:
+        answer = _kernels.first_fair_efficient(*args, budget)
+    return _result_from_kernel(inst, *answer)
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +253,16 @@ def ilp_search_size(n: int, table: ResourceTypeTable, goal: EfficiencyGoal) -> i
 def solve_ilp(
     inst: Instance,
     notion: FairnessNotion,
-    forbidden: Sequence[tuple[int, int]] = (),
     budget: int = DEFAULT_BUDGET,
     goal: EfficiencyGoal = EfficiencyGoal.COMPLETE,
     table: Optional[ResourceTypeTable] = None,
 ) -> SolveResult:
     """The type program of ``inst`` (its ``table``, built here when not
-    given) with the (agent, type) pairs of ``forbidden`` at count 0; under the
-    Pareto and MaxWelfare goals also every pair whose agent is not a
-    maximiser of the type's column."""
+    given); under the Pareto and MaxWelfare goals every (agent, type) pair
+    whose agent is not a maximiser of the type's column is at count 0."""
     if table is None:
         table = ResourceTypeTable.build(inst)
-    forbidden = set(forbidden)
+    forbidden = set()
     if goal is not EfficiencyGoal.COMPLETE:
         for t, col in enumerate(table.types):
             top = max(col, default=0)

@@ -34,7 +34,6 @@ class GraphKind(enum.Enum):
 @dataclass(frozen=True)
 class Condensation:
     components: tuple[tuple[int, ...], ...]  # sorted members, comps by min member
-    component_of: tuple[int, ...]            # agent -> component index
     arcs: frozenset[tuple[int, int]]         # arcs between distinct components
     in_degrees: tuple[int, ...]              # component -> arcs into it
 
@@ -158,8 +157,7 @@ def scc_condensation(inst: Instance) -> Condensation:
     in_deg = [0] * len(comps)
     for _, cb in carcs:
         in_deg[cb] += 1
-    return Condensation(tuple(tuple(c) for c in comps), tuple(comp_of),
-                        frozenset(carcs), tuple(in_deg))
+    return Condensation(tuple(tuple(c) for c in comps), frozenset(carcs), tuple(in_deg))
 
 
 def classify_graph(inst: Instance) -> GraphClass:

@@ -200,14 +200,20 @@ class TestVerify:
         inst = write_instance(tmp_path, "i.json", [[2, 1, 2], [1, 2, 1]], [])
         alloc = self.write_alloc(tmp_path, {"r0": "a0", "r1": "a1", "r2": "a0"})
         assert main(["verify", "--goal", "pareto", inst, alloc]) == 0
-        assert main(["verify", "--goal", "pareto", "--budget", "10", inst, alloc]) == 3
-        assert capsys.readouterr().err.startswith("error:")
+        # the budget itself, as solve reports it, and none below zero
+        for budget, nodes in (("10", 10), ("0", 0), ("-1", 0)):
+            capsys.readouterr()
+            assert main(["verify", "--goal", "pareto", "--budget", budget, inst, alloc]) == 3
+            assert capsys.readouterr().err == (
+                f"error: search budget exceeded after {nodes} nodes\n")
 
     def test_welfare_reference_over_budget(self, tmp_path, capsys):
         inst = write_instance(tmp_path, "i.json", [[2, 1, 1, 1], [1, 2, 1, 1]], [])
         alloc = self.write_alloc(tmp_path, {"r0": "a0", "r1": "a1"})
-        assert main(["verify", "--goal", "welfare", "--budget", "5", inst, alloc]) == 3
-        assert capsys.readouterr().err.startswith("error:")
+        for budget, nodes in (("5", 5), ("0", 0), ("-1", 0)):
+            assert main(["verify", "--goal", "welfare", "--budget", budget, inst, alloc]) == 3
+            assert capsys.readouterr().err == (
+                f"error: search budget exceeded after {nodes} nodes\n")
         assert main(["verify", "--goal", "welfare", inst, alloc]) == 1
 
     def test_unknown_names_malformed(self, tmp_path):

@@ -22,6 +22,7 @@ from gefalloc.exact import (
     sgef_fpt_search_size,
     solve_identical_enum,
     solve_sgef_fpt_resources,
+    solve_type_ilp,
 )
 from gefalloc.generators import gen_random
 from gefalloc.model import PreferenceKind, Status, utilitarian_welfare
@@ -157,7 +158,7 @@ class TestIlp:
 
     def test_forbidden_pairs_respected(self):
         inst = make([[2, 2], [1, 1]], [])
-        res = solve_ilp(inst, WEAK, forbidden=[(0, 0)])
+        res = solve_type_ilp(inst, ResourceTypeTable.build(inst), 0, frozenset({(0, 0)}))
         assert res.status is Status.FEASIBLE
         assert all(a == 1 for a in res.allocation.assignment.values())
 

@@ -330,11 +330,11 @@ class TestGraphFacts:
             if gc.kind is GraphKind.ACYCLIC:
                 assert gc.labels == reference_labels(n, arcs)
             cond = gc.condensation
+            comp = {v: c for c, members in enumerate(cond.components) for v in members}
             for c in range(len(cond.components)):
                 assert cond.in_degree(c) == sum(b == c for _, b in cond.arcs)
-                assert cond.in_degree(c) == len({cond.component_of[a] for a, b in arcs
-                                                 if cond.component_of[b] == c
-                                                 and cond.component_of[a] != c})
+                assert cond.in_degree(c) == len({comp[a] for a, b in arcs
+                                                 if comp[b] == c and comp[a] != c})
 
     def test_case5_owners_match_watcher_sets(self):
         dump = route_dump()

@@ -29,6 +29,45 @@ def run_both(utilities, arcs, delta, candidates, mode, limit=10**7):
     return got
 
 
+def run_pareto(utilities, arcs, delta):
+    """``first_fair_efficient`` against the reference at limits -1, 0,
+    (n+1)^m - 1 and (n+1)^m: below (n+1)^m status 2 with ``max(limit, 0)``
+    nodes, at it the reference's witness or status 1, with (n+1)^m nodes.
+    Returns the reference's witness."""
+    n, m = np.shape(utilities)
+    total = (n + 1) ** m
+    plain = np.asarray(utilities).tolist()
+    want = oracle.first_fair_pareto(plain, arcs, bool(delta), m)
+    for limit in (-1, 0, total - 1, total):
+        got = _kernels.first_fair_efficient(utilities, arcs, delta, limit)
+        assert [type(x) for x in got] == [int, np.ndarray, int, int]
+        status, assignment, welfare, nodes = got
+        if limit < total:
+            assert (status, nodes) == (2, max(limit, 0)), limit
+        elif want is None:
+            assert (status, nodes) == (1, total), (utilities, arcs)
+        else:
+            assert (status, nodes) == (0, total), (utilities, arcs)
+            assert {r: a for r, a in enumerate(assignment.tolist()) if a >= 0} == want
+            assert welfare == oracle.welfare(plain, want)
+    return want
+
+
+def check_dominating(utilities, target, limits):
+    """``first_dominating`` against the reference at each of ``limits`` and
+    at -1, 0, (n+1)^m - 1 and (n+1)^m: the first dominator's position, else
+    status 1 with (n+1)^m nodes once the limit reaches them, else status 2
+    with ``max(limit, 0)``."""
+    n, m = np.shape(utilities)
+    total = (n + 1) ** m
+    plain = np.asarray(utilities).tolist()
+    for limit in sorted({*limits, -1, 0, total - 1, total}):
+        pos = oracle.first_dominating(plain, target, m, limit)
+        want = ((0, pos) if pos is not None else
+                (1, total) if limit >= total else (2, max(limit, 0)))
+        assert _kernels.first_dominating(utilities, target, limit) == want, (target, limit)
+
+
 def test_backend_flag():
     assert _kernels.backend() == "numpy"
 
@@ -191,16 +230,11 @@ def test_one_table_scans_skip_the_walk(monkeypatch):
                     run_both(util, arcs, delta, cands, mode, limit)
         plain = util.tolist()
         for delta in (0, 1):
-            got = _kernels.first_fair_efficient(util, arcs, delta)
-            want = oracle.first_fair_pareto(plain, arcs, bool(delta), m)
-            assert (None if got is None else
-                    {r: int(a) for r, a in enumerate(got) if a >= 0}) == want
+            run_pareto(util, arcs, delta)
         owners = [rng.randint(-1, n - 1) for _ in range(m)]
         base = oracle.profile(plain, {r: a for r, a in enumerate(owners) if a >= 0})
         for target in (base, [p + 1 for p in base], [0] * n):
-            for limit in (0, 1, 7, (n + 1) ** m):
-                assert (_kernels.first_dominating(util, target, limit)
-                        == oracle.first_dominating(plain, target, m, limit))
+            check_dominating(util, target, (1, 7))
 
 
 def test_table_backend_bounded_before_first_node():
@@ -366,17 +400,12 @@ def test_type_boundaries(monkeypatch, rows):
         assert frontier.dtype == table_type(s)
         assert frontier_rows(frontier) == oracle.pareto_profiles(plain, m)
         for delta in (0, 1):
-            got = _kernels.first_fair_efficient(util, arcs, delta)
-            want = oracle.first_fair_pareto(plain, arcs, bool(delta), m)
-            assert (None if got is None else
-                    {r: int(a) for r, a in enumerate(got) if a >= 0}) == want
+            run_pareto(util, arcs, delta)
         owners = [rng.randint(-1, n - 1) for _ in range(m)]
         base = oracle.profile(plain, {r: a for r, a in enumerate(owners) if a >= 0})
         for target in (base, [p + 1 for p in base], [p - 1 for p in base],
                        [s + 1] + [0] * (n - 1)):
-            for limit in (7, (n + 1) ** m):
-                assert (_kernels.first_dominating(util, target, limit)
-                        == oracle.first_dominating(plain, target, m, limit))
+            check_dominating(util, target, (7,))
 
 
 @pytest.mark.parametrize("rows", [1, 4, 36, _kernels.SUFFIX_ROWS])
@@ -400,10 +429,7 @@ def test_first_fair_on_frontier_matches_oracle(monkeypatch, rows):
                 util[:, r] = 0
         arcs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.4]
         for delta in (0, 1):
-            got = _kernels.first_fair_efficient(util, arcs, delta)
-            want = oracle.first_fair_pareto(util.tolist(), arcs, bool(delta), m)
-            assert (None if got is None else
-                    {r: int(a) for r, a in enumerate(got) if a >= 0}) == want, (util, arcs)
+            run_pareto(util, arcs, delta)
 
 
 def spy_tables(monkeypatch):
@@ -495,12 +521,13 @@ def test_one_table_witness_matches_the_walk(monkeypatch):
         for delta in (0, 1):
             monkeypatch.setattr(_kernels, "SUFFIX_ROWS", 1 << 13)
             assert _kernels._Split(util, arcs, range(n) if n else [-1]).prefix == 0
-            got = _kernels.first_fair_efficient(util, arcs, delta)
+            limit = (n + 1) ** util.shape[1]
+            status, got, welfare, nodes = _kernels.first_fair_efficient(util, arcs, delta, limit)
             monkeypatch.setattr(_kernels, "SUFFIX_ROWS", 64)
             walked += _kernels._Split(util, arcs, range(n) if n else [-1]).prefix > 0
-            want = _kernels.first_fair_efficient(util, arcs, delta)
-            assert (got is None) == (want is None), (util, arcs, delta)
-            assert got is None or np.array_equal(got, want), (util, arcs, delta)
+            want = _kernels.first_fair_efficient(util, arcs, delta, limit)
+            assert (status, welfare, nodes) == (want[0], want[2], want[3]), (util, arcs, delta)
+            assert np.array_equal(got, want[1]), (util, arcs, delta)
     assert walked >= 200
 
 
@@ -520,10 +547,7 @@ def test_frontier_membership_survives_key_collisions(monkeypatch):
         util, arcs = oracle.instance_args(inst)
         frontier = _kernels.pareto_frontier(inst.utilities)
         for delta in (0, 1):
-            got = _kernels.first_fair_efficient(inst.utilities, arcs, delta)
-            want = oracle.first_fair_pareto(util, arcs, bool(delta), m)
-            assert (None if got is None else
-                    {r: int(a) for r, a in enumerate(got) if a >= 0}) == want
+            want = run_pareto(inst.utilities, arcs, delta)
             # the first fair allocation off the frontier with a frontier
             # welfare: its key collides before the witness is reached
             first_fair = next((asg for asg in oracle.all_partial_assignments(n, m)

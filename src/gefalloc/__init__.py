@@ -3,15 +3,9 @@ graph-based envy-freeness, with routing to the fastest applicable
 algorithm, hardness-style instance generators, and a CLI."""
 
 from .dispatch import ALGORITHMS, ROUTES, analyze, select_algorithm, solve
-from .efficiency import is_pareto_efficient, max_welfare_bound, solve_efficient
+from .efficiency import is_pareto_efficient, solve_efficient
 from .errors import GuardError, ValidationError
-from .exact import (
-    DEFAULT_BUDGET,
-    ResourceTypeTable,
-    brute_force,
-    solve_ilp,
-    solve_type_ilp,
-)
+from .exact import DEFAULT_BUDGET
 from .generators import (
     BinPackingInput,
     CliqueInput,
@@ -21,8 +15,6 @@ from .generators import (
     gen_from_binpacking,
     gen_from_clique,
     gen_random,
-    planted_clique_allocation,
-    planted_packing_allocation,
 )
 from .graphs import (
     Condensation,
@@ -42,7 +34,6 @@ from .model import (
     Status,
     allocation_document,
     classify_preferences,
-    dominates,
     is_complete,
     parse_allocation,
     parse_validate,

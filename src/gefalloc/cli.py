@@ -1,8 +1,8 @@
 """Command-line surface: solve / verify / generate.
 
 Exit codes: 0 feasible (or verification passed), 1 infeasible (or
-verification failed), 3 node budget exceeded, 2 malformed input or a
-violated algorithm guard.
+verification failed), 3 node budget exceeded, 2 malformed input, an
+instance too large to build, or a violated algorithm guard.
 """
 
 from __future__ import annotations
@@ -237,9 +237,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GuardError, OSError, ValueError, KeyError) as exc:
-        # ValueError covers ValidationError and json.JSONDecodeError
-        print(f"error: {exc}", file=sys.stderr)
+    except (GuardError, OSError, ValueError, KeyError, MemoryError) as exc:
+        # ValueError covers ValidationError and json.JSONDecodeError, and
+        # MemoryError an instance too large to build
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_MALFORMED
 
 

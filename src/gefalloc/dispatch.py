@@ -221,17 +221,8 @@ ROUTES = (
     # count, and pruning keeps most of them from being visited, so the
     # kernel's and the ilp's costs per node of the bound are far below those
     # of a visited node; struct-fpt's (about 100 us per pattern) only sizes
-    # its record.  Pareto brute force, re-timed the same way on seeds 1 and 3
-    # with its frontier pruned in batches and its witness sought among
-    # complete assignments, takes 140 us in the median, and a least-squares
-    # line over bounds 16-2401 gives 50 us plus 200 ns per node.  Its row
-    # keeps the (400 us, 200 ns) measured before: at the fitted figures auto
-    # would move 23 of those solves to brute force, which takes 3.1 ms on
-    # them against 1.4 ms for the rows auto picks now.  With the witness
-    # checked against one table of the complete assignments and no frontier,
-    # its 124 solves take 78-123 us in the median (174-273 us before, three
-    # interleaved rounds) and the line gives 75-118 us plus 8-12 ns per
-    # node; the row keeps its figures until the search costs are re-fitted.
+    # its record.  Pareto brute force's (400 us, 200 ns) overstate its
+    # one-table scan about fourfold until the search costs are re-fitted.
     Route("sgef-fpt",
           lambda a, notion, goal: notion is STRICT and a.has_agents
           and (goal is COMPLETE or a.identical),
@@ -264,7 +255,6 @@ ROUTES = (
           lambda a, notion, goal: True,
           lambda a, notion, goal, budget: a.brute(notion, goal, budget),
           bound=lambda a, goal: (a.stripped.n + (goal is not COMPLETE)) ** a.stripped.m,
-          # Pareto brute force's figures predate its one-table witness test
           cost=lambda goal: (400e-6, 200e-9) if goal is PARETO else (90e-6, 2e-9),
           final=lambda a: True),
 )

@@ -18,13 +18,6 @@ from .model import (
 )
 
 
-def max_welfare_bound(inst: Instance) -> int:
-    """Sum of column maxima: no allocation can beat it."""
-    if inst.utilities.size == 0:
-        return 0
-    return int(inst.utilities.max(axis=0).sum())
-
-
 def is_pareto_efficient(
     inst: Instance, alloc: Allocation, budget: int = DEFAULT_BUDGET
 ) -> Optional[bool]:

@@ -170,7 +170,6 @@ def solve_type_ilp(
     # per agent, the types it values and their gains
     valued = [[(t, col[i]) for t, col in enumerate(table.types) if col[i] > 0]
               for i in range(n)]
-    nodes = 0
 
     def consistent() -> bool:
         # optimistic upper bound for the envier vs. the current lower bound
@@ -196,41 +195,53 @@ def solve_type_ilp(
         for x in range(n):
             values[x][i] += c * col[x]
 
-    def dfs(vi: int) -> bool:
-        """Whether the search stops here: a solution or the budget."""
-        nonlocal nodes
+    # The depth-first search as a loop, so that its depth (one level per
+    # variable) is not bounded by the interpreter's recursion limit.  A frame
+    # per variable on the path: the counts still to try and the count placed.
+    frames: list[list] = []
+    vi = nodes = 0
+    while True:
         nodes += 1
         if nodes > budget:
-            return True
-        if vi == len(variables):
-            for a, b in arcs:
-                if values[a][a] < values[a][b] + delta:
-                    return False
-            return True
-        t, i, tail = variables[vi]
-        # the type's last agent takes what is left
-        for c in range(max(0, remaining[t] - tail), min(remaining[t], cap[i][t]) + 1):
-            place(i, t, c)
-            if consistent() and dfs(vi + 1):
-                return True
-            place(i, t, -c)
-        return False
-
-    if dfs(0):
-        if nodes > budget:
             return SolveResult.budget(nodes - 1)
-        # deal concrete resources in (type, agent-index) order
-        assignment = {}
-        for t in range(ntypes):
-            pool = list(table.members[t])
-            pos = 0
-            for i in range(n):
-                for _ in range(counts[i][t]):
-                    assignment[pool[pos]] = i
-                    pos += 1
-        alloc = Allocation(assignment)
-        return SolveResult.feasible(inst, alloc, nodes)
-    return SolveResult.infeasible(nodes)
+        if vi < len(variables):
+            t, i, tail = variables[vi]
+            # the type's last agent takes what is left
+            counts_left = range(max(0, remaining[t] - tail), min(remaining[t], cap[i][t]) + 1)
+            frames.append([iter(counts_left), 0])
+        elif all(values[a][a] >= values[a][b] + delta for a, b in arcs):
+            break
+        # the next node: the next consistent count of the deepest variable
+        # that has one left
+        while frames:
+            frame = frames[-1]
+            t, i, _ = variables[len(frames) - 1]
+            if frame[1]:
+                place(i, t, -frame[1])
+            for c in frame[0]:
+                place(i, t, c)
+                if consistent():
+                    frame[1] = c
+                    break
+                place(i, t, -c)
+            else:
+                frames.pop()
+                continue
+            break
+        else:
+            return SolveResult.infeasible(nodes)
+        vi = len(frames)
+
+    # deal concrete resources in (type, agent-index) order
+    assignment = {}
+    for t in range(ntypes):
+        pool = list(table.members[t])
+        pos = 0
+        for i in range(n):
+            for _ in range(counts[i][t]):
+                assignment[pool[pos]] = i
+                pos += 1
+    return SolveResult.feasible(inst, Allocation(assignment), nodes)
 
 
 def ilp_search_size(n: int, table: ResourceTypeTable, goal: EfficiencyGoal) -> int:

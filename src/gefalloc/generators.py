@@ -1,11 +1,10 @@
 """Test-instance generation.
 
-Six hardness-style instance families built from clique or bin-packing
-inputs, a deterministic random-instance generator, and tiny exhaustive
-oracles used by the test suite.  Every clique family comes with a
-"planted" allocation builder that turns a known clique into a fair
-allocation of the generated instance; the bin-packing families do the
-same for a known packing.
+The hardness reductions' instance families, built from clique or
+bin-packing inputs and looked up by variant name in one table per kind of
+input; a deterministic random-instance generator; and the tiny exhaustive
+clique and packing oracles that say which answer a built instance must
+get.
 
 Arbitrary choices inside the constructions (which agent of a component
 sources a connecting arc, which resources are the distinguished ones,
@@ -24,17 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import GraphKind
-from .model import Allocation, Instance, PreferenceKind
-
-CLIQUE_VARIANTS = (
-    "thm44-outdeg2",
-    "thm44-fewres",
-    "thm48",
-    "prop56-dag",
-    "prop56-scc",
-    "prop63",
-)
-BINPACKING_VARIANTS = ("thm58-path", "thm58-cycle", "prop53")
+from .model import Instance, PreferenceKind
 
 
 @dataclass(frozen=True)
@@ -107,17 +96,14 @@ def _cycle_arcs(members: Sequence[int]) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _thm44_x(inp: CliqueInput, variant: str) -> int:
-    if variant == "thm44-outdeg2":
-        x = inp.n * inp.m
-    else:
-        x = inp.k * inp.k
+def _thm44_x(inp: CliqueInput, outdeg2: bool) -> int:
+    x = inp.n * inp.m if outdeg2 else inp.k * inp.k
     if x < inp.k * inp.k:
         raise ValidationError("scale parameter must be at least k^2")
     return x
 
 
-def _gen_thm44(inp: CliqueInput, variant: str) -> Instance:
+def _gen_thm44(inp: CliqueInput, outdeg2: bool) -> Instance:
     """Identical all-ones instance whose complete fair allocations mirror
     k-cliques of the input graph.
 
@@ -129,7 +115,7 @@ def _gen_thm44(inp: CliqueInput, variant: str) -> Instance:
     """
     if inp.m < inp.k2:
         raise ValidationError("needs at least as many edges as a k-clique has")
-    x = _thm44_x(inp, variant)
+    x = _thm44_x(inp, outdeg2)
     root = x ** 4
     n_agents = root + inp.n * x + inp.m
 
@@ -158,25 +144,6 @@ def _gen_thm44(inp: CliqueInput, variant: str) -> Instance:
     resources = [f"r{i}" for i in range(m_res)]
     utilities = np.ones((n_agents, m_res), dtype=np.int8)
     return Instance(agents, resources, utilities, arcs_arr)
-
-
-def _planted_thm44(inp: CliqueInput, variant: str, clique: Sequence[int]) -> Allocation:
-    x = _thm44_x(inp, variant)
-    root = x ** 4
-    cv = sorted(clique)
-    ce = sorted(
-        e for e, (u, v) in enumerate(inp.edges) if u in set(cv) and v in set(cv)
-    )
-    assignment = {r: r for r in range(root)}  # root cycle, one each
-    nxt = root
-    for v in cv:
-        for j in range(x):
-            assignment[nxt] = root + v * x + j
-            nxt += 1
-    for e in ce:
-        assignment[nxt] = root + inp.n * x + e
-        nxt += 1
-    return Allocation(assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -259,32 +226,6 @@ def _gen_thm48(inp: CliqueInput) -> Instance:
     return Instance(agents, resources, utilities, arcs_arr)
 
 
-def _planted_thm48(inp: CliqueInput, clique: Sequence[int]) -> Allocation:
-    k = inp.k
-    group, d0, c0, n_agents, rv0, re0, rc0, m_res = _thm48_layout(inp)
-    cs = set(clique)
-    ce = sorted(e for e, (u, v) in enumerate(inp.edges) if u in cs and v in cs)
-    assignment: dict[int, int] = {}
-    # distinguished constraint resources to the constraint agents watched
-    # by the clique's edge agents; then top every constraint agent up to
-    # k constraint resources
-    special = [c0 + e for e in ce]
-    for i, agent in enumerate(special):
-        assignment[rc0 + i] = agent
-    nxt = rc0 + inp.k2
-    special_set = set(special)
-    for agent in range(c0, c0 + k ** 3):
-        need = k - 1 if agent in special_set else k
-        for _ in range(need):
-            assignment[nxt] = agent
-            nxt += 1
-    for i, v in enumerate(sorted(cs)):  # vertex resources
-        assignment[rv0 + i] = v
-    for i, e in enumerate(ce):  # edge resources
-        assignment[re0 + i] = inp.n + e
-    return Allocation(assignment)
-
-
 # ---------------------------------------------------------------------------
 # clique variant 3: 0/1 preferences, strict notion, complete goal
 # ---------------------------------------------------------------------------
@@ -355,29 +296,6 @@ def _gen_prop56(inp: CliqueInput, cyclic: bool) -> Instance:
     return Instance(agents, resources, utilities, np.array(arcs, dtype=np.int64))
 
 
-def _planted_prop56(inp: CliqueInput, cyclic: bool, clique: Sequence[int]) -> Allocation:
-    n = inp.n
-    cs = set(clique)
-    ce = sorted(e for e, (u, v) in enumerate(inp.edges) if u in cs and v in cs)
-    sep0, a_s, a_t, re0, rv0, rs0, r_tri, m_res = _prop56_layout(inp, cyclic)
-    assignment = {r_tri: a_s}
-    if cyclic:
-        assignment[r_tri + 1] = a_t
-    for i in range(n):
-        assignment[rs0 + i] = sep0 + i
-    # distinguished edge resources to clique edges, the rest in index order
-    plain = iter(e for e in range(inp.m) if e not in set(ce))
-    for i in range(inp.m):
-        e = ce[i] if i < len(ce) else next(plain)
-        assignment[re0 + i] = n + e
-    # one vertex resource each, then the k spares to the clique vertices
-    for v in range(n):
-        assignment[rv0 + v] = v
-    for i, v in enumerate(sorted(cs)):
-        assignment[rv0 + n + i] = v
-    return Allocation(assignment)
-
-
 # ---------------------------------------------------------------------------
 # clique variant 4: welfare threshold, weak notion
 # ---------------------------------------------------------------------------
@@ -411,17 +329,15 @@ def _gen_prop63(inp: CliqueInput) -> tuple[Instance, int]:
     return inst, threshold
 
 
-def _planted_prop63(inp: CliqueInput, clique: Sequence[int]) -> Allocation:
-    cs = sorted(clique)
-    ce = sorted(
-        e for e, (u, v) in enumerate(inp.edges) if u in set(cs) and v in set(cs)
-    )
-    assignment = {0: 0}
-    for i, v in enumerate(cs):
-        assignment[1 + i] = 1 + v
-    for i, e in enumerate(ce):
-        assignment[1 + inp.k + i] = 1 + inp.n + e
-    return Allocation(assignment)
+_CLIQUE_FAMILIES = {
+    "thm44-outdeg2": lambda inp: _gen_thm44(inp, outdeg2=True),
+    "thm44-fewres": lambda inp: _gen_thm44(inp, outdeg2=False),
+    "thm48": _gen_thm48,
+    "prop56-dag": lambda inp: _gen_prop56(inp, cyclic=False),
+    "prop56-scc": lambda inp: _gen_prop56(inp, cyclic=True),
+    "prop63": _gen_prop63,
+}
+CLIQUE_VARIANTS = tuple(_CLIQUE_FAMILIES)
 
 
 def gen_from_clique(inp: CliqueInput, variant: str):
@@ -430,41 +346,9 @@ def gen_from_clique(inp: CliqueInput, variant: str):
     Returns an Instance; the "prop63" variant returns (Instance,
     welfare threshold) instead.
     """
-    if variant in ("thm44-outdeg2", "thm44-fewres"):
-        return _gen_thm44(inp, variant)
-    if variant == "thm48":
-        return _gen_thm48(inp)
-    if variant == "prop56-dag":
-        return _gen_prop56(inp, cyclic=False)
-    if variant == "prop56-scc":
-        return _gen_prop56(inp, cyclic=True)
-    if variant == "prop63":
-        return _gen_prop63(inp)
-    raise ValidationError(f"unknown clique variant: {variant}")
-
-
-def planted_clique_allocation(
-    inp: CliqueInput, variant: str, clique: Sequence[int]
-) -> Allocation:
-    """The allocation a known k-clique induces on gen_from_clique(inp,
-    variant), built exactly the way the family intends."""
-    if len(set(clique)) != inp.k:
-        raise ValidationError("clique must list k distinct vertices")
-    es = {frozenset(e) for e in inp.edges}
-    for u, v in itertools.combinations(sorted(clique), 2):
-        if frozenset((u, v)) not in es:
-            raise ValidationError("the given vertices are not a clique")
-    if variant in ("thm44-outdeg2", "thm44-fewres"):
-        return _planted_thm44(inp, variant, clique)
-    if variant == "thm48":
-        return _planted_thm48(inp, clique)
-    if variant == "prop56-dag":
-        return _planted_prop56(inp, False, clique)
-    if variant == "prop56-scc":
-        return _planted_prop56(inp, True, clique)
-    if variant == "prop63":
-        return _planted_prop63(inp, clique)
-    raise ValidationError(f"unknown clique variant: {variant}")
+    if variant not in _CLIQUE_FAMILIES:
+        raise ValidationError(f"unknown clique variant: {variant}")
+    return _CLIQUE_FAMILIES[variant](inp)
 
 
 # ---------------------------------------------------------------------------
@@ -531,48 +415,18 @@ def _gen_prop53(inp: BinPackingInput) -> Instance:
     return Instance(agents, resources, utilities, np.array(arcs, dtype=np.int64))
 
 
+_BINPACKING_FAMILIES = {
+    "thm58-path": lambda inp: _gen_thm58(inp, cyclic=False),
+    "thm58-cycle": lambda inp: _gen_thm58(inp, cyclic=True),
+    "prop53": _gen_prop53,
+}
+BINPACKING_VARIANTS = tuple(_BINPACKING_FAMILIES)
+
+
 def gen_from_binpacking(inp: BinPackingInput, variant: str) -> Instance:
-    if variant == "thm58-path":
-        return _gen_thm58(inp, cyclic=False)
-    if variant == "thm58-cycle":
-        return _gen_thm58(inp, cyclic=True)
-    if variant == "prop53":
-        return _gen_prop53(inp)
-    raise ValidationError(f"unknown bin-packing variant: {variant}")
-
-
-def planted_packing_allocation(
-    inp: BinPackingInput, variant: str, bins: Sequence[Sequence[int]]
-) -> Allocation:
-    """The allocation a known perfect packing induces; ``bins`` lists the
-    item indices of each bin."""
-    k, cap, n = inp.bins, inp.capacity, len(inp.sizes)
-    if len(bins) != k or sorted(i for b in bins for i in b) != list(range(n)):
-        raise ValidationError("bins must partition the item indices")
-    for b in bins:
-        if sum(inp.sizes[i] for i in b) != cap:
-            raise ValidationError("every bin must be filled exactly")
-    assignment: dict[int, int] = {}
-    if variant in ("thm58-path", "thm58-cycle"):
-        for j, b in enumerate(bins):
-            for i in b:
-                assignment[i] = j
-        for j in range(k):
-            assignment[n + j] = j
-        assignment[n + k] = k
-        if variant == "thm58-cycle":
-            assignment[n + k + 1] = k + 1
-        return Allocation(assignment)
-    if variant == "prop53":
-        for i in range(cap):
-            assignment[i] = k + i
-        for j, b in enumerate(bins):
-            for i in b:
-                assignment[cap + i] = j
-        for j in range(k):
-            assignment[cap + n + j] = k + cap + j
-        return Allocation(assignment)
-    raise ValidationError(f"unknown bin-packing variant: {variant}")
+    if variant not in _BINPACKING_FAMILIES:
+        raise ValidationError(f"unknown bin-packing variant: {variant}")
+    return _BINPACKING_FAMILIES[variant](inp)
 
 
 # ---------------------------------------------------------------------------

@@ -348,13 +348,6 @@ def utility_profile(inst: Instance, alloc: Allocation) -> tuple[int, ...]:
     return tuple(int(v) for v in _own_values(inst, alloc))
 
 
-def dominates(inst: Instance, first: Allocation, second: Allocation) -> bool:
-    """Pareto domination: everyone at least as happy, someone strictly happier."""
-    p = utility_profile(inst, first)
-    q = utility_profile(inst, second)
-    return all(x >= y for x, y in zip(p, q)) and any(x > y for x, y in zip(p, q))
-
-
 def strip_zero_resources(inst: Instance) -> tuple[Instance, list[int]]:
     """Drop resources nobody values; return the reduced instance and the
     kept-column index map (new index -> old index).

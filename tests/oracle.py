@@ -86,6 +86,11 @@ def max_fair_welfare(utilities, arcs, strict):
     return best
 
 
+def max_welfare_bound(inst):
+    """Sum of column maxima of an Instance: no allocation can beat it."""
+    return sum(max(col) for col in zip(*inst.utilities.tolist()))
+
+
 def exists_fair_pareto(utilities, arcs, strict):
     n = len(utilities)
     m = len(utilities[0]) if utilities else 0

@@ -16,18 +16,17 @@ from gefalloc import (
     GuardError,
     Instance,
     analyze,
-    brute_force,
     classify_graph,
     classify_preferences,
     is_complete,
     is_pareto_efficient,
-    max_welfare_bound,
     select_algorithm,
     solve,
     strip_zero_resources,
     utilitarian_welfare,
     verify_fairness,
 )
+from gefalloc.exact import brute_force
 from gefalloc.generators import (
     BinPackingInput,
     CliqueInput,
@@ -37,7 +36,6 @@ from gefalloc.generators import (
     gen_from_binpacking,
     gen_from_clique,
     gen_random,
-    planted_clique_allocation,
 )
 from gefalloc.model import (
     PreferenceKind,
@@ -47,6 +45,8 @@ from gefalloc.model import (
 from gefalloc.structures import ColoredDigraph, directed_colored_subiso
 
 import oracle
+from oracle import max_welfare_bound
+from reductions_ref import planted_clique_allocation
 from structures_ref import gadget_reduce, undirected_subiso
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT

@@ -296,6 +296,24 @@ class TestGenerate:
         assert capsys.readouterr().err.strip() == \
             "error: utilities must fit in 64-bit integers"
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 103. GiB", "error: Unable to allocate 103. GiB"),
+        ("", "error: out of memory"),
+    ])
+    def test_instance_too_large_to_build(self, monkeypatch, capsys, message, line):
+        # thm44-outdeg2 on K4 with k = 3 asks for a 331,878 x 331,851 matrix;
+        # the builder is replaced, so that no such allocation is tried
+        def too_large(inp, variant):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(gefalloc.cli, "gen_from_clique", too_large)
+        code = main(["generate", "--variant", "thm44-outdeg2", "--graph-n", "4",
+                     "--edges", "0-1,0-2,0-3,1-2,1-3,2-3", "--k", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
 
 def child_env():
     """Environment of a child interpreter that imports the package this test

@@ -15,7 +15,6 @@ from gefalloc import (
     Instance,
     SolveResult,
     analyze,
-    brute_force,
     is_complete,
     is_pareto_efficient,
     select_algorithm,
@@ -24,7 +23,7 @@ from gefalloc import (
 )
 import gefalloc.dispatch as dispatch
 from gefalloc.dispatch import NO_SEARCH_S, ROUTE, estimates
-from gefalloc.exact import ilp_search_size
+from gefalloc.exact import brute_force, ilp_search_size
 from gefalloc.generators import gen_random
 from gefalloc.graphs import GraphKind
 from gefalloc.model import PreferenceKind, Status

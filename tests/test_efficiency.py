@@ -7,20 +7,20 @@ from gefalloc import (
     EfficiencyGoal,
     FairnessNotion,
     Instance,
-    brute_force,
     is_complete,
     is_pareto_efficient,
-    max_welfare_bound,
     solve_efficient,
     utilitarian_welfare,
     verify_fairness,
 )
 from gefalloc import _kernels
+from gefalloc.exact import brute_force
 from gefalloc.generators import gen_random
 from gefalloc.graphs import GraphKind
 from gefalloc.model import PreferenceKind, Status
 
 import oracle
+from oracle import max_welfare_bound
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
 PARETO, WELFARE = EfficiencyGoal.PARETO, EfficiencyGoal.MAX_WELFARE

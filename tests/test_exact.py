@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -9,18 +10,18 @@ from gefalloc import (
     FairnessNotion,
     GuardError,
     Instance,
-    brute_force,
     classify_graph,
     is_complete,
     solve,
-    solve_ilp,
     verify_fairness,
 )
 from gefalloc.exact import (
     ResourceTypeTable,
     _sgef_owners,
+    brute_force,
     sgef_fpt_search_size,
     solve_identical_enum,
+    solve_ilp,
     solve_sgef_fpt_resources,
     solve_type_ilp,
 )
@@ -155,6 +156,18 @@ class TestIlp:
         for budget, nodes in ((10, 10), (148, 148), (0, 0), (-1, 0)):
             cut = solve(inst, STRICT, EfficiencyGoal.COMPLETE, algorithm="ilp", budget=budget)
             assert cut.status is Status.BUDGET and cut.nodes == nodes, budget
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # 50 agents x 30 resources: no search's bound fits, so auto takes the
+        # ilp, whose 1,500 (type, agent) variables each add a level of depth
+        rng = random.Random(5)
+        inst = make([[rng.randint(0, 3) for _ in range(30)] for _ in range(50)],
+                    [(0, 1), (1, 0)])
+        assert inst.n * len(ResourceTypeTable.build(inst).types) > sys.getrecursionlimit()
+        res = solve(inst, WEAK, EfficiencyGoal.COMPLETE)
+        assert (res.status, res.route, res.nodes) == (Status.FEASIBLE, "ilp", 1501)
+        assert set(res.allocation.assignment.values()) == {49}
+        assert verify_fairness(inst, res.allocation, WEAK) is None
 
     def test_forbidden_pairs_respected(self):
         inst = make([[2, 2], [1, 1]], [])

@@ -1,18 +1,20 @@
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from gefalloc import (
     EfficiencyGoal,
     FairnessNotion,
-    brute_force,
     classify_graph,
     is_complete,
     utilitarian_welfare,
     verify_fairness,
 )
 from gefalloc.errors import ValidationError
+from gefalloc.exact import brute_force
 from gefalloc.generators import (
     BINPACKING_VARIANTS,
     CLIQUE_VARIANTS,
@@ -24,8 +26,6 @@ from gefalloc.generators import (
     gen_from_binpacking,
     gen_from_clique,
     gen_random,
-    planted_clique_allocation,
-    planted_packing_allocation,
 )
 from gefalloc.graphs import GraphKind
 from gefalloc.model import (
@@ -33,6 +33,8 @@ from gefalloc.model import (
     Status,
     classify_preferences,
 )
+
+from reductions_ref import planted_clique_allocation, planted_packing_allocation
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
 
@@ -54,6 +56,53 @@ PATH3 = CliqueInput(3, ((0, 1), (1, 2)), 2)
 TRI_PLUS = CliqueInput(5, ((0, 1), (0, 2), (1, 2), (3, 4)), 3)
 # 5-cycle: m > C(3,2) fails to contain a triangle
 RING5 = CliqueInput(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), 3)
+
+
+PACK = BinPackingInput((1, 2, 3), 3, 2)
+
+# sha256 of each variant's instance on one small input (see instance_digest),
+# so an input gives the same instance in every run and on every platform
+PINNED = {
+    "thm44-outdeg2": (PATH3, "df152f37f2d9d4fec4c204bc91d73bf07d05a695e9bc3194411eb614f5d259f0"),
+    # on PATH3 the two thm44 scales differ (n * m = 6, k * k = 4)
+    "thm44-fewres": (PATH3, "26d3f0fdaa8fac04d5088fd15447482603ee709011f6d60a6d29e4d5671fa614"),
+    "thm48": (TRI_PLUS, "5c1a10c21b745e3abc615babdf86f5eb198226f62efc2d1228bb9507af370308"),
+    "prop56-dag": (TRI_PLUS, "07c01a49f4ab9b06290d40615ff5721e0fe7045f6a44ec8f36cf9c7da41e324d"),
+    "prop56-scc": (TRI_PLUS, "d23b4fbbfb472c3cff15e8508b2b1f9fa9392132de0c9e7ddf39d42772eeb329"),
+    "prop63": (TRI_PLUS, "35f3a1d3f94b2aee5cf52ab8bdcc25744ec0c1e6be663b03c29e36e2473110ce"),
+    "thm58-path": (PACK, "47188539932847a1e31598d577c61d4d5d49b65f8a780b0e321d0c7519e710d1"),
+    "thm58-cycle": (PACK, "72eea112e8195577814676c7b3bff4847df8b5475023e8a01449668609c83e5f"),
+    "prop53": (PACK, "e0712bdc11a5afb949262a1cda40d7899d574337c4007593d3abbc414cf8aa3b"),
+}
+
+
+def instance_digest(built):
+    """sha256 over the agent and resource names, the shape, little-endian
+    dtype and bytes of ``utilities`` and ``arcs``, and prop63's threshold."""
+    inst, threshold = built if isinstance(built, tuple) else (built, None)
+    h = hashlib.sha256()
+    for names in (inst.agents, inst.resources):
+        h.update("\n".join(names).encode() + b"\0")
+    for arr in (inst.utilities, inst.arcs):
+        le = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+        h.update(f"{arr.shape} {le.dtype.str}\0".encode())
+        h.update(le.tobytes())
+    h.update(repr(threshold).encode())
+    return h.hexdigest()
+
+
+class TestPinnedOutput:
+    def test_variant_order(self):
+        assert CLIQUE_VARIANTS == (
+            "thm44-outdeg2", "thm44-fewres", "thm48", "prop56-dag", "prop56-scc", "prop63",
+        )
+        assert BINPACKING_VARIANTS == ("thm58-path", "thm58-cycle", "prop53")
+
+    @pytest.mark.parametrize("variant", CLIQUE_VARIANTS + BINPACKING_VARIANTS)
+    def test_every_variant_builds_its_pinned_instance(self, variant):
+        inp, digest = PINNED[variant]
+        build = gen_from_clique if variant in CLIQUE_VARIANTS else gen_from_binpacking
+        assert instance_digest(build(inp, variant)) == digest
 
 
 class TestInputs:

@@ -14,7 +14,6 @@ from gefalloc import (
     ValidationError,
     analyze,
     classify_preferences,
-    dominates,
     gen_random,
     is_complete,
     parse_allocation,
@@ -426,15 +425,6 @@ class TestEnumerationOrder:
         assert seen[1] == ((0, 0), (1, 1))
         assert seen[2] == ((0, 0),)
         assert seen[-1] == ()
-
-
-def test_dominates():
-    inst = make([[1, 1], [1, 1]], [])
-    a = Allocation({0: 0, 1: 1})
-    b = Allocation({0: 0})
-    assert dominates(inst, a, b)
-    assert not dominates(inst, b, a)
-    assert not dominates(inst, a, a)
 
 
 def test_goal_enum_values():

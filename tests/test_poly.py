@@ -8,14 +8,13 @@ from gefalloc import (
     FairnessNotion,
     GuardError,
     Instance,
-    brute_force,
     classify_graph,
     is_complete,
-    max_welfare_bound,
     solve,
     utilitarian_welfare,
     verify_fairness,
 )
+from gefalloc.exact import brute_force
 from gefalloc.generators import gen_random
 from gefalloc.graphs import GraphKind
 from gefalloc.model import PreferenceKind, Status, strip_zero_resources
@@ -28,6 +27,7 @@ from gefalloc.poly import (
 )
 
 import oracle
+from oracle import max_welfare_bound
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
 COMPLETE = EfficiencyGoal.COMPLETE

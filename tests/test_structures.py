@@ -8,12 +8,12 @@ from gefalloc import (
     FairnessNotion,
     GuardError,
     Instance,
-    brute_force,
     classify_graph,
     is_complete,
     solve,
     verify_fairness,
 )
+from gefalloc.exact import brute_force
 from gefalloc.generators import gen_random
 from gefalloc.model import PreferenceKind, Status
 from gefalloc.structures import (

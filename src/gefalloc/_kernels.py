@@ -67,8 +67,11 @@ the largest row sum of the utilities (and, in ``first_dominating``, of the
 caller's profile).  Every value a scan forms fits: an arc slack or a profile
 entry is a signed sum over one agent's row, an outer digit's shift is at
 most twice a utility, and ``delta - x`` adds one.  Welfare is summed in
-int64.  On small utilities the comparisons then read an eighth of the
-memory, and the verdicts, witnesses and node counts are those of int64.
+int64, and so are the row sums that pick the type.  The utilities are cast
+to the table type from the type they arrive in (an ``Instance`` stores
+them in the narrowest type that holds its largest value), with no int64
+copy between.  On small utilities the comparisons then read an eighth of
+the memory, and the verdicts, witnesses and node counts are those of int64.
 
 The same tables and walk serve the Pareto goal.  ``first_fair_efficient``
 finds the Pareto brute-force witness among the complete assignments.
@@ -149,8 +152,8 @@ class _Split:
     """
 
     def __init__(self, utilities, arcs, cands, cover=0):
-        util = np.asarray(utilities, dtype=np.int64)
-        util = util.astype(_table_type(util, cover))
+        util = np.asarray(utilities)
+        util = util.astype(_table_type(util, cover), copy=False)
         arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
         arc_a, arc_b = arcs[:, 0], arcs[:, 1]
         cands = np.asarray(cands, dtype=np.int64)
@@ -331,8 +334,8 @@ def pareto_frontier(utilities):
     by the same extension of its dominator (or first copy), which comes
     earlier.  Leaving a resource that someone values unassigned is
     dominated by giving it to that agent."""
-    util = np.asarray(utilities, dtype=np.int64)
-    util = util.astype(_table_type(util))
+    util = np.asarray(utilities)
+    util = util.astype(_table_type(util), copy=False)
     n = util.shape[0]
     front = np.zeros((1, n), dtype=util.dtype)
     for col in util.T:

@@ -60,9 +60,13 @@ _ZERO_ONE_KINDS = (PreferenceKind.ZERO_ONE, PreferenceKind.IDENTICAL_ZERO_ONE)
 class Instance:
     """Immutable allocation instance.
 
-    ``utilities`` is kept as a read-only numpy integer array of shape (n, m);
-    ``arcs`` is a read-only (A, 2) int64 array with rows sorted
-    lexicographically, so iteration order is deterministic.
+    ``utilities`` is kept as a read-only copy of shape (n, m) in the
+    narrowest signed integer type (int8, int16, int32 or int64) that holds
+    its largest value, whatever the caller's type; numpy arithmetic on it
+    wraps in that type, so widen (``int(v)``, ``.tolist()``,
+    ``.astype(np.int64)``) before adding or multiplying.  ``arcs`` is a
+    read-only (A, 2) int64 array with rows sorted lexicographically, so
+    iteration order is deterministic.
 
     The constructor checks every field.  ``Instance._derived`` skips the
     checks; only code of this package that builds an instance from data
@@ -106,7 +110,7 @@ class Instance:
         max_u = int(util.max()) if util.size else 0
         if n * m * max(max_u, 1) >= UTILITY_BOUND:
             raise ValidationError("utility totals may overflow 64-bit arithmetic")
-        util = util.copy()
+        util = util.astype(np.min_scalar_type(-max_u - 1), order="C")
         util.setflags(write=False)
         self.utilities = util
 
@@ -136,8 +140,9 @@ class Instance:
                  arcs: np.ndarray, arc_pairs) -> "Instance":
         """An instance from fields that are already valid, without checks:
         distinct names, a non-negative integer matrix of shape (n, m) that
-        no one else writes to, and a read-only lexsorted (A, 2) int64 array
-        of valid arcs, with ``arc_pairs`` its Python pairs."""
+        no one else writes to (kept in its type), and a read-only lexsorted
+        (A, 2) int64 array of valid arcs, with ``arc_pairs`` its Python
+        pairs."""
         inst = cls.__new__(cls)
         utilities.setflags(write=False)
         arcs.setflags(write=False)
@@ -160,7 +165,7 @@ class Instance:
         return {
             "agents": list(self.agents),
             "resources": list(self.resources),
-            "utilities": [[int(v) for v in row] for row in self.utilities],
+            "utilities": self.utilities.tolist(),
             "arcs": [[self.agents[a], self.agents[b]] for a, b in self.arc_pairs()],
         }
 
@@ -385,7 +390,9 @@ def classify_preferences(inst: Instance) -> PreferenceClass:
     # the first row whose bytes differ from row 0's ends the scan
     first = util[0].tobytes()
     identical = all(row.tobytes() == first for row in util)
-    values = (util[0] if identical else util).flatten()
+    # numpy sorts int8 many times slower than int16: sort at 16 bits or more
+    wide = np.promote_types(util.dtype, np.int16)
+    values = (util[0] if identical else util).astype(wide).ravel()
     values.sort()
     u_diff = 1 + int(np.count_nonzero(values[1:] != values[:-1]))
     zero_one = int(values[-1]) <= 1  # utilities are non-negative

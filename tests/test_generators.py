@@ -70,9 +70,9 @@ PINNED = {
     "prop56-dag": (TRI_PLUS, "07c01a49f4ab9b06290d40615ff5721e0fe7045f6a44ec8f36cf9c7da41e324d"),
     "prop56-scc": (TRI_PLUS, "d23b4fbbfb472c3cff15e8508b2b1f9fa9392132de0c9e7ddf39d42772eeb329"),
     "prop63": (TRI_PLUS, "35f3a1d3f94b2aee5cf52ab8bdcc25744ec0c1e6be663b03c29e36e2473110ce"),
-    "thm58-path": (PACK, "47188539932847a1e31598d577c61d4d5d49b65f8a780b0e321d0c7519e710d1"),
-    "thm58-cycle": (PACK, "72eea112e8195577814676c7b3bff4847df8b5475023e8a01449668609c83e5f"),
-    "prop53": (PACK, "e0712bdc11a5afb949262a1cda40d7899d574337c4007593d3abbc414cf8aa3b"),
+    "thm58-path": (PACK, "c18531ffb1a9f84457455e3e53af3b2406ce3543d73b044afab79c5f334f265e"),
+    "thm58-cycle": (PACK, "a43f88a7109b898afd6b99f679e91e367a2d27e8d765a7cf2d4e39e40da74159"),
+    "prop53": (PACK, "5150e596e22fa13c9c047d6690ac37b98d2a19f21c20d52458196dd7536fc80e"),
 }
 
 

@@ -408,6 +408,38 @@ def test_type_boundaries(monkeypatch, rows):
             check_dominating(util, target, (7,))
 
 
+def test_kernels_read_the_stored_type():
+    """An instance's utilities, stored in int8 up to int64, give the same
+    tables, frontier and answers as the same matrix in int64, at row sums
+    on either side of each point where the table type widens."""
+    rng = random.Random(0)
+    cases = [case for s in ROW_SUMS for case in boundary_instances(rng, s)]
+    cases.append(near_utility_bound())
+    widths = set()
+    for util, arcs in cases:
+        n, m = util.shape
+        stored = Instance([f"a{i}" for i in range(n)], [f"r{j}" for j in range(m)],
+                          util, arcs).utilities
+        widths.add(stored.dtype.name)
+        for cands in (range(n), [1, -1, 0]):
+            want, got = (_kernels._Split(u, arcs, cands).table for u in (util, stored))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            for delta in (0, 1):
+                for mode in (0, 1):
+                    want, got = (_kernels.search(u, arcs, delta, cands, mode, 10**7)
+                                 for u in (util, stored))
+                    assert got[0] == want[0] and got[2:] == want[2:]
+                    assert np.array_equal(got[1], want[1])
+        want, got = (_kernels.pareto_frontier(u) for u in (util, stored))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for delta in (0, 1):
+            want, got = (_kernels.first_fair_efficient(u, arcs, delta, 10**7)
+                         for u in (util, stored))
+            assert got[0] == want[0] and got[2:] == want[2:]
+            assert np.array_equal(got[1], want[1])
+    assert widths == {"int8", "int16", "int32", "int64"}
+
+
 @pytest.mark.parametrize("rows", [1, 4, 36, _kernels.SUFFIX_ROWS])
 def test_first_fair_on_frontier_matches_oracle(monkeypatch, rows):
     """The first fair allocation on the frontier, found among the complete

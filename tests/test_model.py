@@ -161,6 +161,57 @@ class TestValidation:
             parse_validate(doc)
 
 
+class TestStorageType:
+    """Utilities are stored as a read-only copy in the narrowest signed
+    integer type that holds their largest value."""
+
+    @pytest.mark.parametrize("top, dtype", [
+        (0, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16),
+        (32768, np.int32), (2**31 - 1, np.int32), (2**31, np.int64),
+        (UTILITY_BOUND - 1, np.int64),
+    ])
+    def test_narrowest_signed_type_of_the_largest_value(self, top, dtype):
+        inst = make([[top]], [])
+        assert inst.utilities.dtype == dtype
+        assert int(inst.utilities[0, 0]) == top
+
+    @pytest.mark.parametrize("top, dtype", [(1, np.int8), (127, np.int8), (200, np.int16)])
+    def test_same_storage_from_every_source(self, top, dtype):
+        rows = [[0, top, 1], [top, 0, 0]]
+        types = (np.int64, np.uint16, np.int8) if top <= 127 else (np.int64, np.uint16)
+        sources = [rows] + [np.array(rows, dtype=t) for t in types]
+        built = [Instance(["a", "b"], ["x", "y", "z"], src, [(0, 1)]) for src in sources]
+        for src, inst in zip(sources, built):
+            assert inst.utilities.dtype == dtype
+            assert inst.utilities.tolist() == rows
+            assert inst == built[0]
+            if isinstance(src, np.ndarray):
+                assert not np.shares_memory(inst.utilities, src)
+
+    def test_stored_array_is_read_only(self):
+        inst = make([[1, 2], [3, 4]], [])
+        with pytest.raises(ValueError):
+            inst.utilities[0, 0] = 5
+
+    @pytest.mark.parametrize("top, dtype", [(3, np.int8), (300, np.int16), (2**40, np.int64)])
+    def test_strip_and_derived_keep_the_type(self, top, dtype):
+        inst = make([[top, 0, 1], [0, 0, top]], [(0, 1)])
+        stripped, keep = strip_zero_resources(inst)
+        assert keep == [0, 2]
+        assert stripped.utilities.dtype == inst.utilities.dtype == dtype
+        derived = Instance._derived(inst.agents, inst.resources, np.ones((2, 3), dtype=np.int32),
+                                    inst.arcs, inst.arc_pairs())
+        assert derived.utilities.dtype == np.int32
+        assert not derived.utilities.flags.writeable
+
+    def test_large_small_valued_matrix_takes_one_byte_per_cell(self):
+        rows = np.random.default_rng(0).integers(0, 4, (200, 10_000))
+        inst = Instance([f"a{i}" for i in range(200)], [f"r{j}" for j in range(10_000)],
+                        rows, [])
+        assert inst.utilities.nbytes == 2_000_000
+        assert np.array_equal(inst.utilities, rows)
+
+
 class TestAllocation:
     def test_document_round_trip(self):
         inst = make([[1, 2, 0], [2, 1, 1]], [(0, 1)])

@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "route_dump.py"
@@ -57,3 +58,12 @@ def test_compare_runs_without_the_package_on_the_path(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "5 of 6 lines differ (6 before)"
+
+
+def test_dump_stores_instances_in_every_width():
+    """The dump's instances store their utilities in each of the four
+    integer types, so comparing two dumps covers every width."""
+    instances = [inst for _, inst in route_dump.corpus()]
+    instances += [inst for _, inst, _ in route_dump.scan_corpus()]
+    widths = Counter(inst.utilities.dtype.name for inst in instances)
+    assert set(widths) == {"int8", "int16", "int32", "int64"}, widths

@@ -15,7 +15,8 @@ and every route whose row applies.  The ``scan``, ``wide-scan`` and
 ``pareto-walk`` families run only forced ``brute``, at sizes where the scan
 spans many prefixes.
 The ``wide`` and ``wide-scan`` families draw utilities up to each of
-``WIDE`` in turn, so that the kernels' tables take every integer type.
+``WIDE`` in turn, so that the instances' stored utilities and the kernels'
+tables take every integer type.
 The ``cost-edge`` family puts brute force's bound on both sides of
 ``BUDGET``, so that auto both compares the searches by cost and falls back
 to row order.
@@ -161,6 +162,15 @@ def corpus():
     yield from ((f"cost-edge-{i}", inst) for i, inst in enumerate(cost_edge(24, 8)))
 
 
+def scan_corpus():
+    """The families that run forced ``brute`` only: instance id, instance
+    and the goals to solve it for."""
+    for family, scans in (("scan", scan(200, 5)), ("wide-scan", scan(48, 7, WIDE)),
+                          ("pareto-walk", pareto_walk(8, 9))):
+        for i, (inst, goals) in enumerate(scans):
+            yield f"{family}-{i}", inst, goals
+
+
 def solve_line(name, inst, notion, goal, algo):
     from gefalloc import solve
     res = solve(inst, notion, goal, algo, BUDGET)
@@ -226,12 +236,10 @@ def dump():
             for goal in EfficiencyGoal:
                 for algo in ["auto"] + [r.name for r in ROUTES if r.applies(a, notion, goal)]:
                     solve_line(name, inst, notion, goal, algo)
-    for family, scans in (("scan", scan(200, 5)), ("wide-scan", scan(48, 7, WIDE)),
-                          ("pareto-walk", pareto_walk(8, 9))):
-        for i, (inst, goals) in enumerate(scans):
-            for notion in FairnessNotion:
-                for goal in goals:
-                    solve_line(f"{family}-{i}", inst, notion, goal, "brute")
+    for name, inst, goals in scan_corpus():
+        for notion in FairnessNotion:
+            for goal in goals:
+                solve_line(name, inst, notion, goal, "brute")
 
 
 def main(argv=None):

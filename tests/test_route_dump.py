@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -67,3 +68,44 @@ def test_dump_stores_instances_in_every_width():
     instances += [inst for _, inst, _ in route_dump.scan_corpus()]
     widths = Counter(inst.utilities.dtype.name for inst in instances)
     assert set(widths) == {"int8", "int16", "int32", "int64"}, widths
+
+
+# The families the pinned slice runs, and the sha256 of their answer
+# fields (``answer_digests``), taken before the count-space search became a
+# kernel scan.  A pinned line may change only from BUDGET to an answer that
+# forced ``brute`` confirms at a budget large enough to finish.
+PINNED_FAMILIES = ("rand", "wide", "scan", "wide-scan", "pareto-walk")
+PINNED = {
+    "rand": "01ef9af93d799bcc682cddd7e0f279b37de1f9f5df3c738c8f0cc8473c8a72c7",
+    "wide": "6ef3f7c160ddd2c7e734e21db20aa07a94f16016e3a7112ca2b66d7bf5e412ef",
+    "scan": "855ce991b421bc33c3f993249192a57b2223a0869848f95e781a2599a0f1c61d",
+    "wide-scan": "dbb1aa79396bc4f5da1d66ffa48dd17fc3975a3db3d12e12248f99ec76e6fac0",
+    "pareto-walk": "a9ce2cbbd664f653bfa9e792251d85c627e1fba515498217536d2f3999f6e933",
+}
+
+
+def answer_fields(fields):
+    """The pinned fields of one solve line: status, welfare and witness for
+    a forced route, status and welfare for auto; ``None`` for an analysis
+    line.  ``nodes`` and ``route`` are not pinned."""
+    if fields[1] == "analysis":
+        return None
+    name, notion, goal, algo, route, status, welfare, nodes, witness = fields
+    kept = [name, notion, goal, algo, status, welfare]
+    return kept + ([witness] if algo != "auto" else [])
+
+
+def answer_digests(families):
+    """Per family, the sha256 of the pinned fields of its solve lines."""
+    digests = {family: hashlib.sha256() for family in families}
+    for fields in route_dump.lines(families):
+        kept = answer_fields(fields)
+        if kept is not None:
+            digests[fields[0].rsplit("-", 1)[0]].update((" ".join(kept) + "\n").encode())
+    return {family: d.hexdigest() for family, d in digests.items()}
+
+
+def test_pinned_answers():
+    """Every status, welfare and forced witness of the pinned slice of the
+    route dump is the pinned one."""
+    assert answer_digests(PINNED_FAMILIES) == PINNED

@@ -172,12 +172,13 @@ def scan_corpus():
 
 
 def solve_line(name, inst, notion, goal, algo):
+    """The fields of one solve's line."""
     from gefalloc import solve
     res = solve(inst, notion, goal, algo, BUDGET)
     asg = res.allocation.assignment if res.allocation else None
     witness = "-" if asg is None else ",".join(str(asg.get(r, "-")) for r in range(inst.m))
-    print(name, notion.value, goal.value, algo, res.route, res.status.value,
-          res.welfare, res.nodes, witness or "()")
+    return [name, notion.value, goal.value, algo, res.route, res.status.value,
+            str(res.welfare), str(res.nodes), witness or "()"]
 
 
 FIELDS = ("status", "welfare", "nodes", "witness")
@@ -223,23 +224,33 @@ def print_comparison(old_path, new_path):
         print(f"{count:7d}  {algo:<21} {route:<32} {fields}")
 
 
-def dump():
+def lines(families=None):
+    """The fields of every line of the dump, in order; with ``families``,
+    of the instances whose id starts with one of them and a number only."""
     from gefalloc import ROUTES, EfficiencyGoal, FairnessNotion, analyze
+
+    def wanted(name):
+        return families is None or name.rsplit("-", 1)[0] in families
+
     for name, inst in corpus():
+        if not wanted(name):
+            continue
         a = analyze(inst)
         g = a.graph
         owners = "none" if a.sgef_owners is None else ",".join(map(str, a.sgef_owners)) or "-"
-        print(name, "analysis", a.prefs.kind.value, a.prefs.u_diff, g.kind.value,
-              *(",".join(map(str, agents)) or "-" for agents in (g.sources, g.sinks, g.inner)),
-              inst.m - a.stripped.m, owners)
+        yield [name, "analysis", a.prefs.kind.value, str(a.prefs.u_diff), g.kind.value,
+               *(",".join(map(str, agents)) or "-" for agents in (g.sources, g.sinks, g.inner)),
+               str(inst.m - a.stripped.m), owners]
         for notion in FairnessNotion:
             for goal in EfficiencyGoal:
                 for algo in ["auto"] + [r.name for r in ROUTES if r.applies(a, notion, goal)]:
-                    solve_line(name, inst, notion, goal, algo)
+                    yield solve_line(name, inst, notion, goal, algo)
     for name, inst, goals in scan_corpus():
+        if not wanted(name):
+            continue
         for notion in FairnessNotion:
             for goal in goals:
-                solve_line(name, inst, notion, goal, "brute")
+                yield solve_line(name, inst, notion, goal, "brute")
 
 
 def main(argv=None):
@@ -250,7 +261,8 @@ def main(argv=None):
     if args.compare:
         print_comparison(*args.compare)
     else:
-        dump()
+        for fields in lines():
+            print(*fields)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
-"""Hot enumeration kernels behind the brute-force solvers.
+"""Hot enumeration kernels behind the exhaustive solvers.
 
-``search`` enumerates assignments by one numpy table scan (below).
-``tests/oracle.py`` keeps ``counter_search``, a plain mixed-radix counter
-with incremental bundle values under the same contract, as the reference
-the scan is checked against.
+``search`` enumerates assignments by one numpy table scan (below), and
+``first_fair_digits`` runs the same scan over digits with candidates of
+their own.  ``tests/oracle.py`` keeps ``counter_search``, a plain
+mixed-radix counter with incremental bundle values under the same contract,
+and ``type_search``, a plain enumeration of count vectors, as the
+references the scans are checked against.
 
 Search contract
 ---------------
@@ -20,58 +22,86 @@ mode 1  scan everything, keep the maximum-welfare fair assignment
 Returns ``(status, assignment, welfare, nodes)`` with status 0 = found,
 1 = exhausted without a fair assignment, 2 = node budget exceeded.  The
 assignment array holds the owning agent per resource, ``-1`` if unassigned.
-At status 2, ``nodes`` is ``max(limit, 0)`` and mode 1 reports the best
-fair assignment among the assignments within it.
 
-This module is the one place that counts and budgets brute-force scans:
-the Pareto scans count the (n+1)^m partial allocations of ``n`` agents and
-``m`` resources and answer under the same contract, with ``max(limit, 0)``
-nodes at status 2.  ``first_fair_efficient`` returns ``(status,
-assignment, welfare, nodes)``, with status 2 at once when the (n+1)^m pass
-``limit``.  ``first_dominating`` returns ``(status, nodes)``: 0 with the
-1-based position of the first dominating allocation, 1 with (n+1)^m.
+Nodes are work: the assignments tested plus the prefixes screened (see the
+table scan below), so they depend on ``SUFFIX_ROWS``.  ``limit`` caps the
+work: the scan stops before a block or test that would pass it, and then
+answers status 2 with ``max(limit, 0)`` nodes; mode 1 reports the best fair
+assignment among those it tested.  At most every assignment is tested and
+every prefix screened (``work_bound``), and a scan that is not stopped
+does the same work at every budget.  An answer's position in canonical
+order does not bound its work, nor the work its position: a one-table
+scan tests every column at once, and the screen skips prefixes that no
+suffix can make fair without testing them.
+
+This module is the one place that counts and budgets exhaustive scans.  The
+Pareto scans count the (n+1)^m partial allocations of ``n`` agents and
+``m`` resources instead and answer under the same contract, with
+``max(limit, 0)`` nodes at status 2.  ``first_fair_efficient`` returns
+``(status, assignment, welfare, nodes)``, with status 2 at once when the
+(n+1)^m pass ``limit``.  ``first_dominating`` returns ``(status, nodes)``: 0
+with the 1-based position of the first dominating allocation, 1 with
+(n+1)^m, 2 when none of the first ``limit`` dominates.
 
 Table scan
 ----------
 An arc's slack ``value(a,a) - value(a,b)``, the utility profile and the
-welfare are sums over resources, so the scan splits the resources,
-the digits of an assignment, in three (in the manner of Horowitz and
-Sahni): a suffix of the ``s`` fastest, ``k**s`` at most ``SUFFIX_ROWS``
-(8192) for ``k`` candidates; a middle of the next ``s``, or of all that are
-left; and the outer digits before them.  It builds the suffix's slack and
-profile table once by broadcasting, and the middle's table of prefix sums
-by the same broadcast.  The prefixes of one outer assignment form a block
-of at most ``SUFFIX_ROWS`` columns, and the walk takes the outer
-assignments in canonical order, shifting the block's sums when an outer
-digit moves.  Per block, one comparison finds the prefixes that some suffix
-could make fair (``prefix_slack + max(slack) >= delta`` on every arc) and,
-in mode 1, one sum those that can beat the best welfare so far.  The scan
-visits the surviving prefixes in canonical order, drops again, whenever the
-best welfare grows, the block's remaining prefixes that can no longer beat
-it (one vectorized test), and tests all of a prefix's suffix assignments at
-once: ``slack + prefix_slack >= delta`` on every arc.  Skipped assignments
-still count as nodes.  When ``k**m <= SUFFIX_ROWS`` the suffix table holds
-every assignment, and the scan is that one test on the empty prefix, with no
-floor and no walk.  Memory is ``O((A + n) * (2 * SUFFIX_ROWS + m))`` for
-``A`` arcs: no table spans more than ``SUFFIX_ROWS`` prefixes, whatever the
+welfare are sums over the digits of an assignment, one digit per resource,
+so the scan splits the digits in three (in the manner of Horowitz and
+Sahni): a suffix of the fastest digits whose candidate counts multiply to
+at most ``SUFFIX_ROWS`` (8192); a middle of the next ones that do; and the
+outer digits before them.  It builds the suffix's slack and profile table
+once by broadcasting, and the middle's table of prefix sums by the same
+broadcast.  The prefixes of one outer assignment form a block of at most
+``SUFFIX_ROWS`` columns, and the walk takes the outer assignments in
+canonical order, shifting the block's sums when an outer digit moves.  Per
+block, one comparison screens the prefixes that some suffix could make fair
+(``prefix_slack + max(slack) >= delta`` on every arc) and, in mode 1, one
+sum those that can beat the best welfare so far; each screened prefix is
+one unit of work.  The scan visits the surviving prefixes in canonical
+order, drops again, whenever the best welfare grows, the block's remaining
+prefixes that can no longer beat it (one vectorized test), and tests all of
+a prefix's suffix assignments at once, one unit of work each: ``slack +
+prefix_slack >= delta`` on every arc.  When the suffix table holds every
+assignment, the scan is that one test on the empty prefix, with no floor
+and no walk.  Memory is ``O((A + n) * (2 * SUFFIX_ROWS + c))`` for ``A``
+arcs, ``c`` the candidates of the outer digits (``k`` shared by every
+resource): no table spans more than ``SUFFIX_ROWS`` prefixes, whatever the
 budget, and the work before the first node grows only with the input.
+
+Mixed radix
+-----------
+``_Split.of_gains`` takes digits with candidate counts of their own, each
+candidate a column of gains to add; the resource scan is the case where
+every digit has the same candidates.  ``exact.solve_type_ilp`` scans the
+count vectors of resource types this way: a digit per type, a candidate
+per deal of its copies, whose gain on arc (a, b) is ``u_a(t) * (x[a] -
+x[b])`` and on agent i's profile ``u_i(t) * x[i]``.  No digit holds more
+than ``SUFFIX_ROWS`` candidates (at least two): a type with more deals is
+dealt over several digits, and since every sum is linear in the counts,
+the deals that give out more copies than there are fail one more tested
+row per such type, copies - dealt >= 0, held to 0 where an arc is held to
+``delta``.  ``first_fair_digits`` picks those tables' integer type from the
+gains: the narrowest that holds twice the largest sum of each quantity's
+largest gains, plus one.
 
 The suffix table must stay C-contiguous, one row per quantity, so that a
 test of one quantity reads contiguous memory: in another memory order a
 welfare scan at n=3, m=7 ran 3.4 times slower.  A broadcast does not
 promise C order, so the build ends with ``np.ascontiguousarray``.
 
-Every table, and the Pareto frontier, is held in the narrowest signed
-integer type (int8, int16, int32 or int64) that holds ``±(2*s + 1)``, ``s``
-the largest row sum of the utilities (and, in ``first_dominating``, of the
-caller's profile).  Every value a scan forms fits: an arc slack or a profile
-entry is a signed sum over one agent's row, an outer digit's shift is at
-most twice a utility, and ``delta - x`` adds one.  Welfare is summed in
-int64, and so are the row sums that pick the type.  The utilities are cast
-to the table type from the type they arrive in (an ``Instance`` stores
-them in the narrowest type that holds its largest value), with no int64
-copy between.  On small utilities the comparisons then read an eighth of
-the memory, and the verdicts, witnesses and node counts are those of int64.
+Every resource table, and the Pareto frontier, is held in the narrowest
+signed integer type (int8, int16, int32 or int64) that holds ``±(2*s +
+1)``, ``s`` the largest row sum of the utilities (and, in
+``first_dominating``, of the caller's profile).  Every value a scan forms
+fits: an arc slack or a profile entry is a signed sum over one agent's row,
+an outer digit's shift is at most twice a utility, and ``delta - x`` adds
+one.  Welfare is summed in int64, and so are the row sums that pick the
+type.  The utilities are cast to the table type from the type they arrive
+in (an ``Instance`` stores them in the narrowest type that holds its
+largest value), with no int64 copy between.  On small utilities the
+comparisons then read an eighth of the memory, and the verdicts, witnesses
+and node counts are those of int64.
 
 The same tables and walk serve the Pareto goal.  ``first_fair_efficient``
 finds the Pareto brute-force witness among the complete assignments.
@@ -98,7 +128,9 @@ rows of that key, so a collision costs one check and never a wrong witness.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -121,34 +153,59 @@ def _table_type(util, cover=0):
 
 
 def _sums(gains, table):
-    """Prepend one digit per resource of ``gains`` to the columns of
-    ``table``: column ``j`` of the result is the column of ``table`` its
-    fastest digits name plus ``gains[r][:, c]`` for each resource ``r`` at
-    candidate index ``c``, in canonical order."""
-    width, k = table.shape[0], gains.shape[2]
-    # the last resource first, so that every add runs along a whole row of
+    """Prepend one digit per table of ``gains`` to the columns of ``table``:
+    column ``j`` of the result is the column of ``table`` its fastest digits
+    name plus ``gains[r][:, c]`` for each digit ``r`` at candidate index
+    ``c``, in canonical order."""
+    width = table.shape[0]
+    # the last digit first, so that every add runs along a whole row of
     # the table built so far
     for r in range(len(gains) - 1, -1, -1):
-        table = (gains[r][:, :, None] + table[:, None, :]).reshape(width, k * table.shape[1])
+        table = (gains[r][:, :, None] + table[:, None, :]).reshape(
+            width, gains[r].shape[1] * table.shape[1])
     return table
 
 
-class _Split:
-    """The assignments of ``m`` resources to the ``k`` entries of ``cands``,
-    split into ``outer`` slow digits, then middle digits, then a suffix of
-    ``s`` fast ones, the largest ``s`` with ``k**s <= SUFFIX_ROWS``; the
-    middle takes the next ``s`` digits, or all that are left.  ``prefix``
-    counts the outer and middle digits.
+def _layout(counts):
+    """``(prefix, outer)`` for digits of ``counts`` candidates each: the
+    suffix is the fastest digits whose counts multiply to at most
+    ``SUFFIX_ROWS``, the middle the next ones that do, and ``outer`` the
+    digits before the middle; ``prefix`` counts the outer and middle
+    digits."""
+    bounds, d = [], len(counts)
+    for _ in range(2):
+        size = 1
+        while d and size * counts[d - 1] <= SUFFIX_ROWS:
+            size *= counts[d - 1]
+            d -= 1
+        bounds.append(d)
+    return tuple(bounds)
 
-    Every quantity the scans test is a sum over resources of
-    ``V[r] * S[c]``, ``c`` the candidate index resource ``r`` takes: the
-    first ``A`` entries are the arc slacks ``value(a,a) - value(a,b)`` and
-    the last ``n`` the utility profile, whose sum is the welfare.  Column
-    ``j`` of ``table`` holds these sums over the suffix for its ``j``-th
-    assignment in canonical order (one row per quantity, so that a test of
-    one quantity reads contiguous memory).  Every table is of
-    ``_table_type(utilities, cover)``: ``cover`` is a further magnitude it
-    must hold.
+
+def work_bound(counts):
+    """The most work a scan over digits of ``counts`` candidates each can
+    count: every assignment tested and every prefix screened."""
+    prefix, _ = _layout(counts)
+    return math.prod(counts) + (math.prod(counts[:prefix]) if prefix else 0)
+
+
+class _Split:
+    """The assignments of digits to candidates, split into ``outer`` slow
+    digits, then middle digits, then a suffix of fast ones (``_layout``);
+    ``prefix`` counts the outer and middle digits.  ``_Split(utilities,
+    arcs, cands)`` has one digit per resource, each with the ``k`` entries
+    of ``cands`` as candidates; ``_Split.of_gains`` takes digits with
+    candidates of their own (mixed radix).
+
+    Every quantity the scans test is a sum over digits of ``V[r] *
+    S[r][c]``, ``c`` the candidate index digit ``r`` takes.  On resources
+    the first ``A`` entries are the arc slacks ``value(a,a) - value(a,b)``
+    and the last ``n`` the utility profile, whose sum is the welfare.
+    Column ``j`` of ``table`` holds these sums over the suffix for its
+    ``j``-th assignment in canonical order (one row per quantity, so that a
+    test of one quantity reads contiguous memory).  Every table of a
+    resource split is of ``_table_type(utilities, cover)``: ``cover`` is a
+    further magnitude it must hold.
     """
 
     def __init__(self, utilities, arcs, cands, cover=0):
@@ -156,106 +213,133 @@ class _Split:
         util = util.astype(_table_type(util, cover), copy=False)
         arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
         arc_a, arc_b = arcs[:, 0], arcs[:, 1]
-        cands = np.asarray(cands, dtype=np.int64)
+        self.cands = cands = np.asarray(cands, dtype=np.int64)
         n, m = util.shape
-        k = len(cands)
-        self.m, self.k, self.arcs, self.cands = m, k, len(arcs), cands
-        s = 0
-        while s < m and k ** (s + 1) <= SUFFIX_ROWS:
-            s += 1
-        self.prefix = m - s
-        self.outer = max(m - 2 * s, 0)
-        self.total = k**m
-        self.V = np.concatenate((util[arc_a].T, util.T), axis=1)
+        self.arcs = len(arcs)
+        V = np.concatenate((util[arc_a].T, util.T), axis=1)
         # owner indicator per candidate; its zero last row stands for "unassigned"
         owner = np.eye(n + 1, n, dtype=util.dtype)[cands]
-        self.S = np.concatenate((owner[:, arc_a] - owner[:, arc_b], owner), axis=1)
+        S = np.concatenate((owner[:, arc_a] - owner[:, arc_b], owner), axis=1)
         # gains[r - outer][q, c]: V[r][q] * S[c][q], for the middle and suffix
-        self.gains = np.ascontiguousarray(self.V[self.outer:, :, None] * self.S.T)
-        self.zero = np.zeros((self.V.shape[1], 1), dtype=util.dtype)
+        self._lay_out(V, [S] * m, [len(cands)] * m,
+                      lambda lo: np.ascontiguousarray(V[lo:, :, None] * S.T))
+
+    @classmethod
+    def of_gains(cls, gains, width, dtype):
+        """Digit ``r``'s candidate ``c`` adds row ``c`` of ``gains[r]`` to the
+        ``width`` sums; the tables are of ``dtype``, as the gains are."""
+        split = cls.__new__(cls)
+        split._lay_out(np.ones((len(gains), width), dtype=dtype), gains, [len(g) for g in gains],
+                       lambda lo: [np.ascontiguousarray(g.T) for g in gains[lo:]])
+        return split
+
+    def _lay_out(self, V, S, counts, gains):
+        """Keep the digits, ``counts`` candidates each, and build the suffix
+        table; ``gains(lo)`` gives the gain tables of digits ``lo`` onwards."""
+        self.V, self.S, self.counts, self.m = V, S, counts, len(counts)
+        self.prefix, self.outer = _layout(self.counts)
+        self.total = math.prod(self.counts)
+        self.gains = gains(self.outer)
+        self.zero = np.zeros((V.shape[1], 1), dtype=V.dtype)
         # C order, see the module docstring
         self.table = np.ascontiguousarray(
             _sums(self.gains[self.prefix - self.outer:], self.zero))
 
-    def blocks(self, limit, floor):
-        """Yield ``(start, block, alive)`` per block of prefixes in
-        canonical order while ``start``, the index of the block's first
-        assignment, is below ``limit``.  Column ``i`` of ``block`` sums
-        ``V[r] * S[c]`` over the block's ``i``-th prefix, which starts at
-        ``start + i * size`` (``size`` the suffix's assignments) below
-        ``limit``; ``alive[i]`` tells whether its leading sums reach
-        ``floor``.  A block holds the prefixes of one outer assignment: the
-        middle table, built by the suffix table's broadcast and shifted
-        when an outer digit moves."""
-        o, k, V, S = self.outer, self.k, self.V, self.S
+    def blocks(self, limit):
+        """Yield ``(start, block)`` per block of prefixes in canonical order
+        while ``start``, the index of the block's first assignment, is below
+        ``limit``.  Column ``i`` of ``block`` sums ``V[r] * S[r][c]`` over
+        the block's ``i``-th prefix, which starts at ``start + i * size``
+        (``size`` the suffix's assignments) below ``limit``.  A block holds
+        the prefixes of one outer assignment: the middle table, built by the
+        suffix table's broadcast and shifted when an outer digit moves."""
+        o, V, S, counts = self.outer, self.V, self.S, self.counts
         size = self.table.shape[1]
         seed = self.zero
         for r in range(o):  # every outer digit at candidate 0
-            seed = seed + (V[r] * S[0])[:, None]
+            seed = seed + (V[r] * S[r][0])[:, None]
         block = _sums(self.gains[:self.prefix - o], seed)
-        floor, tested = floor[:, None], len(floor)
         digits = [0] * o
         start = 0
         while start < limit:
             # the prefixes that start below limit: ceil((limit - start) / size)
-            part = block[:, :-((start - limit) // size)]
-            yield start, part, (part[:tested] >= floor).all(axis=0)
+            yield start, block[:, :-((start - limit) // size)]
             start += size * block.shape[1]
             i = o - 1
             while i >= 0:
                 d = digits[i]
-                digits[i] = d + 1 if d + 1 < k else 0
-                block = block + (V[i] * (S[digits[i]] - S[d]))[:, None]
+                digits[i] = d + 1 if d + 1 < counts[i] else 0
+                block = block + (V[i] * (S[i][digits[i]] - S[i][d]))[:, None]
                 if digits[i]:
                     break
                 i -= 1
             if i < 0:
                 return
 
-    def scan(self, limit, floor, test, keep=None):
+    def scan(self, floor, test, keep=None, budget=math.inf, limit=None):
         """Run ``test(first, sums)`` on the prefixes that start below
-        ``limit`` in canonical order (``first`` a prefix's first assignment,
-        ``sums`` its column) and return its first answer other than ``None``
-        and ``False``, or ``None``.  With one suffix table the empty prefix
-        is the only one: no floor, no walk.  Otherwise the walk tests the
-        alive prefixes of ``blocks(limit, floor())``, and ``keep(block)``,
-        when given, returns a function that picks the ones worth a test,
-        applied again to the rest whenever ``test`` returns ``False``."""
-        if self.prefix == 0:
-            answer = test(0, self.zero[:, 0]) if limit > 0 else None
-            return None if answer is False else answer
+        ``limit`` (every prefix by default) in canonical order (``first`` a
+        prefix's first assignment, ``sums`` its column) and return ``(answer,
+        work)``: the first answer other than ``None`` and ``False``, or
+        ``None``, and the work.  Work counts the columns of each block
+        screened and of each test run (a test's columns are the prefix's
+        assignments below ``limit``); the scan stops before a block or test
+        that would take the work past ``budget``, and the work it returns
+        then is above ``budget``.  With one suffix table the empty prefix is
+        the only one: no floor, no walk.  Otherwise each block is screened
+        for the prefixes whose leading sums reach ``floor()``, and
+        ``keep(block)``, when given, returns a function that picks the ones
+        worth a test, applied again to the rest whenever ``test`` returns
+        ``False``."""
         size = self.table.shape[1]
-        for start, block, alive in self.blocks(limit, floor()):
+        limit = self.total if limit is None else limit
+        if self.prefix == 0:
+            work = min(size, max(limit, 0))
+            answer = test(0, self.zero[:, 0]) if 0 < work <= budget else None
+            return (None if answer is False else answer), work
+        work, floor = 0, floor()[:, None]
+        tested = len(floor)
+        for start, block in self.blocks(limit):
+            work += block.shape[1]
+            if work > budget:
+                return None, work
             prune = (lambda rest: rest) if keep is None else keep(block)
-            rest = prune(alive.nonzero()[0])
+            rest = prune((block[:tested] >= floor).all(axis=0).nonzero()[0])
             while len(rest):
                 i, rest = int(rest[0]), rest[1:]
-                answer = test(start + i * size, block[:, i])
+                first = start + i * size
+                work += min(size, limit - first)
+                if work > budget:
+                    return None, work
+                answer = test(first, block[:, i])
                 if answer is False:
                     rest = prune(rest)
                 elif answer is not None:
-                    return answer
-        return None
+                    return answer, work
+        return None, work
+
+    def digits(self, index):
+        """Candidate index per digit of the assignment at 0-based position
+        ``index`` in canonical order."""
+        digits = []
+        for count in reversed(self.counts):
+            index, d = divmod(index, count)
+            digits.append(d)
+        return digits[::-1]
 
     def assignment(self, index):
         """Owner per resource of the assignment at 0-based position
         ``index`` in canonical order."""
-        digits = []
-        for _ in range(self.m):
-            index, d = divmod(index, self.k)
-            digits.append(d)
-        return self.cands[np.array(digits[::-1], dtype=np.int64)]
+        return self.cands[np.array(self.digits(index), dtype=np.int64)]
 
 
-def search(utilities, arcs, delta, candidates, mode, limit):
-    """The table scan of the search contract; see the module docstring."""
-    split = _Split(utilities, arcs, candidates)
-    if split.total == 0:
-        # no candidate owners but resources to place: nothing to enumerate,
-        # and an empty suffix table has no slack maximum
-        return 1, np.full(split.m, -1, dtype=np.int64), -1, 0
-    A, size, limit = split.arcs, split.table.shape[1], int(limit)
-    slack, profile = split.table[:A], split.table[A:]
+def _fair(split, T, need, mode, budget):
+    """The scan of the search contract over ``split``, whose first ``T``
+    quantities are tested (an assignment is fair when each reaches ``need``,
+    one value or one per quantity) and whose others are the utility profile:
+    ``(status, index, welfare, nodes)``, ``index`` the position of the
+    answer in canonical order or ``None``."""
+    slack, profile = split.table[:T], split.table[T:]
     # mode 0 needs the welfare of the one assignment it returns
     wel = profile.sum(axis=0, dtype=np.int64) if mode == 1 else None
     best, best_wel = None, -1
@@ -264,33 +348,66 @@ def search(utilities, arcs, delta, candidates, mode, limit):
         """Test all suffixes of a prefix: mode 0's answer if one is fair;
         mode 1 keeps the best and returns ``False`` when it grows."""
         nonlocal best, best_wel
-        rows = min(size, limit - first)
-        fair = (slack[:, :rows] >= (delta - sums[:A])[:, None]).all(axis=0)
-        j = int(fair.argmax() if mode == 0 else np.where(fair, wel[:rows], -1).argmax())
+        fair = (slack >= (need - sums[:T])[:, None]).all(axis=0)
+        j = int(fair.argmax() if mode == 0 else np.where(fair, wel, -1).argmax())
         if not fair[j]:
             return None
-        welfare = sum(sums[A:].tolist()) + sum(profile[:, j].tolist())
+        welfare = sum(sums[T:].tolist()) + sum(profile[:, j].tolist())
         if mode == 0:
-            return 0, split.assignment(first + j), welfare, first + j + 1
+            return first + j, welfare
         if welfare > best_wel:
-            best_wel, best = welfare, split.assignment(first + j)
+            best_wel, best = welfare, first + j
             return False
         return None
 
     def keep(block):
         # when maximising, the prefixes that can beat the best so far
-        reach = block[A:].sum(axis=0, dtype=np.int64) + int(wel.max())
+        reach = block[T:].sum(axis=0, dtype=np.int64) + int(wel.max())
         return lambda rest: rest[reach[rest] > best_wel]
 
     # alive: some suffix can make the prefix fair
-    answer = split.scan(limit, lambda: delta - slack.max(axis=1), test, keep if mode else None)
+    answer, work = split.scan(lambda: need - slack.max(axis=1), test,
+                              keep if mode else None, budget)
     if answer is not None:
-        return answer
-    if best is None:
-        best = np.full(split.m, -1, dtype=np.int64)
-    if split.total > limit:
-        return 2, best, best_wel, max(limit, 0)
-    return (0 if best_wel >= 0 else 1), best, best_wel, split.total
+        return (0, *answer, work)
+    if work > budget:
+        return 2, best, best_wel, max(budget, 0)
+    return (1 if best is None else 0), best, best_wel, work
+
+
+def search(utilities, arcs, delta, candidates, mode, limit):
+    """The table scan of the search contract; see the module docstring."""
+    split = _Split(utilities, arcs, candidates)
+    # no candidate owners but resources to place: nothing to enumerate,
+    # and an empty suffix table has no slack maximum
+    status, index, welfare, nodes = (_fair(split, split.arcs, delta, mode, limit)
+                                     if split.total else (1, None, -1, 0))
+    if index is None:
+        return status, np.full(split.m, -1, dtype=np.int64), welfare, nodes
+    return status, split.assignment(index), welfare, nodes
+
+
+def first_fair_digits(gains, counts, need, limit):
+    """Mode 0 of the search contract over digits with candidates of their
+    own: the rows of ``gains`` (int64) are the candidates of every digit in
+    turn, ``counts`` of them per digit, and a candidate adds its row to the
+    sums.  The first ``len(need)`` sums are tested against ``need``, the
+    others are the profile.  Returns ``(status, digits, nodes)``, ``digits``
+    the candidate index per digit of the first fair assignment or ``None``.
+    The tables take the narrowest signed integer type that holds ``±(2*s +
+    1)``, ``s`` the largest sum over digits of a quantity's largest
+    magnitude (an object table past int64)."""
+    if 0 in counts:
+        return 1, None, 0
+    bounds = list(accumulate(counts, initial=0))
+    peak = (np.maximum.reduceat(np.abs(gains), bounds[:-1], axis=0).astype(object).sum(axis=0)
+            if counts else np.zeros(0, dtype=object))
+    dtype = np.min_scalar_type(-2 * int(peak.max(initial=0)) - 1)
+    gains = gains.astype(dtype)
+    split = _Split.of_gains([gains[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+                            gains.shape[1], dtype)
+    status, index, _, nodes = _fair(split, len(need), np.asarray(need, dtype=dtype), 0, limit)
+    return status, None if index is None else split.digits(index), nodes
 
 
 # Pareto pruning compares at most this many (candidate, rival) pairs at once.
@@ -420,8 +537,7 @@ def first_fair_efficient(utilities, arcs, delta, limit):
                 return 0, split.assignment(first + int(fair[j])), welfare, nodes
         return None
 
-    return split.scan(split.total, lambda: delta - slack.max(axis=1), test) or (
-        1, unassigned, -1, nodes)
+    return split.scan(lambda: delta - slack.max(axis=1), test)[0] or (1, unassigned, -1, nodes)
 
 
 def first_dominating(utilities, profile, limit):
@@ -440,7 +556,7 @@ def first_dominating(utilities, profile, limit):
         j = int(hit.argmax())
         return (0, first + j + 1) if hit[j] else None
 
-    answer = split.scan(limit, lambda: profile - table.max(axis=1), test)
+    answer, _ = split.scan(lambda: profile - table.max(axis=1), test, limit=limit)
     if answer is None:
         answer = (2, max(limit, 0)) if split.total > limit else (1, split.total)
     return answer

@@ -38,17 +38,18 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
+from . import _kernels
 from .errors import GuardError
 from .exact import (
     DEFAULT_BUDGET,
     ResourceTypeTable,
     _sgef_owners,
     brute_force,
-    ilp_search_size,
     sgef_fpt_search_size,
     solve_identical_enum,
     solve_ilp,
     solve_sgef_fpt_resources,
+    type_scan_size,
 )
 from .graphs import GraphKind, classify_graph
 from .model import (
@@ -150,7 +151,7 @@ def analyze(inst: Instance) -> Analysis:
 @dataclass(frozen=True)
 class Route:
     """A row of the route table.  A search row also has ``bound``, the most
-    nodes it visits on an analysis under a goal, and ``cost``, its fixed
+    nodes it counts on an analysis under a goal, and ``cost``, its fixed
     seconds and seconds per node of that bound under a goal; ``exact`` marks
     a bound that the search may reach, so auto skips the row when the bound
     exceeds the budget.  A closed form has neither.  ``final`` marks a row
@@ -217,12 +218,16 @@ ROUTES = (
     # routing 123 ms, and the fastest row of each solve 44 ms.  The grid told
     # an ilp fixed cost of 60 us from the kernel's 90 us by 0.3 % only; at
     # 90 us the ilp's least bound rules it out of most small complete solves
-    # before its type table is built.  A bound is the most nodes a search can
-    # count, and pruning keeps most of them from being visited, so the
-    # kernel's and the ilp's costs per node of the bound are far below those
-    # of a visited node; struct-fpt's (about 100 us per pattern) only sizes
-    # its record.  Pareto brute force's (400 us, 200 ns) overstate its
-    # one-table scan about fourfold until the search costs are re-fitted.
+    # before its type table is built.  A bound is the most work a search can
+    # count, and pruning keeps most of it from being done, so the kernel's
+    # costs per unit of the bound are far below those of a visited node;
+    # struct-fpt's (about 100 us per pattern) only sizes its record.  Pareto
+    # brute force's (400 us, 200 ns) overstate its one-table scan about
+    # fourfold until the search costs are re-fitted.  The ilp is a kernel
+    # scan too: on the 318 solves of seeds 1 and 3 where it applies, a
+    # least-squares line gives 110 us + 4.7 ns per unit of its bound, but
+    # (90 us, 500 ns) still picks the rows of least total time there (23.03
+    # ms, against 23.08 ms at 50 ns and 23.35 ms at 10 ns per unit).
     Route("sgef-fpt",
           lambda a, notion, goal: notion is STRICT and a.has_agents
           and (goal is COMPLETE or a.identical),
@@ -235,7 +240,7 @@ ROUTES = (
           lambda a, notion, goal, budget:
           a.lift(solve_identical_enum(a.stripped, notion, budget)),
           bound=lambda a, goal: 0 if a.stripped.n > a.stripped.m > 0
-          else a.stripped.n ** a.stripped.m,
+          else _kernels.work_bound([a.stripped.n] * a.stripped.m),
           cost=lambda goal: (90e-6, 2e-9), exact=True),
     Route("struct-fpt",
           lambda a, notion, goal: notion is WEAK and a.identical and a.has_agents,
@@ -249,12 +254,13 @@ ROUTES = (
           and (goal is COMPLETE or a.identical or a.zero_one),
           lambda a, notion, goal, budget:
           a.lift(solve_ilp(a.stripped, notion, budget=budget, goal=goal, table=a.types)),
-          bound=lambda a, goal: ilp_search_size(a.stripped.n, a.types, goal),
+          bound=lambda a, goal: type_scan_size(a.stripped.n, a.types, goal),
           cost=lambda goal: (90e-6, 0.5e-6)),
     Route("brute",
           lambda a, notion, goal: True,
           lambda a, notion, goal, budget: a.brute(notion, goal, budget),
-          bound=lambda a, goal: (a.stripped.n + (goal is not COMPLETE)) ** a.stripped.m,
+          bound=lambda a, goal: (a.stripped.n + 1) ** a.stripped.m if goal is PARETO
+          else _kernels.work_bound([a.stripped.n + (goal is WELFARE)] * a.stripped.m),
           cost=lambda goal: (400e-6, 200e-9) if goal is PARETO else (90e-6, 2e-9),
           final=lambda a: True),
 )
@@ -284,10 +290,11 @@ def estimates(
         fallback = route.fallback(a, notion, goal, brute)
         if route.name == "ilp":
             # the type table costs more than every other bound: skip it when
-            # the ilp loses even at its least bound, one type dealt to every
-            # agent that may take it (ilp is the last row before brute)
+            # the ilp loses even at its least bound, the deals of one type of
+            # every copy to every agent that may take it (ilp is the last row
+            # before brute); more types only multiply the count vectors
             n, m = a.stripped.n, a.stripped.m
-            least = 1 if m == 0 else 1 + n * (math.comb(m + n - 1, n - 1) if goal is COMPLETE else 1)
+            least = math.comb(m + n - 1, n - 1) if goal is COMPLETE else 1
             best = min([e.seconds for e in (*est.values(), brute) if e.bound <= budget],
                        default=math.inf)
             if estimate(route, least, fallback).seconds > best:

@@ -3,8 +3,9 @@
 * ``brute_force``: canonical-order enumeration of assignments, used as the
   oracle everything else is checked against.
 * resource-type ILP: aggregates interchangeable resources (equal utility
-  columns) into counts and searches the count space directly with a pruned
-  depth-first search.  No external solver is involved.
+  columns) into counts and scans the count space with the table kernel, one
+  mixed-radix digit per type and one candidate per deal of its copies.  No
+  external solver is involved.
 * ``solve_identical_enum``: full enumeration for identical preferences on a
   strongly connected graph, valid because more agents than resources is
   immediately infeasible there.
@@ -16,9 +17,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations
 from math import comb
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,6 +127,82 @@ class ResourceTypeTable:
         return ResourceTypeTable(tuple(index), tuple(multiplicity), type_of)
 
 
+def _type_order(table: ResourceTypeTable) -> list[int]:
+    """The type scan's digit order: types by falling multiplicity, stable."""
+    return sorted(range(len(table.types)), key=lambda t: (-table.multiplicity[t], t))
+
+
+def _deal_plan(copies: int, k: int, cap: int) -> list[tuple[int, int, int, int]]:
+    """``(first, agents, unit, candidates)`` per digit that deals ``copies``
+    copies of a type to ``k`` agents, the last of them taking the rest.
+
+    One digit holds every deal when there are at most ``cap``.  Otherwise
+    each digit takes the next run of the first k - 1 agents, their counts of
+    sum at most ``copies``, as long as it has at most ``cap`` candidates;
+    an agent whose copies + 1 counts alone pass ``cap`` is dealt over digits
+    of one place each in base ``cap``, high place first, ``unit`` the
+    place's value.  Counts that deal more than ``copies`` fail the type's
+    row, copies - dealt >= 0."""
+    if k < 2:
+        return [(0, 0, 1, k)]
+    deals = comb(copies + k - 1, k - 1)
+    if deals <= cap:
+        return [(0, k - 1, 1, deals)]
+    plan, i = [], 0
+    while i < k - 1:
+        j = 0
+        while i + j < k - 1 and comb(copies + j + 1, j + 1) <= cap:
+            j += 1
+        if j:
+            plan.append((i, j, 1, comb(copies + j, j)))
+        else:
+            unit, j = 1, 1
+            while unit * cap <= copies:
+                unit *= cap
+            plan.append((i, 1, unit, copies // unit + 1))
+            while unit > 1:
+                unit //= cap
+                plan.append((i, 1, unit, cap))
+        i += j
+    return plan
+
+
+def _runs(total: int, j: int) -> np.ndarray:
+    """The vectors of ``j`` counts of sum at most ``total``, one row each, in
+    lexicographic order with counts rising: through the j-subsets of
+    range(total + j), whose prefix sums they are."""
+    rows = list(combinations(range(total + j), j))
+    runs = np.array(rows, dtype=np.int64).reshape(len(rows), j)
+    runs[:, 1:] = runs[:, 1:] - runs[:, :-1] - 1
+    return runs
+
+
+def _build_deals(copies: int, k: int, cap: int) -> tuple[np.ndarray, ...]:
+    """Per digit of ``_deal_plan(copies, k, cap)``, its candidates as a
+    read-only (candidates x k) matrix of counts of the k agents; the last
+    column holds the copies left, less what the type's other digits deal."""
+    if k == 0:
+        return (np.zeros((0, 0), dtype=np.int64),)
+    digits = []
+    for first, j, unit, count in _deal_plan(copies, k, cap):
+        part = unit * np.arange(count)[:, None] if j == 1 else _runs(copies, j)
+        x = np.zeros((count, k), dtype=np.int64)
+        x[:, first:first + j] = part
+        x[:, -1] = (0 if digits else copies) - part.sum(axis=1)
+        x.flags.writeable = False
+        digits.append(x)
+    return tuple(digits)
+
+
+# small solves deal the same few shapes again and again: keep the small ones
+_small_deals = lru_cache(maxsize=256)(_build_deals)
+
+
+def _deals(copies: int, k: int, cap: int) -> tuple[np.ndarray, ...]:
+    small = k < 2 or k * comb(copies + k - 1, k - 1) <= 4096
+    return (_small_deals if small else _build_deals)(copies, k, cap)
+
+
 def solve_type_ilp(
     inst: Instance,
     table: ResourceTypeTable,
@@ -133,132 +210,75 @@ def solve_type_ilp(
     forbidden: frozenset[tuple[int, int]] = frozenset(),
     budget: int = DEFAULT_BUDGET,
 ) -> SolveResult:
-    """Depth-first search over the counts x[agent][type] of ``table``.
+    """One kernel scan over the counts x[agent][type] of ``table``.
 
     Per type the counts sum to the multiplicity; per attention arc (a, b) of
     ``inst`` a's bundle must beat b's bundle by ``delta``, both valued through
     a's utility row; an (agent, type) pair in ``forbidden`` gets count 0.
-    Variable order: types by decreasing multiplicity (stable on the original
-    type order), agents in index order inside a type; counts tried from 0
-    upward, so the first solution is canonical.  Complete search of at most
-    ``budget`` nodes.
+    The digits are the types by falling multiplicity (stable on the original
+    type order), and a type's candidates are its deals to the agents it may
+    go to, lexicographic in (x[0], ..., x[n-1]) with counts rising and the
+    last of those agents taking the rest; a type with more than
+    ``SUFFIX_ROWS`` deals is dealt over several digits (``_deal_plan``) and
+    gets a tested row of its own.  Every slack and profile entry is linear
+    in the counts, so the first fair column of the scan is the first fair
+    count vector in that order.  ``nodes`` is the scan's work, within
+    ``budget``.
     """
-    n = inst.n
-    ntypes = len(table.types)
-    if n == 0:
-        if sum(table.multiplicity) == 0:
-            return SolveResult.feasible(inst, Allocation({}), 1)
-        return SolveResult.infeasible(0)
-
-    type_order = sorted(range(ntypes), key=lambda t: (-table.multiplicity[t], t))
-    counts = [[0] * ntypes for _ in range(n)]
-    # values[x][y] = value of y's counted bundle under x's row
-    values = [[0] * n for _ in range(n)]
-    remaining = list(table.multiplicity)
-    cap = [
-        [0 if (i, t) in forbidden else table.multiplicity[t] for t in range(ntypes)]
-        for i in range(n)
-    ]
-    # (type, agent, what the later agents of the type can take at most)
-    variables = []
-    for t in type_order:
-        tail = sum(cap[i][t] for i in range(n))
-        for i in range(n):
-            tail -= cap[i][t]
-            variables.append((t, i, tail))
-    arcs = inst.arc_pairs()
-    # per agent, the types it values and their gains
-    valued = [[(t, col[i]) for t, col in enumerate(table.types) if col[i] > 0]
-              for i in range(n)]
-
-    def consistent() -> bool:
-        # optimistic upper bound for the envier vs. the current lower bound
-        # for the target; counts already placed can only grow the target side.
-        # The arcs are sorted, so an envier's arcs are consecutive.
-        envier = -1
-        for a, b in arcs:
-            if a != envier:
-                envier, held, caps = a, counts[a], cap[a]
-                ub = values[a][a]
-                for t, gain in valued[a]:
-                    if held[t] == 0:
-                        # a might still take every remaining copy of t
-                        ub += min(remaining[t], caps[t]) * gain
-            if ub < values[a][b] + delta:
-                return False
-        return True
-
-    def place(i: int, t: int, c: int) -> None:
-        counts[i][t] += c
-        remaining[t] -= c
-        col = table.types[t]
-        for x in range(n):
-            values[x][i] += c * col[x]
-
-    # The depth-first search as a loop, so that its depth (one level per
-    # variable) is not bounded by the interpreter's recursion limit.  A frame
-    # per variable on the path: the counts still to try and the count placed.
-    frames: list[list] = []
-    vi = nodes = 0
-    while True:
-        nodes += 1
-        if nodes > budget:
-            return SolveResult.budget(nodes - 1)
-        if vi < len(variables):
-            t, i, tail = variables[vi]
-            # the type's last agent takes what is left
-            counts_left = range(max(0, remaining[t] - tail), min(remaining[t], cap[i][t]) + 1)
-            frames.append([iter(counts_left), 0])
-        elif all(values[a][a] >= values[a][b] + delta for a, b in arcs):
-            break
-        # the next node: the next consistent count of the deepest variable
-        # that has one left
-        while frames:
-            frame = frames[-1]
-            t, i, _ = variables[len(frames) - 1]
-            if frame[1]:
-                place(i, t, -frame[1])
-            for c in frame[0]:
-                place(i, t, c)
-                if consistent():
-                    frame[1] = c
-                    break
-                place(i, t, -c)
-            else:
-                frames.pop()
-                continue
-            break
-        else:
-            return SolveResult.infeasible(nodes)
-        vi = len(frames)
-
+    n, arcs = inst.n, inst.arcs
+    cap = max(_kernels.SUFFIX_ROWS, 2)
+    digits = []                     # (type, its agents, counts) per digit
+    split_types = []                # (type, its last agent) per tested row
+    for t in _type_order(table):
+        agents = [i for i in range(n) if (i, t) not in forbidden]
+        dealt = _deals(table.multiplicity[t], len(agents), cap)
+        if len(dealt) > 1:
+            split_types.append((t, agents[-1]))
+        digits += [(t, agents, d) for d in dealt]
+    counts = [len(d) for _, _, d in digits]
+    x = np.zeros((sum(counts), n), dtype=np.int64)
+    for (_, agents, d), lo in zip(digits, accumulate(counts, initial=0)):
+        x[lo:lo + len(d), agents] = d
+    owner = [t for t, _, _ in digits]
+    # each candidate's row of the type column it deals
+    u = np.repeat(np.array(table.types, dtype=np.int64).reshape(len(table.types), n)[owner],
+                  counts, axis=0)
+    a, b = arcs[:, 0], arcs[:, 1]
+    rows = np.zeros((len(x), len(split_types)), dtype=np.int64)
+    for r, (t, last) in enumerate(split_types):
+        rows[:, r] = np.repeat(np.equal(owner, t), counts) * x[:, last]
+    gains = np.concatenate((u[:, a] * (x[:, a] - x[:, b]), rows, u * x), axis=1)
+    need = [delta] * len(arcs) + [0] * len(split_types)
+    status, choice, nodes = _kernels.first_fair_digits(gains, counts, need, budget)
+    if status == 2:
+        return SolveResult.budget(nodes)
+    if status == 1:
+        return SolveResult.infeasible(nodes)
+    count = np.zeros((len(table.types), n), dtype=np.int64)
+    for t, c, lo in zip(owner, choice, accumulate(counts, initial=0)):
+        count[t] += x[lo + c]
     # deal concrete resources in (type, agent-index) order
     assignment = {}
-    for t in range(ntypes):
-        pool = list(table.members[t])
-        pos = 0
-        for i in range(n):
-            for _ in range(counts[i][t]):
-                assignment[pool[pos]] = i
-                pos += 1
+    for pool, held in zip(table.members, count.tolist()):
+        pool = iter(pool)
+        for i, c in enumerate(held):
+            assignment.update((next(pool), i) for _ in range(c))
     return SolveResult.feasible(inst, Allocation(assignment), nodes)
 
 
-def ilp_search_size(n: int, table: ResourceTypeTable, goal: EfficiencyGoal) -> int:
-    """Most nodes ``solve_ilp`` can visit over ``table`` and ``n`` agents.
-
-    A type of multiplicity M that k agents may take (all of them under the
-    complete goal, the column's maximisers otherwise) has C(M+k-1, k-1)
-    ways to deal its copies, and each of its n variables sees at most that
-    many prefixes of them; the types before it multiply that count."""
+def type_scan_size(n: int, table: ResourceTypeTable, goal: EfficiencyGoal) -> int:
+    """Most work ``solve_ilp`` counts over ``table`` and ``n`` agents: the
+    product of its digits' candidate counts plus one screen per prefix
+    (``_kernels.work_bound``).  A type may go to every agent under the
+    complete goal, to the column's maximisers otherwise."""
+    cap = max(_kernels.SUFFIX_ROWS, 2)
     complete = goal is EfficiencyGoal.COMPLETE
-    nodes = deals = 1
-    # the search's type order: by falling multiplicity, stable
-    for mult, col in sorted(zip(table.multiplicity, table.types), key=itemgetter(0), reverse=True):
+    counts = []
+    for t in _type_order(table):
+        col = table.types[t]
         k = n if complete else col.count(max(col))
-        deals *= comb(mult + k - 1, k - 1)
-        nodes += n * deals
-    return nodes
+        counts += [c for *_, c in _deal_plan(table.multiplicity[t], k, cap)]
+    return _kernels.work_bound(counts)
 
 
 def solve_ilp(
@@ -343,10 +363,10 @@ def _sgef_owners(inst: Instance, graph: GraphClass) -> Optional[list[int]]:
 
 
 def sgef_fpt_search_size(owners: Optional[list[int]], m: int) -> int:
-    """Most nodes ``solve_sgef_fpt_resources`` can visit over ``owners``
-    (from ``_sgef_owners``) and ``m`` resources: owners^m, the number of
-    assignments the kernel scans, and 0 in case 2."""
-    return 0 if owners is None else len(owners) ** m
+    """Most work ``solve_sgef_fpt_resources`` counts over ``owners`` (from
+    ``_sgef_owners``) and ``m`` resources: the kernel's bound on owners^m
+    assignments, and 0 in case 2."""
+    return 0 if owners is None else _kernels.work_bound([len(owners)] * m)
 
 
 def solve_sgef_fpt_resources(

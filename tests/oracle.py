@@ -258,3 +258,53 @@ def counter_search(utilities, arcs, delta, candidates, mode, limit):
     if mode == 1 and best_wel >= 0:
         return 0, best, best_wel, nodes
     return 1, best, best_wel, nodes
+
+
+def deals(copies, agents, n):
+    """Every way to deal ``copies`` copies of one resource type among
+    ``agents``, as a count vector over the ``n`` agents: lexicographic in
+    the counts of ``agents`` in order, counts rising, the last of them
+    taking the rest."""
+    if not agents:
+        return [] if copies else [[0] * n]
+    *free, last = agents
+    out = []
+    for counts in itertools.product(range(copies + 1), repeat=len(free)):
+        if sum(counts) <= copies:
+            x = [0] * n
+            for a, c in zip(free, counts):
+                x[a] = c
+            x[last] = copies - sum(counts)
+            out.append(x)
+    return out
+
+
+def type_search(utilities, arcs, strict, maximisers_only=False):
+    """Reference for ``gefalloc.exact.solve_ilp``: resources with equal
+    utility columns form a type, and types go in order of falling
+    multiplicity (ties in order of first occurrence).  Count vectors are
+    enumerated with ``itertools.product`` over each type's ``deals``, to
+    every agent, or with ``maximisers_only`` to the agents valuing the type
+    most; the first whose dealt allocation is fair is returned, each type's
+    resources going to the agents in index order as counted, or None."""
+    n = len(utilities)
+    m = len(utilities[0]) if utilities else 0
+    members = {}
+    for r in range(m):
+        members.setdefault(tuple(row[r] for row in utilities), []).append(r)
+    order = sorted(members, key=lambda col: -len(members[col]))
+    per_type = []
+    for col in order:
+        top = max(col, default=0)
+        agents = [i for i in range(n) if not maximisers_only or col[i] == top]
+        per_type.append(deals(len(members[col]), agents, n))
+    for counts in itertools.product(*per_type):
+        assignment = {}
+        for col, x in zip(order, counts):
+            pool = iter(members[col])
+            for i in range(n):
+                for _ in range(x[i]):
+                    assignment[next(pool)] = i
+        if fair(utilities, arcs, assignment, strict):
+            return assignment
+    return None

@@ -22,8 +22,9 @@ from gefalloc import (
     verify_fairness,
 )
 import gefalloc.dispatch as dispatch
+from gefalloc import _kernels
 from gefalloc.dispatch import NO_SEARCH_S, ROUTE, estimates
-from gefalloc.exact import brute_force, ilp_search_size
+from gefalloc.exact import brute_force, type_scan_size
 from gefalloc.generators import gen_random
 from gefalloc.graphs import GraphKind
 from gefalloc.model import PreferenceKind, Status
@@ -196,14 +197,15 @@ class TestRouteTable:
 
     def test_welfare_fallback_shares_one_budget(self):
         # 0/1 rows: ilp finds no fair allocation at the column-maximum bound
-        # after 14 nodes and brute force scans the 5^3 partial allocations
+        # after testing its 6 count vectors, and brute force scans the 5^3
+        # partial allocations
         inst = make([[1, 1, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1]],
                     [(0, 3), (1, 0), (1, 2), (2, 1), (3, 0), (3, 2)])
         first = solve(inst, STRICT, WELFARE, algorithm="ilp")
         assert first.route == "ilp->brute"
-        assert first.status is Status.INFEASIBLE and first.nodes == 14 + 125
-        assert solve(inst, STRICT, WELFARE, "ilp", budget=139).status is Status.INFEASIBLE
-        for budget in (14, 125, 138):
+        assert first.status is Status.INFEASIBLE and first.nodes == 6 + 125
+        assert solve(inst, STRICT, WELFARE, "ilp", budget=131).status is Status.INFEASIBLE
+        for budget in (6, 125, 130):
             res = solve(inst, STRICT, WELFARE, "ilp", budget=budget)
             assert res.route == "ilp->brute"
             assert res.status is Status.BUDGET and res.nodes == budget
@@ -333,20 +335,22 @@ class TestCostRouting:
             assert select_algorithm(a, STRICT, COMPLETE, budget) == "ilp"
             res = solve(CASE5_BIG, STRICT, COMPLETE, budget=budget)
             assert res.route == "ilp" and res.status is Status.FEASIBLE
-            assert res.nodes == 351
+            assert res.nodes == 109000
             assert verify_fairness(CASE5_BIG, res.allocation, STRICT) is None
 
     def test_budget_below_every_bound_falls_back_to_row_order(self):
-        inst = make([[1, 1, 2, 2, 3, 3], [3, 3, 2, 2, 1, 1]], [(0, 1), (1, 0)])
+        # fourteen resources of distinct types on a 2-cycle: brute, sgef-fpt
+        # and the ilp may each need 2^14 + 2 work (every assignment tested
+        # and both prefixes screened); the ilp answers in its first prefix
+        inst = make([list(range(1, 15)), list(range(14, 0, -1))], [(0, 1), (1, 0)])
         a = analyze(inst)
         for notion in (WEAK, STRICT):
-            # brute and sgef-fpt need up to 2^6 = 64 nodes and the ilp 79;
-            # the ilp answers within 10
-            assert all(e.bound > 20 for e in estimates(a, notion, COMPLETE, 20).values())
-            assert select_algorithm(a, notion, COMPLETE, 20) == "ilp"
-            res = solve(inst, notion, COMPLETE, budget=20)
-            assert res.status is Status.FEASIBLE and res.nodes <= 20
-            assert solve(inst, notion, COMPLETE, "brute", budget=20).status is Status.BUDGET
+            est = estimates(a, notion, COMPLETE, 10**4)
+            assert all(e.bound == 2**14 + 2 for e in est.values())
+            assert select_algorithm(a, notion, COMPLETE, 10**4) == "ilp"
+            res = solve(inst, notion, COMPLETE, budget=10**4)
+            assert res.status is Status.FEASIBLE and res.nodes == 2 + 2**13
+            assert verify_fairness(inst, res.allocation, notion) is None
 
     def test_closed_forms_come_first(self):
         # weak Pareto under 0/1 rows on a DAG: alg2 before the ilp
@@ -377,9 +381,10 @@ class TestCostRouting:
         a = analyze(inst)
         est = estimates(a, WEAK, COMPLETE, 10**8)
         assert list(est) == ["ilp", "brute"]
-        assert est["brute"].bound == 4**16
+        # every assignment tested and every prefix of 6 or 8 digits screened
+        assert est["brute"].bound == 4**16 + 4**10
         wide = make([[1 - r % 2 for r in range(20)], [r % 2 for r in range(20)]], [(0, 1)])
-        assert estimates(analyze(wide), WEAK, WELFARE, 10**8)["brute"].bound == 3**20
+        assert estimates(analyze(wide), WEAK, WELFARE, 10**8)["brute"].bound == 3**20 + 3**12
 
         import gefalloc.exact as exact
 
@@ -441,7 +446,7 @@ class TestCostRouting:
                         if ROUTE["ilp"].applies(a, notion, goal) and "ilp" not in est:
                             # left out: even its exact estimate loses
                             skipped += 1
-                            bound = ilp_search_size(a.stripped.n, a.types, goal)
+                            bound = type_scan_size(a.stripped.n, a.types, goal)
                             if bound <= budget:
                                 fixed, per_node = ROUTE["ilp"].cost(goal)
                                 seconds = fixed + per_node * bound + ROUTE["ilp"].fallback(
@@ -482,6 +487,18 @@ def _oracle_answer(inst, notion, goal):
     return best is not None, best
 
 
+def scan_nodes(k, m, goal, nodes):
+    """The nodes of a brute-force scan over ``k`` candidates and ``m``
+    resources that runs to its end: under Pareto the (n+1)^m partial
+    allocations; otherwise the kernel's work, every assignment when one
+    table holds them, else at most the kernel's bound (``nodes`` itself
+    then, once checked against the bound)."""
+    if goal is PARETO or k**m <= _kernels.SUFFIX_ROWS:
+        return k**m
+    assert nodes <= _kernels.work_bound([k] * m)
+    return nodes
+
+
 class TestStrippedBrute:
     """Auto's brute force and the MaxWelfare fallback scan the stripped
     instance; forced brute force scans the original one."""
@@ -513,7 +530,7 @@ class TestStrippedBrute:
                     # forced brute force scans the original instance
                     assert [s[0] for s in scans] == [inst]
                     if goal is not COMPLETE:
-                        assert want.nodes == (n + 1) ** m
+                        assert want.nodes == scan_nodes(n + 1, m, goal, want.nodes)
                     truth = _oracle_answer(inst, notion, goal)
                     if truth is not None:
                         found = want.status is Status.FEASIBLE
@@ -531,9 +548,10 @@ class TestStrippedBrute:
                         (scanned, res), = scans
                         assert scanned == a.stripped, doc
                         if goal is COMPLETE and res.status is Status.FEASIBLE:
-                            assert res.nodes <= n ** kept, doc
+                            assert res.nodes <= _kernels.work_bound([n] * kept), doc
                         else:
-                            assert res.nodes == (n + (goal is not COMPLETE)) ** kept, doc
+                            k = n + (goal is not COMPLETE)
+                            assert res.nodes == scan_nodes(k, kept, goal, res.nodes), doc
                         assert (got.status, got.welfare, got.allocation) == (
                             want.status, want.welfare, want.allocation), doc
                         if got.allocation is not None:

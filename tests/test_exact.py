@@ -1,3 +1,5 @@
+import functools
+from math import comb
 import itertools
 import random
 import sys
@@ -5,6 +7,7 @@ import sys
 import pytest
 
 from gefalloc import (
+    _kernels,
     Allocation,
     EfficiencyGoal,
     FairnessNotion,
@@ -17,6 +20,7 @@ from gefalloc import (
 )
 from gefalloc.exact import (
     ResourceTypeTable,
+    _deal_plan,
     _sgef_owners,
     brute_force,
     sgef_fpt_search_size,
@@ -24,6 +28,7 @@ from gefalloc.exact import (
     solve_ilp,
     solve_sgef_fpt_resources,
     solve_type_ilp,
+    type_scan_size,
 )
 from gefalloc.generators import gen_random
 from gefalloc.model import PreferenceKind, Status, utilitarian_welfare
@@ -33,6 +38,7 @@ import oracle
 import structures_ref
 
 WEAK, STRICT = FairnessNotion.WEAK, FairnessNotion.STRICT
+COMPLETE = EfficiencyGoal.COMPLETE
 
 
 def make(utilities, arcs):
@@ -143,29 +149,34 @@ class TestIlp:
                     assert is_complete(inst, got.allocation)
 
     def test_honours_budget(self):
-        # strict 4-cycle, general preferences: the full search needs 149 nodes
+        # strict 4-cycle, general preferences, eight types of one copy: the
+        # scan screens the 4^2 prefixes of its block and answers in the
+        # first prefix's 4^6 assignments
         inst = make(
             [[1, 2, 3, 4, 5, 6, 7, 8], [8, 7, 6, 5, 4, 3, 2, 1],
              [2, 3, 5, 7, 11, 13, 17, 19], [4, 1, 3, 1, 5, 9, 2, 6]],
             [(0, 1), (1, 2), (2, 3), (3, 0)],
         )
         full = solve_ilp(inst, STRICT)
-        assert full.status is Status.FEASIBLE and full.nodes == 149
-        assert solve_ilp(inst, STRICT, budget=149) == full
-        # the result counts the nodes within the budget, none under a budget <= 0
-        for budget, nodes in ((10, 10), (148, 148), (0, 0), (-1, 0)):
+        assert full.status is Status.FEASIBLE and full.nodes == 4**2 + 4**6
+        assert solve_ilp(inst, STRICT, budget=full.nodes) == full
+        # the result counts the budget, none under a budget <= 0
+        for budget, nodes in ((10, 10), (16, 16), (full.nodes - 1, full.nodes - 1), (0, 0),
+                              (-1, 0)):
             cut = solve(inst, STRICT, EfficiencyGoal.COMPLETE, algorithm="ilp", budget=budget)
             assert cut.status is Status.BUDGET and cut.nodes == nodes, budget
 
     def test_search_deeper_than_the_recursion_limit(self):
         # 50 agents x 30 resources: no search's bound fits, so auto takes the
-        # ilp, whose 1,500 (type, agent) variables each add a level of depth
+        # ilp, whose 1,500 (type, agent) counts once made a search deeper
+        # than the recursion limit; the scan screens a block of 50^2 prefixes
+        # and answers in the first one's 50^2 assignments
         rng = random.Random(5)
         inst = make([[rng.randint(0, 3) for _ in range(30)] for _ in range(50)],
                     [(0, 1), (1, 0)])
         assert inst.n * len(ResourceTypeTable.build(inst).types) > sys.getrecursionlimit()
         res = solve(inst, WEAK, EfficiencyGoal.COMPLETE)
-        assert (res.status, res.route, res.nodes) == (Status.FEASIBLE, "ilp", 1501)
+        assert (res.status, res.route, res.nodes) == (Status.FEASIBLE, "ilp", 2 * 50**2)
         assert set(res.allocation.assignment.values()) == {49}
         assert verify_fairness(inst, res.allocation, WEAK) is None
 
@@ -174,6 +185,87 @@ class TestIlp:
         res = solve_type_ilp(inst, ResourceTypeTable.build(inst), 0, frozenset({(0, 0)}))
         assert res.status is Status.FEASIBLE
         assert all(a == 1 for a in res.allocation.assignment.values())
+
+
+def type_corpus():
+    """Seeded instances whose columns repeat (n 1-4, m 1-7, columns drawn
+    from a pool of one to three), on random digraphs; then one type of 14
+    copies among 6 agents, C(19, 5) = 11,628 deals, more than the default
+    ``SUFFIX_ROWS``, beside one type of one copy, on a path."""
+    rng = random.Random(71)
+    for _ in range(60):
+        n, m = rng.randint(1, 4), rng.randint(1, 7)
+        pool = [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        cols = [rng.choice(pool) for _ in range(m)]
+        yield make([[col[i] for col in cols] for i in range(n)],
+                   [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.5])
+    yield make([[1] * 14 + [v] for v in (2, 1, 0, 3, 1, 2)], [(i, i + 1) for i in range(5)])
+
+
+TYPE_CORPUS = list(type_corpus())
+
+
+@functools.lru_cache(maxsize=None)
+def type_reference(case, notion, goal):
+    inst = TYPE_CORPUS[case]
+    return oracle.type_search(inst.utilities.tolist(), inst.arc_pairs(), notion is STRICT,
+                              goal is not EfficiencyGoal.COMPLETE)
+
+
+class TestTypeScan:
+    @pytest.mark.parametrize("rows", [1, 4, 36, _kernels.SUFFIX_ROWS])
+    def test_matches_reference(self, monkeypatch, rows):
+        """The type scan's status and witness are the reference's first fair
+        count vector in the deal order, to every agent (complete goal) or to
+        the column's maximisers (Pareto), under both notions.  Its nodes are
+        deterministic and at most the row's bound; at one less budget it
+        stops with that many nodes.  At small ``SUFFIX_ROWS`` nearly every
+        type is dealt over several digits; the 14-copy type runs at the
+        default only, where it alone is."""
+        monkeypatch.setattr(_kernels, "SUFFIX_ROWS", rows)
+        split = 0
+        for case, inst in enumerate(TYPE_CORPUS):
+            if inst.m > 7 and rows != 1 << 13:
+                continue
+            table = ResourceTypeTable.build(inst)
+            for notion in (WEAK, STRICT):
+                for goal in (COMPLETE, EfficiencyGoal.PARETO):
+                    want = type_reference(case, notion, goal)
+                    got = solve_ilp(inst, notion, goal=goal, table=table)
+                    doc = (notion, goal, inst.to_document())
+                    assert got.status is (Status.INFEASIBLE if want is None
+                                          else Status.FEASIBLE), doc
+                    if want is not None:
+                        assert got.allocation.assignment == want, doc
+                    assert got.nodes <= type_scan_size(inst.n, table, goal), doc
+                    assert solve_ilp(inst, notion, got.nodes, goal, table) == got, doc
+                    cut = solve_ilp(inst, notion, got.nodes - 1, goal, table)
+                    assert (cut.status, cut.nodes) == (Status.BUDGET, got.nodes - 1), doc
+                    split += any(len(_deal_plan(mult, len(inst.agents) if goal is COMPLETE
+                                                else col.count(max(col)), max(rows, 2))) > 1
+                                 for mult, col in zip(table.multiplicity, table.types))
+        # solves with a type dealt over several digits
+        assert split >= {1: 100, 4: 50, 36: 5}.get(rows, 4)
+
+    def test_digits_and_tables_fit_the_suffix(self, monkeypatch):
+        """The 14-copy type among 6 agents is dealt over digits of at most
+        ``SUFFIX_ROWS`` candidates (a run of four agents and one of one, the
+        last agent taking the rest), and neither the suffix table nor a block
+        holds more than ``SUFFIX_ROWS`` columns: the memory bound
+        O((A+n)·(2·SUFFIX_ROWS+m)) holds with m the number of digits."""
+        splits = []
+        of_gains = _kernels._Split.of_gains.__func__
+        monkeypatch.setattr(_kernels._Split, "of_gains", classmethod(
+            lambda cls, *args: splits.append(of_gains(cls, *args)) or splits[-1]))
+        inst = TYPE_CORPUS[-1]
+        res = solve_ilp(inst, WEAK)
+        assert res.allocation.assignment == type_reference(len(TYPE_CORPUS) - 1, WEAK,
+                                                           EfficiencyGoal.COMPLETE)
+        (split,) = splits
+        rows = _kernels.SUFFIX_ROWS
+        assert split.counts == [comb(18, 4), 15, 6]
+        assert split.table.shape[1] <= rows
+        assert all(block.shape[1] <= rows for _, block in split.blocks(split.total))
 
 
 class TestIdenticalEnum:

@@ -14,18 +14,54 @@ from gefalloc.generators import gen_random
 import oracle
 
 
-def run_both(utilities, arcs, delta, candidates, mode, limit=10**7):
-    """Run ``search`` and the counter reference, asserting they agree.  The
-    counter needs a candidate when there are resources; ``search`` answers
-    that case before it builds a table."""
+def position(candidates, m, status, mode, assignment):
+    """The 1-based position in canonical order that the counter reference
+    reports with an answer: the witness's in mode 0, else every
+    assignment's."""
+    k = len(candidates)
+    if mode == 1 or status != 0:
+        return k**m
+    index = 0
+    for owner in assignment.tolist():
+        index = index * k + list(candidates).index(owner)
+    return index + 1
+
+
+def run_both(utilities, arcs, delta, candidates, mode, limit=10**7, counter=True, full=None):
+    """Run ``search`` at ``limit`` and over its whole scan, and the counter
+    reference over every assignment.  The whole scan answers as the
+    reference does, at the reference's position (``position``), and its
+    nodes, the scan's work, are at most ``work_bound``.  At ``limit`` the
+    scan stops with status 2 and ``max(limit, 0)`` nodes exactly when the
+    whole scan's work passes ``limit`` (mode 1 keeps a fair best so far),
+    and otherwise gives the whole scan's answer and work.  The counter needs
+    a candidate when there are resources; ``search`` answers that case
+    before it builds a table.  ``full``, when given, is the whole scan's
+    answer."""
     got = _kernels.search(utilities, arcs, delta, candidates, mode, limit)
     assert [type(x) for x in got] == [int, np.ndarray, int, int]
     assert got[1].dtype == np.int64
-    if len(candidates) or not np.shape(utilities)[1]:
+    if full is None:
+        full = _kernels.search(utilities, arcs, delta, candidates, mode, 2**62)
+    m = np.shape(utilities)[1]
+    assert full[0] != 2 and full[3] <= _kernels.work_bound([len(candidates)] * m)
+    if full[3] > limit:
+        assert (got[0], got[3]) == (2, max(limit, 0))
+        if got[2] >= 0:
+            assert mode == 1 and got[2] <= full[2]
+            plain = np.asarray(utilities).tolist()
+            asg = {r: a for r, a in enumerate(got[1].tolist()) if a >= 0}
+            assert oracle.fair(plain, arcs, asg, bool(delta))
+            assert oracle.welfare(plain, asg) == got[2]
+    else:
+        assert got[0] == full[0] and got[2:] == full[2:]
+        assert np.array_equal(got[1], full[1])
+    if counter and (len(candidates) or not m):
         status, assignment, welfare, nodes = oracle.counter_search(
-            utilities, arcs, delta, candidates, mode, limit)
-        assert (status, int(welfare), int(nodes)) == (got[0], got[2], got[3])
-        assert np.array_equal(assignment, got[1])
+            utilities, arcs, delta, candidates, mode, len(candidates) ** m)
+        assert (status, int(welfare)) == (full[0], full[2])
+        assert np.array_equal(assignment, full[1])
+        assert int(nodes) == position(candidates, m, *full[:1], mode, full[1])
     return got
 
 
@@ -75,13 +111,14 @@ def test_backend_flag():
 class TestFirstFairMode:
     def test_finds_canonical_first_witness(self):
         # two agents, two resources, no arcs: first complete assignment
-        # in canonical order gives everything to agent 0
+        # in canonical order gives everything to agent 0, found by one test
+        # of the table's four columns
         status, assignment, welfare, nodes = run_both(
             [[1, 1], [1, 1]], [], 0, [0, 1], 0
         )
         assert status == 0
         assert list(assignment) == [0, 0]
-        assert nodes == 1
+        assert nodes == 4
 
     def test_infeasible_counts_all_nodes(self):
         # a 2-cycle with a single resource is never strictly fair
@@ -164,19 +201,25 @@ class TestAgainstExhaustiveEnumeration:
 # The counter reference runs as plain Python, so property checks keep each
 # of its scans to at most this many nodes.
 COUNTER_NODES = 1500
+# and the whole scans they compare with to at most this much work.
+SCAN_WORK = 1500
 
 
 @pytest.mark.parametrize("rows", [1, 4, 36, _kernels.SUFFIX_ROWS])
 def test_table_backend_matches_counter(monkeypatch, rows):
     """The table scan against the mixed-radix counter over n 0-5, m 0-11,
-    candidate subsets with and without -1, no arcs, both deltas and modes,
-    and limits from 0 to total+2 that cut inside a prefix, at its boundary,
-    at a block's boundary and nowhere.  Small suffix sizes make every scan
-    span many prefixes, and m up to 11 gives the walk outer digits, so that
-    it spans many blocks."""
+    candidate subsets with and without -1, no arcs, both deltas and modes.
+    Scans whose work passes ``SCAN_WORK`` stop there and are not compared.
+    The counter runs over at most ``COUNTER_NODES`` positions; where it
+    answers within them, the scan's whole answer and position are its, and
+    where it does not, the scan's witness lies past them.  At budgets on
+    either side of the whole scan's work the scan answers or stops at the
+    budget (``run_both``).  Small suffix sizes make every scan span many
+    prefixes, and m up to 11 gives the walk outer digits, so that it spans
+    many blocks."""
     monkeypatch.setattr(_kernels, "SUFFIX_ROWS", rows)
     rng = random.Random(rows)
-    spans = 0
+    spans = compared = 0
     for trial in range(160):
         n, m = rng.randint(0, 5), rng.randint(0, 11)
         pool = list(range(n)) + ([-1] if trial % 2 else [])
@@ -192,15 +235,24 @@ def test_table_backend_matches_counter(monkeypatch, rows):
         split = _kernels._Split(util, (), cands)
         size = split.table.shape[1]
         block = size * len(cands) ** (split.prefix - split.outer)
-        spans += split.outer > 0 and block < min(total, COUNTER_NODES)
-        limits = {0, size - 1, size, size + 1, block - 1, block, block + 1, 2 * block,
-                  rng.randint(0, total + 2), total, total + 2}
-        for limit in sorted(x for x in limits if 0 <= x <= COUNTER_NODES):
-            args = (util, arcs, rng.randint(0, 1), cands, rng.randint(0, 1), limit)
-            want = oracle.counter_search(*args)
-            got = _kernels.search(*args)
-            assert (got[0], got[2], got[3]) == (want[0], int(want[2]), int(want[3])), args
-            assert np.array_equal(got[1], want[1])
+        spans += split.outer > 0 and block < total
+        for _ in range(4):
+            args = (util, arcs, rng.randint(0, 1), cands, rng.randint(0, 1))
+            full = _kernels.search(*args, SCAN_WORK)
+            if full[0] == 2:
+                assert full[3] == SCAN_WORK
+                continue
+            for limit in {0, full[3] - 1, full[3], rng.randint(0, full[3])}:
+                run_both(*args, limit, counter=False, full=full)
+            want = oracle.counter_search(*args, min(total, COUNTER_NODES))
+            if want[0] == 2:
+                assert position(cands, m, *full[:1], args[-1], full[1]) > COUNTER_NODES
+                continue
+            compared += 1
+            assert (full[0], full[2]) == (want[0], int(want[2])), args
+            assert np.array_equal(full[1], want[1])
+            assert position(cands, m, *full[:1], args[-1], full[1]) == int(want[3])
+    assert compared >= 400
     # with a small suffix, many scans run past the end of their first block
     assert spans >= 10 or rows == 1 << 13
 
@@ -255,8 +307,9 @@ def test_table_backend_bounded_before_first_node():
 
 def test_table_backend_bounded_at_huge_budget():
     """Without arcs the first assignment of 6^40 is fair: at a budget of
-    2^62 the table scan finds it after one node, within a second and
-    64 MB, so no table grows with the budget."""
+    2^62 the table scan finds it after screening one block and testing one
+    prefix, 6^5 columns each, within a second and 64 MB, so no table grows
+    with the budget."""
     util = np.ones((6, 40), dtype=np.int64)
     tracemalloc.start()
     start = time.perf_counter()
@@ -264,7 +317,7 @@ def test_table_backend_bounded_at_huge_budget():
     elapsed = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert (status, nodes) == (0, 1)
+    assert (status, nodes) == (0, 2 * 6**5)
     assert not assignment.any()
     assert elapsed < 1.0
     assert peak < 64 * 2**20

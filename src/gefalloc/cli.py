@@ -8,6 +8,7 @@ instance too large to build, or a violated algorithm guard.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -52,13 +53,32 @@ def _load_json(path: str):
             raise ValidationError(f"{path}: JSON nested too deeply") from None
 
 
-def _dump(doc, path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(path, pieces):
+    """Write the strings of ``pieces`` to ``path``, or to stdout."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
+
+
+def _dump(doc, path):
+    _write(path, [json.dumps(doc, indent=2, sort_keys=True), "\n"])
+
+
+def _dump_instance(inst, path, **extra):
+    """Write an instance document with its keys indented and each name
+    list, the arcs and each utility row as one compact JSON array, row by
+    row from the stored array: no n x m nested list is built, and the C
+    encoder writes every row.  ``extra`` adds keys (sorted, as are the
+    others; ``utilities`` comes last)."""
+    head = {"agents": list(inst.agents), "resources": list(inst.resources), **extra,
+            "arcs": [[inst.agents[a], inst.agents[b]] for a, b in inst.arc_pairs()]}
+    rows = (json.dumps(row.tolist()) for row in inst.utilities)
+    _write(path, itertools.chain(
+        ["{\n"], (f"  {json.dumps(key)}: {json.dumps(head[key])},\n" for key in sorted(head)),
+        ['  "utilities": ['], ((",\n    " if i else "\n    ") + row for i, row in enumerate(rows)),
+        ["\n  ]\n}\n"]))
 
 
 def _result_document(inst, res) -> dict:
@@ -142,19 +162,16 @@ def _parse_edges(text: str) -> tuple[tuple[int, int], ...]:
 
 def _cmd_generate(args) -> int:
     variant = args.variant
+    extra = {}
     if variant in CLIQUE_VARIANTS:
         inp = CliqueInput(args.graph_n, _parse_edges(args.edges), args.k)
-        built = gen_from_clique(inp, variant)
+        inst = gen_from_clique(inp, variant)
         if variant == "prop63":
-            inst, threshold = built
-            doc = inst.to_document()
-            doc["threshold"] = threshold
-        else:
-            doc = built.to_document()
+            inst, extra["threshold"] = inst
     elif variant in BINPACKING_VARIANTS:
         sizes = tuple(int(s) for s in args.items.split(",")) if args.items else ()
         inp = BinPackingInput(sizes, args.capacity, args.bins)
-        doc = gen_from_binpacking(inp, variant).to_document()
+        inst = gen_from_binpacking(inp, variant)
     elif variant == "random":
         inst = gen_random(
             args.n,
@@ -164,10 +181,9 @@ def _cmd_generate(args) -> int:
             args.max_utility,
             args.seed,
         )
-        doc = inst.to_document()
     else:
         raise ValidationError(f"unknown variant: {variant}")
-    _dump(doc, args.out)
+    _dump_instance(inst, args.out, **extra)
     return EXIT_FEASIBLE
 
 

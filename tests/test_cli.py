@@ -239,7 +239,68 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error:")
 
 
+# README's generate examples but thm44-fewres on the triangle (6,591 x
+# 6,591), and a small instance of every other variant but thm48, whose
+# smallest is 531,477 x 87 (160 MB written; its digest is pinned in
+# test_generators.py)
+GENERATED = [
+    ("thm58-path", "--items", "1,2,3", "--capacity", "3", "--bins", "2"),
+    ("prop63", "--graph-n", "4", "--edges", "0-1,1-2,0-2", "--k", "3"),
+    ("random", "--n", "4", "--m", "6", "--pref-class", "zero-one",
+     "--graph-class", "acyclic", "--seed", "7"),
+    ("thm44-outdeg2", "--graph-n", "3", "--edges", "0-1,1-2", "--k", "2"),
+    ("thm44-fewres", "--graph-n", "3", "--edges", "0-1,1-2", "--k", "2"),
+    ("prop56-dag", "--graph-n", "5", "--edges", "0-1,0-2,1-2,3-4", "--k", "3"),
+    ("prop56-scc", "--graph-n", "5", "--edges", "0-1,0-2,1-2,3-4", "--k", "3"),
+    ("thm58-cycle", "--items", "1,2,3", "--capacity", "3", "--bins", "2"),
+    ("prop53", "--items", "1,2,3", "--capacity", "3", "--bins", "2"),
+]
+
+
+def built(variant, *options):
+    """The document of the instance ``generate`` builds, from
+    ``Instance.to_document`` (and prop63's threshold)."""
+    opts = dict(zip(options[::2], options[1::2]))
+    if variant in gefalloc.generators.CLIQUE_VARIANTS:
+        edges = tuple(tuple(map(int, e.split("-"))) for e in opts["--edges"].split(","))
+        inp = gefalloc.generators.CliqueInput(int(opts["--graph-n"]), edges, int(opts["--k"]))
+        made = gefalloc.generators.gen_from_clique(inp, variant)
+    elif variant in gefalloc.generators.BINPACKING_VARIANTS:
+        sizes = tuple(map(int, opts["--items"].split(",")))
+        inp = gefalloc.generators.BinPackingInput(sizes, int(opts["--capacity"]),
+                                                  int(opts["--bins"]))
+        made = gefalloc.generators.gen_from_binpacking(inp, variant)
+    else:
+        made = gefalloc.gen_random(
+            int(opts["--n"]), int(opts["--m"]),
+            gefalloc.PreferenceKind(opts.get("--pref-class", "general")),
+            None if opts.get("--graph-class", "any") == "any"
+            else gefalloc.GraphKind(opts["--graph-class"]),
+            3, int(opts.get("--seed", 0)))
+    inst, threshold = made if isinstance(made, tuple) else (made, None)
+    doc = inst.to_document()
+    if threshold is not None:
+        doc["threshold"] = threshold
+    return doc
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("args", GENERATED, ids=[a[0] for a in GENERATED])
+    def test_document_is_the_instance_document(self, tmp_path, capsys, args):
+        """An instance document, written row by row, reads back as the
+        instance's own document, to a file and to stdout alike: its keys
+        indented, each name list, the arcs and each utility row on one
+        line."""
+        out = tmp_path / "i.json"
+        assert main(["generate", "--variant", *args, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert json.loads(text) == built(*args)
+        assert main(["generate", "--variant", *args]) == 0
+        assert capsys.readouterr().out == text
+        # braces, one line per key, the utilities' brackets and one per row
+        doc = json.loads(text)
+        assert len(text.splitlines()) == 3 + len(doc) + len(doc["agents"])
+
     def test_random_round_trips(self, tmp_path):
         out = tmp_path / "inst.json"
         code = main(

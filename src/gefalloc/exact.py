@@ -275,9 +275,13 @@ def type_scan_size(n: int, table: ResourceTypeTable, goal: EfficiencyGoal) -> in
     complete = goal is EfficiencyGoal.COMPLETE
     counts = []
     for t in _type_order(table):
-        col = table.types[t]
+        col, copies = table.types[t], table.multiplicity[t]
         k = n if complete else col.count(max(col))
-        counts += [c for *_, c in _deal_plan(table.multiplicity[t], k, cap)]
+        deals = comb(copies + k - 1, k - 1) if k else 0
+        if deals <= cap:
+            counts.append(deals)
+        else:
+            counts += [c for *_, c in _deal_plan(copies, k, cap)]
     return _kernels.work_bound(counts)
 
 

@@ -1,11 +1,9 @@
 """Hot enumeration kernels behind the exhaustive solvers.
 
 ``search`` enumerates assignments by one numpy table scan (below), and
-``first_fair_digits`` runs the same scan over digits with candidates of
-their own.  ``tests/oracle.py`` keeps ``counter_search``, a plain
-mixed-radix counter with incremental bundle values under the same contract,
-and ``type_search``, a plain enumeration of count vectors, as the
-references the scans are checked against.
+``first_fair_digits`` runs it over digits with candidates of their own.
+``tests/oracle.py`` keeps the references: ``counter_search``, a plain
+mixed-radix counter under the same contract, and ``type_search``.
 
 Search contract
 ---------------
@@ -22,108 +20,47 @@ mode 1  scan everything, keep the maximum-welfare fair assignment
 Returns ``(status, assignment, welfare, nodes)`` with status 0 = found,
 1 = exhausted without a fair assignment, 2 = node budget exceeded.  The
 assignment array holds the owning agent per resource, ``-1`` if unassigned.
-
-Nodes are work: the assignments tested plus the prefixes screened (see the
-table scan below), so they depend on ``SUFFIX_ROWS``.  ``limit`` caps the
-work: the scan stops before a block or test that would pass it, and then
-answers status 2 with ``max(limit, 0)`` nodes; mode 1 reports the best fair
-assignment among those it tested.  At most every assignment is tested and
-every prefix screened (``work_bound``), and a scan that is not stopped
-does the same work at every budget.  An answer's position in canonical
-order does not bound its work, nor the work its position: a one-table
-scan tests every column at once, and the screen skips prefixes that no
-suffix can make fair without testing them.
-
-This module is the one place that counts and budgets exhaustive scans.  The
-Pareto scans count the (n+1)^m partial allocations of ``n`` agents and
-``m`` resources instead and answer under the same contract, with
-``max(limit, 0)`` nodes at status 2.  ``first_fair_efficient`` returns
-``(status, assignment, welfare, nodes)``, with status 2 at once when the
-(n+1)^m pass ``limit``.  ``first_dominating`` returns ``(status, nodes)``: 0
-with the 1-based position of the first dominating allocation, 1 with
-(n+1)^m, 2 when none of the first ``limit`` dominates.
+Nodes are work, the prefixes screened plus the assignments tested (below),
+so they depend on ``SUFFIX_ROWS``, and are at most ``work_bound``.  The
+scan stops before a block or test that would take its work past ``limit``
+and answers status 2 with ``max(limit, 0)`` nodes (mode 1 with the best
+fair assignment it tested); a scan not stopped does the same work at every
+budget.  The Pareto scans count the (n+1)^m partial allocations instead:
+``first_fair_efficient`` answers under this contract, at once with status
+2 when they pass ``limit``, and ``first_dominating`` returns ``(status,
+nodes)``, the 1-based position of the first dominating allocation, or 1
+with (n+1)^m, or 2 with ``max(limit, 0)``.
 
 Table scan
 ----------
-An arc's slack ``value(a,a) - value(a,b)``, the utility profile and the
-welfare are sums over the digits of an assignment, one digit per resource,
-so the scan splits the digits in three (in the manner of Horowitz and
-Sahni): a suffix of the fastest digits whose candidate counts multiply to
-at most ``SUFFIX_ROWS`` (8192); a middle of the next ones that do; and the
-outer digits before them.  It builds the suffix's slack and profile table
-once by broadcasting, and the middle's table of prefix sums by the same
-broadcast.  The prefixes of one outer assignment form a block of at most
-``SUFFIX_ROWS`` columns, and the walk takes the outer assignments in
-canonical order, shifting the block's sums when an outer digit moves.  Per
-block, one comparison screens the prefixes that some suffix could make fair
-(``prefix_slack + max(slack) >= delta`` on every arc) and, in mode 1, one
-sum those that can beat the best welfare so far; each screened prefix is
-one unit of work.  The scan visits the surviving prefixes in canonical
-order, drops again, whenever the best welfare grows, the block's remaining
-prefixes that can no longer beat it (one vectorized test), and tests all of
-a prefix's suffix assignments at once, one unit of work each: ``slack +
-prefix_slack >= delta`` on every arc.  When the suffix table holds every
-assignment, the scan is that one test on the empty prefix, with no floor
-and no walk.  Memory is ``O((A + n) * (2 * SUFFIX_ROWS + c))`` for ``A``
-arcs, ``c`` the candidates of the outer digits (``k`` shared by every
-resource): no table spans more than ``SUFFIX_ROWS`` prefixes, whatever the
-budget, and the work before the first node grows only with the input.
+The arc slacks ``value(a,a) - value(a,b)``, the utility profile and the
+welfare are sums over the digits of an assignment, so the scan splits the
+digits in three (as Horowitz and Sahni do): a suffix of the fastest digits
+whose candidate counts multiply to at most ``SUFFIX_ROWS``, a middle of the
+next ones that do, and the outer digits.  It builds the suffix's table and
+the middle's prefix sums once by broadcasting; the prefixes of one outer
+assignment form a block, shifted when an outer digit moves.  One comparison
+per block screens the prefixes some suffix could make fair (``prefix_slack
++ max(slack) >= delta`` on every arc), one unit of work each, and in mode 1
+one sum keeps those that can beat the best welfare.  Each surviving prefix
+tests all its suffix assignments in one comparison, a unit each.  When the
+suffix holds every assignment the scan is that one test.  No table spans
+more than ``SUFFIX_ROWS`` columns, whatever the budget, and the suffix
+table is C-contiguous, one row per quantity (another order made a welfare
+scan 3.4 times slower).
 
-Mixed radix
------------
-``_Split.of_gains`` takes digits with candidate counts of their own, each
-candidate a column of gains to add; the resource scan is the case where
-every digit has the same candidates.  ``exact.solve_type_ilp`` scans the
-count vectors of resource types this way: a digit per type, a candidate
-per deal of its copies, whose gain on arc (a, b) is ``u_a(t) * (x[a] -
-x[b])`` and on agent i's profile ``u_i(t) * x[i]``.  No digit holds more
-than ``SUFFIX_ROWS`` candidates (at least two): a type with more deals is
-dealt over several digits, and since every sum is linear in the counts,
-the deals that give out more copies than there are fail one more tested
-row per such type, copies - dealt >= 0, held to 0 where an arc is held to
-``delta``.  ``first_fair_digits`` picks those tables' integer type from the
-gains: the narrowest that holds twice the largest sum of each quantity's
-largest gains, plus one.
+Digits of their own (``_Split.of_gains``, mixed radix) carry
+``exact.solve_type_ilp``: a digit per resource type and a candidate per
+deal of its copies, adding ``u_a(t) * (x[a] - x[b])`` to arc (a, b) and
+``u_i(t) * x[i]`` to agent i's profile.  A type with more than
+``SUFFIX_ROWS`` deals is dealt over several digits; the sums are linear in
+the counts, so deals that give out more copies than there are fail one
+more tested row per such type, copies - dealt >= 0.
 
-The suffix table must stay C-contiguous, one row per quantity, so that a
-test of one quantity reads contiguous memory: in another memory order a
-welfare scan at n=3, m=7 ran 3.4 times slower.  A broadcast does not
-promise C order, so the build ends with ``np.ascontiguousarray``.
-
-Every resource table, and the Pareto frontier, is held in the narrowest
-signed integer type (int8, int16, int32 or int64) that holds ``±(2*s +
-1)``, ``s`` the largest row sum of the utilities (and, in
-``first_dominating``, of the caller's profile).  Every value a scan forms
-fits: an arc slack or a profile entry is a signed sum over one agent's row,
-an outer digit's shift is at most twice a utility, and ``delta - x`` adds
-one.  Welfare is summed in int64, and so are the row sums that pick the
-type.  The utilities are cast to the table type from the type they arrive
-in (an ``Instance`` stores them in the narrowest type that holds its
-largest value), with no int64 copy between.  On small utilities the
-comparisons then read an eighth of the memory, and the verdicts, witnesses
-and node counts are those of int64.
-
-The same tables and walk serve the Pareto goal.  ``first_fair_efficient``
-finds the Pareto brute-force witness among the complete assignments.
-Utilities are non-negative, so some complete allocation covers every
-partial one: the frontier of partial allocations is the set of maximal
-complete profiles, and a complete profile lies on it iff no complete
-profile covers it with a larger total.  When one table holds every complete
-assignment, the fair ones are thus checked, a few at a time in canonical
-order, against the whole table, and no frontier is built; a checked one's
-cover of largest total lies on the frontier (the presorting argument of
-skyline queries), so it drops the later fair assignments it dominates.
-Otherwise ``pareto_frontier`` builds the undominated profiles, pruning in
-batches so that numpy's fixed cost is paid a few times per frontier rather
-than once per resource, and the walk seeks a fair assignment on it (the
-block test is the arcs' reach, as above).  ``first_dominating`` decides
-Pareto efficiency (the block test is whether a prefix plus the most each
-agent can still gain reaches the profile).  Frontier membership goes by a
-linear key, ``k(p) = sum(p[i] * w[i])`` modulo 2**64 with fixed odd
-multipliers ``w``: the frontier's keys are sorted once, the suffix table's
-keys built once, a prefix adds one scalar, and one ``searchsorted`` tests
-all of a prefix's fair suffixes.  A key hit is checked against the frontier
-rows of that key, so a collision costs one check and never a wrong witness.
+Tables are of the narrowest signed integer type that holds ``±(2*s + 1)``
+(``_table_type``; for digits of their own ``s`` is the largest sum over
+digits of a quantity's largest gain), and welfare is summed in int64.
+``first_fair_efficient`` and ``first_dominating`` walk the same tables.
 """
 
 from __future__ import annotations
@@ -191,22 +128,14 @@ def work_bound(counts):
 
 class _Split:
     """The assignments of digits to candidates, split into ``outer`` slow
-    digits, then middle digits, then a suffix of fast ones (``_layout``);
-    ``prefix`` counts the outer and middle digits.  ``_Split(utilities,
-    arcs, cands)`` has one digit per resource, each with the ``k`` entries
-    of ``cands`` as candidates; ``_Split.of_gains`` takes digits with
-    candidates of their own (mixed radix).
-
-    Every quantity the scans test is a sum over digits of ``V[r] *
-    S[r][c]``, ``c`` the candidate index digit ``r`` takes.  On resources
-    the first ``A`` entries are the arc slacks ``value(a,a) - value(a,b)``
-    and the last ``n`` the utility profile, whose sum is the welfare.
-    Column ``j`` of ``table`` holds these sums over the suffix for its
-    ``j``-th assignment in canonical order (one row per quantity, so that a
-    test of one quantity reads contiguous memory).  Every table of a
-    resource split is of ``_table_type(utilities, cover)``: ``cover`` is a
-    further magnitude it must hold.
-    """
+    digits, middle digits and a suffix (``_layout``); ``prefix`` counts the
+    outer and middle digits.  ``_Split(utilities, arcs, cands)`` has a digit
+    per resource with the entries of ``cands`` as candidates, its tables of
+    ``_table_type(utilities, cover)``; ``of_gains`` takes digits with
+    candidates of their own.  Every quantity is a sum over digits of ``V[r]
+    * S[r][c]``, ``c`` the candidate digit ``r`` takes: on resources the
+    ``A`` arc slacks, then the ``n`` profile entries.  Column ``j`` of
+    ``table`` holds these sums over the suffix's ``j``-th assignment."""
 
     def __init__(self, utilities, arcs, cands, cover=0):
         util = np.asarray(utilities)
@@ -234,8 +163,8 @@ class _Split:
         return split
 
     def _lay_out(self, V, S, counts, gains):
-        """Keep the digits, ``counts`` candidates each, and build the suffix
-        table; ``gains(lo)`` gives the gain tables of digits ``lo`` onwards."""
+        """Keep the digits and build the suffix table; ``gains(lo)`` gives
+        the gain tables of digits ``lo`` onwards."""
         self.V, self.S, self.counts, self.m = V, S, counts, len(counts)
         self.prefix, self.outer = _layout(self.counts)
         self.total = math.prod(self.counts)
@@ -246,13 +175,10 @@ class _Split:
             _sums(self.gains[self.prefix - self.outer:], self.zero))
 
     def blocks(self, limit):
-        """Yield ``(start, block)`` per block of prefixes in canonical order
-        while ``start``, the index of the block's first assignment, is below
-        ``limit``.  Column ``i`` of ``block`` sums ``V[r] * S[r][c]`` over
-        the block's ``i``-th prefix, which starts at ``start + i * size``
-        (``size`` the suffix's assignments) below ``limit``.  A block holds
-        the prefixes of one outer assignment: the middle table, built by the
-        suffix table's broadcast and shifted when an outer digit moves."""
+        """Yield ``(start, block)`` per block, the prefixes of one outer
+        assignment, in canonical order while ``start``, its first
+        assignment, is below ``limit``; column ``i`` holds the sums of the
+        prefix that starts at ``start + i * size``, below ``limit``."""
         o, V, S, counts = self.outer, self.V, self.S, self.counts
         size = self.table.shape[1]
         seed = self.zero
@@ -277,20 +203,15 @@ class _Split:
                 return
 
     def scan(self, floor, test, keep=None, budget=math.inf, limit=None):
-        """Run ``test(first, sums)`` on the prefixes that start below
-        ``limit`` (every prefix by default) in canonical order (``first`` a
-        prefix's first assignment, ``sums`` its column) and return ``(answer,
-        work)``: the first answer other than ``None`` and ``False``, or
-        ``None``, and the work.  Work counts the columns of each block
-        screened and of each test run (a test's columns are the prefix's
-        assignments below ``limit``); the scan stops before a block or test
-        that would take the work past ``budget``, and the work it returns
-        then is above ``budget``.  With one suffix table the empty prefix is
-        the only one: no floor, no walk.  Otherwise each block is screened
-        for the prefixes whose leading sums reach ``floor()``, and
-        ``keep(block)``, when given, returns a function that picks the ones
-        worth a test, applied again to the rest whenever ``test`` returns
-        ``False``."""
+        """``(answer, work)``: the first answer other than ``None`` and
+        ``False`` of ``test(first, sums)`` on the prefixes that start below
+        ``limit`` (all by default) in canonical order, ``first`` a prefix's
+        first assignment and ``sums`` its column, and the columns of the
+        blocks screened and tests run, stopping before a block or test that
+        would take the work past ``budget`` (the work returned is then
+        above it).  A block keeps the prefixes whose sums reach ``floor()``
+        and, with ``keep(block)``, those its pick keeps, again whenever
+        ``test`` returns ``False``.  One table is one test: no walk."""
         size = self.table.shape[1]
         limit = self.total if limit is None else limit
         if self.prefix == 0:
@@ -319,8 +240,7 @@ class _Split:
         return None, work
 
     def digits(self, index):
-        """Candidate index per digit of the assignment at 0-based position
-        ``index`` in canonical order."""
+        """Candidate index per digit of the assignment at ``index``."""
         digits = []
         for count in reversed(self.counts):
             index, d = divmod(index, count)
@@ -328,17 +248,15 @@ class _Split:
         return digits[::-1]
 
     def assignment(self, index):
-        """Owner per resource of the assignment at 0-based position
-        ``index`` in canonical order."""
+        """Owner per resource of the assignment at ``index``."""
         return self.cands[np.array(self.digits(index), dtype=np.int64)]
 
 
 def _fair(split, T, need, mode, budget):
-    """The scan of the search contract over ``split``, whose first ``T``
-    quantities are tested (an assignment is fair when each reaches ``need``,
-    one value or one per quantity) and whose others are the utility profile:
-    ``(status, index, welfare, nodes)``, ``index`` the position of the
-    answer in canonical order or ``None``."""
+    """The search contract over ``split``, fair when each of its first
+    ``T`` quantities reaches ``need`` (one value or one each), the rest the
+    profile: ``(status, index, welfare, nodes)``, ``index`` the answer's
+    position or ``None``."""
     slack, profile = split.table[:T], split.table[T:]
     # mode 0 needs the welfare of the one assignment it returns
     wel = profile.sum(axis=0, dtype=np.int64) if mode == 1 else None
@@ -365,7 +283,6 @@ def _fair(split, T, need, mode, budget):
         reach = block[T:].sum(axis=0, dtype=np.int64) + int(wel.max())
         return lambda rest: rest[reach[rest] > best_wel]
 
-    # alive: some suffix can make the prefix fair
     answer, work = split.scan(lambda: need - slack.max(axis=1), test,
                               keep if mode else None, budget)
     if answer is not None:
@@ -389,14 +306,11 @@ def search(utilities, arcs, delta, candidates, mode, limit):
 
 def first_fair_digits(gains, counts, need, limit):
     """Mode 0 of the search contract over digits with candidates of their
-    own: the rows of ``gains`` (int64) are the candidates of every digit in
-    turn, ``counts`` of them per digit, and a candidate adds its row to the
-    sums.  The first ``len(need)`` sums are tested against ``need``, the
-    others are the profile.  Returns ``(status, digits, nodes)``, ``digits``
-    the candidate index per digit of the first fair assignment or ``None``.
-    The tables take the narrowest signed integer type that holds ``±(2*s +
-    1)``, ``s`` the largest sum over digits of a quantity's largest
-    magnitude (an object table past int64)."""
+    own: the int64 rows of ``gains`` are every digit's candidates in turn,
+    ``counts`` per digit, each added to the sums when taken; the first
+    ``len(need)`` sums are held to ``need``.  Returns ``(status, digits,
+    nodes)``, ``digits`` the candidate per digit of the first fair
+    assignment or ``None``.  Past int64 the tables hold Python integers."""
     if 0 in counts:
         return 1, None, 0
     bounds = list(accumulate(counts, initial=0))

@@ -8,6 +8,7 @@ instance too large to build, or a violated algorithm guard.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -54,12 +55,8 @@ def _load_json(path: str):
 
 
 def _write(path, pieces):
-    """Write the strings of ``pieces`` to ``path``, or to stdout."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
 
 
 def _dump(doc, path):
@@ -67,11 +64,9 @@ def _dump(doc, path):
 
 
 def _dump_instance(inst, path, **extra):
-    """Write an instance document with its keys indented and each name
-    list, the arcs and each utility row as one compact JSON array, row by
-    row from the stored array: no n x m nested list is built, and the C
-    encoder writes every row.  ``extra`` adds keys (sorted, as are the
-    others; ``utilities`` comes last)."""
+    """Write an instance document, plus the keys of ``extra``, with each
+    name list, the arcs and each utility row on one line, row by row from
+    the stored array, so that no n x m nested list is built."""
     head = {"agents": list(inst.agents), "resources": list(inst.resources), **extra,
             "arcs": [[inst.agents[a], inst.agents[b]] for a, b in inst.arc_pairs()]}
     rows = (json.dumps(row.tolist()) for row in inst.utilities)

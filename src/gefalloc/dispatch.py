@@ -223,11 +223,9 @@ ROUTES = (
     # costs per unit of the bound are far below those of a visited node;
     # struct-fpt's (about 100 us per pattern) only sizes its record.  Pareto
     # brute force's (400 us, 200 ns) overstate its one-table scan about
-    # fourfold until the search costs are re-fitted.  The ilp is a kernel
-    # scan too: on the 318 solves of seeds 1 and 3 where it applies, a
-    # least-squares line gives 110 us + 4.7 ns per unit of its bound, but
-    # (90 us, 500 ns) still picks the rows of least total time there (23.03
-    # ms, against 23.08 ms at 50 ns and 23.35 ms at 10 ns per unit).
+    # fourfold until the search costs are re-fitted.  The ilp's scan fits
+    # 110 us + 4.7 ns per unit of its bound on seeds 1 and 3, but (90 us,
+    # 500 ns) picks the rows of least total time there.
     Route("sgef-fpt",
           lambda a, notion, goal: notion is STRICT and a.has_agents
           and (goal is COMPLETE or a.identical),

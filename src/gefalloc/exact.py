@@ -133,16 +133,11 @@ def _type_order(table: ResourceTypeTable) -> list[int]:
 
 
 def _deal_plan(copies: int, k: int, cap: int) -> list[tuple[int, int, int, int]]:
-    """``(first, agents, unit, candidates)`` per digit that deals ``copies``
-    copies of a type to ``k`` agents, the last of them taking the rest.
-
-    One digit holds every deal when there are at most ``cap``.  Otherwise
-    each digit takes the next run of the first k - 1 agents, their counts of
-    sum at most ``copies``, as long as it has at most ``cap`` candidates;
-    an agent whose copies + 1 counts alone pass ``cap`` is dealt over digits
-    of one place each in base ``cap``, high place first, ``unit`` the
-    place's value.  Counts that deal more than ``copies`` fail the type's
-    row, copies - dealt >= 0."""
+    """``(first, agents, unit, candidates)`` per digit dealing ``copies`` to
+    ``k`` agents, the last taking the rest: one digit of every deal if at
+    most ``cap``, else runs of the other agents (counts of sum at most
+    ``copies``) of at most ``cap`` candidates, or for an agent whose counts
+    alone pass ``cap``, one digit per place in base ``cap``, high first."""
     if k < 2:
         return [(0, 0, 1, k)]
     deals = comb(copies + k - 1, k - 1)
@@ -168,9 +163,9 @@ def _deal_plan(copies: int, k: int, cap: int) -> list[tuple[int, int, int, int]]
 
 
 def _runs(total: int, j: int) -> np.ndarray:
-    """The vectors of ``j`` counts of sum at most ``total``, one row each, in
-    lexicographic order with counts rising: through the j-subsets of
-    range(total + j), whose prefix sums they are."""
+    """The vectors of ``j`` counts of sum at most ``total`` in lexicographic
+    order, counts rising: j-subsets of range(total + j) are their prefix
+    sums."""
     rows = list(combinations(range(total + j), j))
     runs = np.array(rows, dtype=np.int64).reshape(len(rows), j)
     runs[:, 1:] = runs[:, 1:] - runs[:, :-1] - 1
@@ -178,9 +173,8 @@ def _runs(total: int, j: int) -> np.ndarray:
 
 
 def _build_deals(copies: int, k: int, cap: int) -> tuple[np.ndarray, ...]:
-    """Per digit of ``_deal_plan(copies, k, cap)``, its candidates as a
-    read-only (candidates x k) matrix of counts of the k agents; the last
-    column holds the copies left, less what the type's other digits deal."""
+    """Per digit of ``_deal_plan``, a read-only (candidates x k) matrix of
+    counts; the last agent's column holds what the type's digits leave."""
     if k == 0:
         return (np.zeros((0, 0), dtype=np.int64),)
     digits = []
@@ -194,11 +188,11 @@ def _build_deals(copies: int, k: int, cap: int) -> tuple[np.ndarray, ...]:
     return tuple(digits)
 
 
-# small solves deal the same few shapes again and again: keep the small ones
 _small_deals = lru_cache(maxsize=256)(_build_deals)
 
 
 def _deals(copies: int, k: int, cap: int) -> tuple[np.ndarray, ...]:
+    # small solves deal the same few shapes again and again: keep small ones
     small = k < 2 or k * comb(copies + k - 1, k - 1) <= 4096
     return (_small_deals if small else _build_deals)(copies, k, cap)
 
@@ -215,15 +209,11 @@ def solve_type_ilp(
     Per type the counts sum to the multiplicity; per attention arc (a, b) of
     ``inst`` a's bundle must beat b's bundle by ``delta``, both valued through
     a's utility row; an (agent, type) pair in ``forbidden`` gets count 0.
-    The digits are the types by falling multiplicity (stable on the original
-    type order), and a type's candidates are its deals to the agents it may
-    go to, lexicographic in (x[0], ..., x[n-1]) with counts rising and the
-    last of those agents taking the rest; a type with more than
-    ``SUFFIX_ROWS`` deals is dealt over several digits (``_deal_plan``) and
-    gets a tested row of its own.  Every slack and profile entry is linear
-    in the counts, so the first fair column of the scan is the first fair
-    count vector in that order.  ``nodes`` is the scan's work, within
-    ``budget``.
+    The digits are the types by falling multiplicity (stable), a type's
+    candidates its deals to the agents it may go to, lexicographic in (x[0],
+    ..., x[n-1]) with counts rising and the last agent taking the rest
+    (``_deal_plan``; a type dealt over several digits gets a tested row).
+    The first fair column is the first fair count vector in that order.
     """
     n, arcs = inst.n, inst.arcs
     cap = max(_kernels.SUFFIX_ROWS, 2)
@@ -267,22 +257,15 @@ def solve_type_ilp(
 
 
 def type_scan_size(n: int, table: ResourceTypeTable, goal: EfficiencyGoal) -> int:
-    """Most work ``solve_ilp`` counts over ``table`` and ``n`` agents: the
-    product of its digits' candidate counts plus one screen per prefix
-    (``_kernels.work_bound``).  A type may go to every agent under the
-    complete goal, to the column's maximisers otherwise."""
+    """Most work ``solve_ilp`` counts over ``table`` and ``n`` agents
+    (``_kernels.work_bound`` of its digits), a type going to every agent
+    under the complete goal, to the column's maximisers otherwise."""
     cap = max(_kernels.SUFFIX_ROWS, 2)
     complete = goal is EfficiencyGoal.COMPLETE
-    counts = []
-    for t in _type_order(table):
-        col, copies = table.types[t], table.multiplicity[t]
-        k = n if complete else col.count(max(col))
-        deals = comb(copies + k - 1, k - 1) if k else 0
-        if deals <= cap:
-            counts.append(deals)
-        else:
-            counts += [c for *_, c in _deal_plan(copies, k, cap)]
-    return _kernels.work_bound(counts)
+    return _kernels.work_bound([
+        c for t in _type_order(table)
+        for *_, c in _deal_plan(table.multiplicity[t], n if complete
+                                else table.types[t].count(max(table.types[t])), cap)])
 
 
 def solve_ilp(

@@ -154,12 +154,15 @@ class _Split:
                       lambda lo: np.ascontiguousarray(V[lo:, :, None] * S.T))
 
     @classmethod
-    def of_gains(cls, gains, width, dtype):
-        """Digit ``r``'s candidate ``c`` adds row ``c`` of ``gains[r]`` to the
-        ``width`` sums; the tables are of ``dtype``, as the gains are."""
+    def of_gains(cls, cols, counts):
+        """Digit ``r``'s candidate ``c`` adds to the sums its column of
+        ``cols``, whose columns are every digit's ``counts[r]`` in turn; the
+        tables are of the type of ``cols``."""
+        bounds = list(accumulate(counts, initial=0))
+        gains = [cols[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         split = cls.__new__(cls)
-        split._lay_out(np.ones((len(gains), width), dtype=dtype), gains, [len(g) for g in gains],
-                       lambda lo: [np.ascontiguousarray(g.T) for g in gains[lo:]])
+        split._lay_out(np.ones((len(counts), len(cols)), dtype=cols.dtype),
+                       [g.T for g in gains], counts, lambda lo: gains[lo:])
         return split
 
     def _lay_out(self, V, S, counts, gains):
@@ -171,8 +174,7 @@ class _Split:
         self.gains = gains(self.outer)
         self.zero = np.zeros((V.shape[1], 1), dtype=V.dtype)
         # C order, see the module docstring
-        self.table = np.ascontiguousarray(
-            _sums(self.gains[self.prefix - self.outer:], self.zero))
+        self.table = np.ascontiguousarray(_sums(self.gains[self.prefix - self.outer:], self.zero))
 
     def blocks(self, limit):
         """Yield ``(start, block)`` per block, the prefixes of one outer
@@ -185,8 +187,7 @@ class _Split:
         for r in range(o):  # every outer digit at candidate 0
             seed = seed + (V[r] * S[r][0])[:, None]
         block = _sums(self.gains[:self.prefix - o], seed)
-        digits = [0] * o
-        start = 0
+        digits, start = [0] * o, 0
         while start < limit:
             # the prefixes that start below limit: ceil((limit - start) / size)
             yield start, block[:, :-((start - limit) // size)]
@@ -219,13 +220,12 @@ class _Split:
             answer = test(0, self.zero[:, 0]) if 0 < work <= budget else None
             return (None if answer is False else answer), work
         work, floor = 0, floor()[:, None]
-        tested = len(floor)
         for start, block in self.blocks(limit):
             work += block.shape[1]
             if work > budget:
                 return None, work
             prune = (lambda rest: rest) if keep is None else keep(block)
-            rest = prune((block[:tested] >= floor).all(axis=0).nonzero()[0])
+            rest = prune((block[:len(floor)] >= floor).all(axis=0).nonzero()[0])
             while len(rest):
                 i, rest = int(rest[0]), rest[1:]
                 first = start + i * size
@@ -299,9 +299,8 @@ def search(utilities, arcs, delta, candidates, mode, limit):
     # and an empty suffix table has no slack maximum
     status, index, welfare, nodes = (_fair(split, split.arcs, delta, mode, limit)
                                      if split.total else (1, None, -1, 0))
-    if index is None:
-        return status, np.full(split.m, -1, dtype=np.int64), welfare, nodes
-    return status, split.assignment(index), welfare, nodes
+    owners = np.full(split.m, -1, dtype=np.int64) if index is None else split.assignment(index)
+    return status, owners, welfare, nodes
 
 
 def first_fair_digits(gains, counts, need, limit):
@@ -310,16 +309,12 @@ def first_fair_digits(gains, counts, need, limit):
     ``counts`` per digit, each added to the sums when taken; the first
     ``len(need)`` sums are held to ``need``.  Returns ``(status, digits,
     nodes)``, ``digits`` the candidate per digit of the first fair
-    assignment or ``None``.  Past int64 the tables hold Python integers."""
-    if 0 in counts:
-        return 1, None, 0
-    bounds = list(accumulate(counts, initial=0))
-    peak = (np.maximum.reduceat(np.abs(gains), bounds[:-1], axis=0).astype(object).sum(axis=0)
-            if counts else np.zeros(0, dtype=object))
+    assignment or ``None``.  Every digit has a candidate.  Past int64 the
+    tables hold Python integers."""
+    starts = list(accumulate(counts, initial=0))[:-1]
+    peak = np.maximum.reduceat(np.abs(gains), starts, axis=0).astype(object).sum(axis=0)
     dtype = np.min_scalar_type(-2 * int(peak.max(initial=0)) - 1)
-    gains = gains.astype(dtype)
-    split = _Split.of_gains([gains[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
-                            gains.shape[1], dtype)
+    split = _Split.of_gains(np.ascontiguousarray(gains.T, dtype=dtype), counts)
     status, index, _, nodes = _fair(split, len(need), np.asarray(need, dtype=dtype), 0, limit)
     return status, None if index is None else split.digits(index), nodes
 

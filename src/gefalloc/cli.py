@@ -59,10 +59,6 @@ def _write(path, pieces):
         fh.writelines(pieces)
 
 
-def _dump(doc, path):
-    _write(path, [json.dumps(doc, indent=2, sort_keys=True), "\n"])
-
-
 def _dump_instance(inst, path, **extra):
     """Write an instance document, plus the keys of ``extra``, with each
     name list, the arcs and each utility row on one line, row by row from
@@ -76,20 +72,6 @@ def _dump_instance(inst, path, **extra):
         ["\n  ]\n}\n"]))
 
 
-def _result_document(inst, res) -> dict:
-    return {
-        "verdict": res.status.value,
-        "allocation": (
-            allocation_document(inst, res.allocation)
-            if res.allocation is not None
-            else None
-        ),
-        "welfare": res.welfare,
-        "algorithm": res.route,
-        "nodes": res.nodes,
-    }
-
-
 def _cmd_solve(args) -> int:
     inst = parse_validate(_load_json(args.instance))
     res = solve(
@@ -99,7 +81,10 @@ def _cmd_solve(args) -> int:
         args.algo,
         budget=args.budget,
     )
-    _dump(_result_document(inst, res), args.out)
+    alloc = None if res.allocation is None else allocation_document(inst, res.allocation)
+    doc = {"verdict": res.status.value, "allocation": alloc, "welfare": res.welfare,
+           "algorithm": res.route, "nodes": res.nodes}
+    _write(args.out, [json.dumps(doc, indent=2, sort_keys=True), "\n"])
     return {Status.FEASIBLE: EXIT_FEASIBLE, Status.INFEASIBLE: EXIT_INFEASIBLE,
             Status.BUDGET: EXIT_BUDGET}[res.status]
 
@@ -168,14 +153,9 @@ def _cmd_generate(args) -> int:
         inp = BinPackingInput(sizes, args.capacity, args.bins)
         inst = gen_from_binpacking(inp, variant)
     elif variant == "random":
-        inst = gen_random(
-            args.n,
-            args.m,
-            PreferenceKind(args.pref_class),
-            None if args.graph_class == "any" else GraphKind(args.graph_class),
-            args.max_utility,
-            args.seed,
-        )
+        graph = None if args.graph_class == "any" else GraphKind(args.graph_class)
+        inst = gen_random(args.n, args.m, PreferenceKind(args.pref_class), graph,
+                          args.max_utility, args.seed)
     else:
         raise ValidationError(f"unknown variant: {variant}")
     _dump_instance(inst, args.out, **extra)

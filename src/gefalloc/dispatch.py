@@ -212,20 +212,13 @@ ROUTES = (
     # The searches.  Costs were measured on a 2-CPU machine (numpy kernels,
     # Python 3.11.7): each search row that applies to a search solve of the
     # benchmark's routed-mix corpus was timed after analysis (best of 9), and
-    # the constants were picked from a coarse grid around the measured
-    # medians so that the rows they choose on seeds 1 and 3 take the least
-    # total time.  On seeds 5 and 7 the rows chosen take 49 ms, first-row
-    # routing 123 ms, and the fastest row of each solve 44 ms.  The grid told
-    # an ilp fixed cost of 60 us from the kernel's 90 us by 0.3 % only; at
-    # 90 us the ilp's least bound rules it out of most small complete solves
-    # before its type table is built.  A bound is the most work a search can
-    # count, and pruning keeps most of it from being done, so the kernel's
-    # costs per unit of the bound are far below those of a visited node;
-    # struct-fpt's (about 100 us per pattern) only sizes its record.  Pareto
-    # brute force's (400 us, 200 ns) overstate its one-table scan about
-    # fourfold until the search costs are re-fitted.  The ilp's scan fits
-    # 110 us + 4.7 ns per unit of its bound on seeds 1 and 3, but (90 us,
-    # 500 ns) picks the rows of least total time there.
+    # the constants picked from a coarse grid so that the rows they choose on
+    # seeds 1 and 3 take the least total time.  A bound is the most work a
+    # search can count, and pruning skips most of it, so the costs per unit
+    # of the bound are far below those of work done; struct-fpt's (about
+    # 100 us per pattern) only sizes its record.  Pareto brute force's
+    # (400 us, 200 ns) overstate its one-table scan about fourfold, and the
+    # ilp's scan fits 110 us + 4.7 ns per unit, until the costs are re-fitted.
     Route("sgef-fpt",
           lambda a, notion, goal: notion is STRICT and a.has_agents
           and (goal is COMPLETE or a.identical),
@@ -287,10 +280,9 @@ def estimates(
     for route in rows:
         fallback = route.fallback(a, notion, goal, brute)
         if route.name == "ilp":
-            # the type table costs more than every other bound: skip it when
-            # the ilp loses even at its least bound, the deals of one type of
-            # every copy to every agent that may take it (ilp is the last row
-            # before brute); more types only multiply the count vectors
+            # the type table costs more than every other bound: skip the ilp
+            # when it loses even at its least bound, every copy of one type
+            # dealt to every agent (ilp is the last row before brute)
             n, m = a.stripped.n, a.stripped.m
             least = math.comb(m + n - 1, n - 1) if goal is COMPLETE else 1
             best = min([e.seconds for e in (*est.values(), brute) if e.bound <= budget],

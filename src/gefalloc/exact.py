@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb
 from typing import Optional, Sequence
@@ -108,14 +108,6 @@ class ResourceTypeTable:
     multiplicity: tuple[int, ...]
     type_of: tuple[int, ...]                # resource -> type index
 
-    @cached_property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """Type -> resource indices."""
-        members: list[list[int]] = [[] for _ in self.types]
-        for r, t in enumerate(self.type_of):
-            members[t].append(r)
-        return tuple(map(tuple, members))
-
     @staticmethod
     def build(inst: Instance) -> "ResourceTypeTable":
         index: dict[tuple[int, ...], int] = {}
@@ -129,58 +121,47 @@ class ResourceTypeTable:
 
 def _type_order(table: ResourceTypeTable) -> list[int]:
     """The type scan's digit order: types by falling multiplicity, stable."""
-    return sorted(range(len(table.types)), key=lambda t: (-table.multiplicity[t], t))
+    return sorted(range(len(table.types)), key=lambda t: -table.multiplicity[t])
 
 
+@lru_cache(maxsize=1024)
 def _deal_plan(copies: int, k: int, cap: int) -> list[tuple[int, int, int, int]]:
-    """``(first, agents, unit, candidates)`` per digit dealing ``copies`` to
-    ``k`` agents, the last taking the rest: one digit of every deal if at
-    most ``cap``, else runs of the other agents (counts of sum at most
-    ``copies``) of at most ``cap`` candidates, or for an agent whose counts
-    alone pass ``cap``, one digit per place in base ``cap``, high first."""
-    if k < 2:
-        return [(0, 0, 1, k)]
-    deals = comb(copies + k - 1, k - 1)
-    if deals <= cap:
-        return [(0, k - 1, 1, deals)]
-    plan, i = [], 0
+    """``(first, j, unit, total)`` per digit dealing ``copies`` to ``k >= 1``
+    agents, the last taking the rest: the digit's candidates give ``unit``
+    times each vector of ``j`` counts of sum at most ``total`` to the agents
+    from ``first`` on, C(total + j, j) of them.  The other agents go in runs
+    of at most ``cap`` candidates, all in one when every deal fits; an agent
+    whose counts alone pass ``cap`` gets one digit per place in base
+    ``cap``, high first."""
+    plan, i = [(0, 0, 1, copies)] if k == 1 else [], 0
     while i < k - 1:
         j = 0
         while i + j < k - 1 and comb(copies + j + 1, j + 1) <= cap:
             j += 1
         if j:
-            plan.append((i, j, 1, comb(copies + j, j)))
+            plan.append((i, j, 1, copies))
         else:
             unit, j = 1, 1
             while unit * cap <= copies:
                 unit *= cap
-            plan.append((i, 1, unit, copies // unit + 1))
+            plan.append((i, 1, unit, copies // unit))
             while unit > 1:
                 unit //= cap
-                plan.append((i, 1, unit, cap))
+                plan.append((i, 1, unit, cap - 1))
         i += j
     return plan
 
 
-def _runs(total: int, j: int) -> np.ndarray:
-    """The vectors of ``j`` counts of sum at most ``total`` in lexicographic
-    order, counts rising: j-subsets of range(total + j) are their prefix
-    sums."""
-    rows = list(combinations(range(total + j), j))
-    runs = np.array(rows, dtype=np.int64).reshape(len(rows), j)
-    runs[:, 1:] = runs[:, 1:] - runs[:, :-1] - 1
-    return runs
-
-
 def _build_deals(copies: int, k: int, cap: int) -> tuple[np.ndarray, ...]:
     """Per digit of ``_deal_plan``, a read-only (candidates x k) matrix of
-    counts; the last agent's column holds what the type's digits leave."""
-    if k == 0:
-        return (np.zeros((0, 0), dtype=np.int64),)
+    counts, lexicographic with counts rising (the ``j``-subsets of
+    range(total + j) are their prefix sums); the last agent's column holds
+    what the type's digits leave."""
     digits = []
-    for first, j, unit, count in _deal_plan(copies, k, cap):
-        part = unit * np.arange(count)[:, None] if j == 1 else _runs(copies, j)
-        x = np.zeros((count, k), dtype=np.int64)
+    for first, j, unit, total in _deal_plan(copies, k, cap):
+        sums = np.array(list(combinations(range(total + j), j)), dtype=np.int64)
+        part = unit * np.diff(sums.reshape(comb(total + j, j), j), axis=1, prepend=-1) - unit
+        x = np.zeros((len(part), k), dtype=np.int64)
         x[:, first:first + j] = part
         x[:, -1] = (0 if digits else copies) - part.sum(axis=1)
         x.flags.writeable = False
@@ -193,7 +174,7 @@ _small_deals = lru_cache(maxsize=256)(_build_deals)
 
 def _deals(copies: int, k: int, cap: int) -> tuple[np.ndarray, ...]:
     # small solves deal the same few shapes again and again: keep small ones
-    small = k < 2 or k * comb(copies + k - 1, k - 1) <= 4096
+    small = k * comb(copies + k - 1, k - 1) <= 4096
     return (_small_deals if small else _build_deals)(copies, k, cap)
 
 
@@ -217,55 +198,53 @@ def solve_type_ilp(
     """
     n, arcs = inst.n, inst.arcs
     cap = max(_kernels.SUFFIX_ROWS, 2)
-    digits = []                     # (type, its agents, counts) per digit
-    split_types = []                # (type, its last agent) per tested row
+    digits, tested = [], {}         # (type, its agents, deals) per digit; type -> tested row
     for t in _type_order(table):
         agents = [i for i in range(n) if (i, t) not in forbidden]
+        if not agents:              # a type no one may take
+            return SolveResult.infeasible(0)
         dealt = _deals(table.multiplicity[t], len(agents), cap)
         if len(dealt) > 1:
-            split_types.append((t, agents[-1]))
+            tested[t] = len(tested)
         digits += [(t, agents, d) for d in dealt]
     counts = [len(d) for _, _, d in digits]
-    x = np.zeros((sum(counts), n), dtype=np.int64)
-    for (_, agents, d), lo in zip(digits, accumulate(counts, initial=0)):
+    starts = list(accumulate(counts, initial=0))
+    x = np.zeros((starts[-1], n), dtype=np.int64)
+    rows = np.zeros((starts[-1], len(tested)), dtype=np.int64)
+    for (t, agents, d), lo in zip(digits, starts):
         x[lo:lo + len(d), agents] = d
+        if t in tested:             # the type's last agent may not go below 0
+            rows[lo:lo + len(d), tested[t]] = d[:, -1]
     owner = [t for t, _, _ in digits]
     # each candidate's row of the type column it deals
     u = np.repeat(np.array(table.types, dtype=np.int64).reshape(len(table.types), n)[owner],
                   counts, axis=0)
     a, b = arcs[:, 0], arcs[:, 1]
-    rows = np.zeros((len(x), len(split_types)), dtype=np.int64)
-    for r, (t, last) in enumerate(split_types):
-        rows[:, r] = np.repeat(np.equal(owner, t), counts) * x[:, last]
     gains = np.concatenate((u[:, a] * (x[:, a] - x[:, b]), rows, u * x), axis=1)
-    need = [delta] * len(arcs) + [0] * len(split_types)
+    need = [delta] * len(arcs) + [0] * len(tested)
     status, choice, nodes = _kernels.first_fair_digits(gains, counts, need, budget)
-    if status == 2:
-        return SolveResult.budget(nodes)
-    if status == 1:
-        return SolveResult.infeasible(nodes)
-    count = np.zeros((len(table.types), n), dtype=np.int64)
-    for t, c, lo in zip(owner, choice, accumulate(counts, initial=0)):
-        count[t] += x[lo + c]
+    if status != 0:
+        return SolveResult.budget(nodes) if status == 2 else SolveResult.infeasible(nodes)
+    count = [[0] * n for _ in table.types]
+    for t, row in zip(owner, x[[lo + c for lo, c in zip(starts, choice)]].tolist()):
+        count[t] = [p + q for p, q in zip(count[t], row)]
     # deal concrete resources in (type, agent-index) order
-    assignment = {}
-    for pool, held in zip(table.members, count.tolist()):
-        pool = iter(pool)
-        for i, c in enumerate(held):
-            assignment.update((next(pool), i) for _ in range(c))
-    return SolveResult.feasible(inst, Allocation(assignment), nodes)
+    held = [iter([i for i, c in enumerate(row) for _ in range(c)]) for row in count]
+    return SolveResult.feasible(
+        inst, Allocation({r: next(held[t]) for r, t in enumerate(table.type_of)}), nodes)
 
 
 def type_scan_size(n: int, table: ResourceTypeTable, goal: EfficiencyGoal) -> int:
     """Most work ``solve_ilp`` counts over ``table`` and ``n`` agents
     (``_kernels.work_bound`` of its digits), a type going to every agent
     under the complete goal, to the column's maximisers otherwise."""
-    cap = max(_kernels.SUFFIX_ROWS, 2)
-    complete = goal is EfficiencyGoal.COMPLETE
-    return _kernels.work_bound([
-        c for t in _type_order(table)
-        for *_, c in _deal_plan(table.multiplicity[t], n if complete
-                                else table.types[t].count(max(table.types[t])), cap)])
+    cap, counts = max(_kernels.SUFFIX_ROWS, 2), []
+    for t in _type_order(table):
+        col = table.types[t]
+        k = n if goal is EfficiencyGoal.COMPLETE else col.count(max(col))
+        counts += [comb(total + j, j) for _, j, _, total in
+                   _deal_plan(table.multiplicity[t], k, cap)] if k else [0]
+    return _kernels.work_bound(counts)
 
 
 def solve_ilp(

@@ -499,6 +499,36 @@ def scan_nodes(k, m, goal, nodes):
     return nodes
 
 
+class TestKernelRowNodes:
+    def test_nodes_are_deterministic_bounded_and_budgeted(self):
+        """Every kernel row's scan (``brute``, ``sgef-fpt``, ``ident-enum``,
+        ``ilp``) counts the same nodes when run again, at most its row's
+        bound, and at a budget one below them stops with that many nodes,
+        over every goal, notion and preference kind."""
+        rng = random.Random(211)
+        kinds, shapes = list(PreferenceKind), [GraphKind.STRONGLY_CONNECTED, None]
+        runs = Counter()
+        for trial in range(120):
+            inst = gen_random(rng.randint(1, 5), rng.randint(0, 7), kinds[trial % 4],
+                              shapes[trial % 2], 3, 9000 + trial)
+            a = analyze(inst)
+            for notion in (WEAK, STRICT):
+                for goal in (COMPLETE, PARETO, WELFARE):
+                    for route in ROUTES:
+                        if route.name == "struct-fpt" or route.bound is None \
+                                or not route.applies(a, notion, goal):
+                            continue
+                        res = route.run(a, notion, goal, 10**8)
+                        doc = (route.name, notion, goal, inst.to_document())
+                        assert route.run(a, notion, goal, 10**8) == res, doc
+                        assert res.nodes <= route.bound(a, goal), doc
+                        if res.nodes:
+                            cut = route.run(a, notion, goal, res.nodes - 1)
+                            assert (cut.status, cut.nodes) == (Status.BUDGET, res.nodes - 1), doc
+                            runs[route.name] += 1
+        assert min(runs[name] for name in ("brute", "sgef-fpt", "ident-enum", "ilp")) >= 20, runs
+
+
 class TestStrippedBrute:
     """Auto's brute force and the MaxWelfare fallback scan the stripped
     instance; forced brute force scans the original one."""

@@ -134,7 +134,6 @@ class TestResourceTypes:
         assert table.types == ((1, 0), (2, 3))
         assert table.multiplicity == (2, 1)
         assert table.type_of == (0, 1, 0)
-        assert table.members == ((0, 2), (1,))
 
 
 class TestIlp:

@@ -305,18 +305,18 @@ def search(utilities, arcs, delta, candidates, mode, limit):
 
 def first_fair_digits(gains, counts, need, limit):
     """Mode 0 of the search contract over digits with candidates of their
-    own: the int64 rows of ``gains`` are every digit's candidates in turn,
-    ``counts`` per digit, each added to the sums when taken; the first
-    ``len(need)`` sums are held to ``need``.  Returns ``(status, digits,
-    nodes)``, ``digits`` the candidate per digit of the first fair
-    assignment or ``None``.  Every digit has a candidate.  Past int64 the
-    tables hold Python integers."""
+    own, each digit at least one: the int64 rows of ``gains`` are every
+    digit's candidates in turn, ``counts`` per digit, each added to the sums
+    when taken; the first ``len(need)`` sums are held to ``need``, and the
+    rest are the profile.  Returns ``(status, digits, welfare, nodes)``,
+    ``digits`` the candidate per digit of the first fair assignment or
+    ``None``.  Past int64 the tables hold Python integers."""
     starts = list(accumulate(counts, initial=0))[:-1]
     peak = np.maximum.reduceat(np.abs(gains), starts, axis=0).astype(object).sum(axis=0)
     dtype = np.min_scalar_type(-2 * int(peak.max(initial=0)) - 1)
     split = _Split.of_gains(np.ascontiguousarray(gains.T, dtype=dtype), counts)
-    status, index, _, nodes = _fair(split, len(need), np.asarray(need, dtype=dtype), 0, limit)
-    return status, None if index is None else split.digits(index), nodes
+    status, index, welfare, nodes = _fair(split, len(need), np.array(need, dtype), 0, limit)
+    return status, None if index is None else split.digits(index), welfare, nodes
 
 
 # Pareto pruning compares at most this many (candidate, rival) pairs at once.

@@ -222,7 +222,7 @@ def solve_type_ilp(
     a, b = arcs[:, 0], arcs[:, 1]
     gains = np.concatenate((u[:, a] * (x[:, a] - x[:, b]), rows, u * x), axis=1)
     need = [delta] * len(arcs) + [0] * len(tested)
-    status, choice, nodes = _kernels.first_fair_digits(gains, counts, need, budget)
+    status, choice, welfare, nodes = _kernels.first_fair_digits(gains, counts, need, budget)
     if status != 0:
         return SolveResult.budget(nodes) if status == 2 else SolveResult.infeasible(nodes)
     count = [[0] * n for _ in table.types]
@@ -231,7 +231,7 @@ def solve_type_ilp(
     # deal concrete resources in (type, agent-index) order
     held = [iter([i for i, c in enumerate(row) for _ in range(c)]) for row in count]
     return SolveResult.feasible(
-        inst, Allocation({r: next(held[t]) for r, t in enumerate(table.type_of)}), nodes)
+        inst, Allocation({r: next(held[t]) for r, t in enumerate(table.type_of)}), nodes, welfare)
 
 
 def type_scan_size(n: int, table: ResourceTypeTable, goal: EfficiencyGoal) -> int:

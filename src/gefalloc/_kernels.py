@@ -155,9 +155,9 @@ class _Split:
 
     @classmethod
     def of_gains(cls, cols, counts):
-        """Digit ``r``'s candidate ``c`` adds to the sums its column of
-        ``cols``, whose columns are every digit's ``counts[r]`` in turn; the
-        tables are of the type of ``cols``."""
+        """``cols`` holds a column of gains per candidate, digit ``r``'s
+        ``counts[r]`` for each digit in turn, and a candidate taken adds its
+        column to the sums; the tables are of the type of ``cols``."""
         bounds = list(accumulate(counts, initial=0))
         gains = [cols[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         split = cls.__new__(cls)
@@ -312,8 +312,8 @@ def first_fair_digits(gains, counts, need, limit):
     ``digits`` the candidate per digit of the first fair assignment or
     ``None``.  Past int64 the tables hold Python integers."""
     starts = list(accumulate(counts, initial=0))[:-1]
-    peak = np.maximum.reduceat(np.abs(gains), starts, axis=0).astype(object).sum(axis=0)
-    dtype = np.min_scalar_type(-2 * int(peak.max(initial=0)) - 1)
+    top = np.maximum.reduceat(np.abs(gains), starts, axis=0).T.tolist()
+    dtype = np.min_scalar_type(-2 * max(map(sum, top), default=0) - 1)
     split = _Split.of_gains(np.ascontiguousarray(gains.T, dtype=dtype), counts)
     status, index, welfare, nodes = _fair(split, len(need), np.array(need, dtype), 0, limit)
     return status, None if index is None else split.digits(index), welfare, nodes

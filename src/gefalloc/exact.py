@@ -125,7 +125,7 @@ def _type_order(table: ResourceTypeTable) -> list[int]:
 
 
 @lru_cache(maxsize=1024)
-def _deal_plan(copies: int, k: int, cap: int) -> list[tuple[int, int, int, int]]:
+def _deal_plan(copies: int, k: int, cap: int) -> tuple[tuple[int, int, int, int], ...]:
     """``(first, j, unit, total)`` per digit dealing ``copies`` to ``k >= 1``
     agents, the last taking the rest: the digit's candidates give ``unit``
     times each vector of ``j`` counts of sum at most ``total`` to the agents
@@ -149,7 +149,7 @@ def _deal_plan(copies: int, k: int, cap: int) -> list[tuple[int, int, int, int]]
                 unit //= cap
                 plan.append((i, 1, unit, cap - 1))
         i += j
-    return plan
+    return tuple(plan)
 
 
 def _build_deals(copies: int, k: int, cap: int) -> tuple[np.ndarray, ...]:

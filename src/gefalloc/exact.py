@@ -152,18 +152,19 @@ def _deal_plan(copies: int, k: int, cap: int) -> tuple[tuple[int, int, int, int]
     return tuple(plan)
 
 
-def _build_deals(copies: int, k: int, cap: int) -> tuple[np.ndarray, ...]:
-    """Per digit of ``_deal_plan``, a read-only (candidates x k) matrix of
-    counts, lexicographic with counts rising (the ``j``-subsets of
-    range(total + j) are their prefix sums); the last agent's column holds
-    what the type's digits leave."""
+def _build_deals(copies: int, agents: tuple[int, ...], n: int,
+                 cap: int) -> tuple[np.ndarray, ...]:
+    """Per digit of ``_deal_plan``, a read-only (candidates x n) matrix of
+    the counts it deals to ``agents``, lexicographic with counts rising (the
+    ``j``-subsets of range(total + j) are their prefix sums); the last
+    agent's column holds what the type's digits leave."""
     digits = []
-    for first, j, unit, total in _deal_plan(copies, k, cap):
+    for first, j, unit, total in _deal_plan(copies, len(agents), cap):
         sums = np.array(list(combinations(range(total + j), j)), dtype=np.int64)
         part = unit * np.diff(sums.reshape(comb(total + j, j), j), axis=1, prepend=-1) - unit
-        x = np.zeros((len(part), k), dtype=np.int64)
-        x[:, first:first + j] = part
-        x[:, -1] = (0 if digits else copies) - part.sum(axis=1)
+        x = np.zeros((len(part), n), dtype=np.int64)
+        x[:, agents[first:first + j]] = part
+        x[:, agents[-1]] = (0 if digits else copies) - part.sum(axis=1)
         x.flags.writeable = False
         digits.append(x)
     return tuple(digits)
@@ -172,10 +173,10 @@ def _build_deals(copies: int, k: int, cap: int) -> tuple[np.ndarray, ...]:
 _small_deals = lru_cache(maxsize=256)(_build_deals)
 
 
-def _deals(copies: int, k: int, cap: int) -> tuple[np.ndarray, ...]:
+def _deals(copies: int, agents: tuple[int, ...], n: int, cap: int) -> tuple[np.ndarray, ...]:
     # small solves deal the same few shapes again and again: keep small ones
-    small = k * comb(copies + k - 1, k - 1) <= 4096
-    return (_small_deals if small else _build_deals)(copies, k, cap)
+    small = n * comb(copies + len(agents) - 1, len(agents) - 1) <= 4096
+    return (_small_deals if small else _build_deals)(copies, agents, n, cap)
 
 
 def solve_type_ilp(
@@ -198,24 +199,22 @@ def solve_type_ilp(
     """
     n, arcs = inst.n, inst.arcs
     cap = max(_kernels.SUFFIX_ROWS, 2)
-    digits, tested = [], {}         # (type, its agents, deals) per digit; type -> tested row
+    owner, dealt, tested = [], [], []   # per digit its type and deals; split types
     for t in _type_order(table):
-        agents = [i for i in range(n) if (i, t) not in forbidden]
+        agents = tuple(i for i in range(n) if (i, t) not in forbidden)
         if not agents:              # a type no one may take
             return SolveResult.infeasible(0)
-        dealt = _deals(table.multiplicity[t], len(agents), cap)
-        if len(dealt) > 1:
-            tested[t] = len(tested)
-        digits += [(t, agents, d) for d in dealt]
-    counts = [len(d) for _, _, d in digits]
+        deals = _deals(table.multiplicity[t], agents, n, cap)
+        if len(deals) > 1:          # its last agent's count may not go below 0
+            tested.append((agents[-1], len(dealt), len(dealt) + len(deals)))  # its digits
+        owner += [t] * len(deals)
+        dealt += deals
+    counts = [len(d) for d in dealt]
     starts = list(accumulate(counts, initial=0))
-    x = np.zeros((starts[-1], n), dtype=np.int64)
+    x = np.concatenate([np.zeros((0, n), dtype=np.int64), *dealt])
     rows = np.zeros((starts[-1], len(tested)), dtype=np.int64)
-    for (t, agents, d), lo in zip(digits, starts):
-        x[lo:lo + len(d), agents] = d
-        if t in tested:             # the type's last agent may not go below 0
-            rows[lo:lo + len(d), tested[t]] = d[:, -1]
-    owner = [t for t, _, _ in digits]
+    for r, (last, i, j) in enumerate(tested):
+        rows[starts[i]:starts[j], r] = x[starts[i]:starts[j], last]
     # each candidate's row of the type column it deals
     u = np.repeat(np.array(table.types, dtype=np.int64).reshape(len(table.types), n)[owner],
                   counts, axis=0)

@@ -205,8 +205,8 @@ def solve_type_ilp(
         if not agents:              # a type no one may take
             return SolveResult.infeasible(0)
         deals = _deals(table.multiplicity[t], agents, n, cap)
-        if len(deals) > 1:          # its last agent's count may not go below 0
-            tested.append((agents[-1], len(dealt), len(dealt) + len(deals)))  # its digits
+        if len(deals) > 1:          # the last agent's count over these digits stays >= 0
+            tested.append((agents[-1], len(dealt), len(dealt) + len(deals)))
         owner += [t] * len(deals)
         dealt += deals
     counts = [len(d) for d in dealt]

@@ -217,8 +217,9 @@ ROUTES = (
     # search can count, and pruning skips most of it, so the costs per unit
     # of the bound are far below those of work done; struct-fpt's (about
     # 100 us per pattern) only sizes its record.  Pareto brute force's
-    # (400 us, 200 ns) overstate its one-table scan about fourfold, and the
-    # ilp's scan fits 110 us + 4.7 ns per unit, until the costs are re-fitted.
+    # (400 us, 200 ns) overstate its one-table scan about fourfold.  The ilp's
+    # scan fits 110-140 us + 5 ns per unit of its bound, but (90 us, 500 ns)
+    # picks the rows of least total time on seeds 1 and 3.
     Route("sgef-fpt",
           lambda a, notion, goal: notion is STRICT and a.has_agents
           and (goal is COMPLETE or a.identical),

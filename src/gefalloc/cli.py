@@ -8,7 +8,6 @@ instance too large to build, or a violated algorithm guard.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import sys
@@ -55,8 +54,11 @@ def _load_json(path: str):
 
 
 def _write(path, pieces):
-    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(pieces)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+    else:
+        sys.stdout.writelines(pieces)
 
 
 def _dump_instance(inst, path, **extra):
@@ -153,9 +155,14 @@ def _cmd_generate(args) -> int:
         inp = BinPackingInput(sizes, args.capacity, args.bins)
         inst = gen_from_binpacking(inp, variant)
     elif variant == "random":
-        graph = None if args.graph_class == "any" else GraphKind(args.graph_class)
-        inst = gen_random(args.n, args.m, PreferenceKind(args.pref_class), graph,
-                          args.max_utility, args.seed)
+        inst = gen_random(
+            args.n,
+            args.m,
+            PreferenceKind(args.pref_class),
+            None if args.graph_class == "any" else GraphKind(args.graph_class),
+            args.max_utility,
+            args.seed,
+        )
     else:
         raise ValidationError(f"unknown variant: {variant}")
     _dump_instance(inst, args.out, **extra)

@@ -212,14 +212,21 @@ ROUTES = (
     # The searches.  Costs were measured on a 2-CPU machine (numpy kernels,
     # Python 3.11.7): each search row that applies to a search solve of the
     # benchmark's routed-mix corpus was timed after analysis (best of 9), and
-    # the constants picked from a coarse grid so that the rows they choose on
-    # seeds 1 and 3 take the least total time.  A bound is the most work a
-    # search can count, and pruning skips most of it, so the costs per unit
+    # the constants were picked from a coarse grid around the measured
+    # medians so that the rows they choose on seeds 1 and 3 take the least
+    # total time.  On seeds 5 and 7 the rows chosen took 49 ms, first-row
+    # routing 123 ms, and the fastest row of each solve 44 ms, when the ilp
+    # was a depth-first search.  The grid told an ilp fixed cost of 60 us
+    # from the kernel's 90 us by 0.3 % only; at 90 us the ilp's least bound
+    # rules it out of most small complete solves before its type table is
+    # built.  The ilp's table scan fits 110-140 us + 5 ns per unit of its
+    # bound, but (90 us, 500 ns) still picks the rows of least total time on
+    # seeds 1 and 3.  A bound is the most work a search can count, and
+    # pruning skips most of it, so the kernel's and the ilp's costs per unit
     # of the bound are far below those of work done; struct-fpt's (about
     # 100 us per pattern) only sizes its record.  Pareto brute force's
-    # (400 us, 200 ns) overstate its one-table scan about fourfold.  The ilp's
-    # scan fits 110-140 us + 5 ns per unit of its bound, but (90 us, 500 ns)
-    # picks the rows of least total time on seeds 1 and 3.
+    # (400 us, 200 ns) overstate its one-table scan about fourfold until the
+    # search costs are re-fitted.
     Route("sgef-fpt",
           lambda a, notion, goal: notion is STRICT and a.has_agents
           and (goal is COMPLETE or a.identical),

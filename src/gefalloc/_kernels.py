@@ -49,17 +49,20 @@ more than ``SUFFIX_ROWS`` columns, whatever the budget, and the suffix
 table is C-contiguous, one row per quantity (another order made a welfare
 scan 3.4 times slower).
 
-Digits of their own (``_Split.of_gains``, mixed radix) carry
-``exact.solve_type_ilp``: a digit per resource type and a candidate per
-deal of its copies, adding ``u_a(t) * (x[a] - x[b])`` to arc (a, b) and
-``u_i(t) * x[i]`` to agent i's profile.  A type with more than
-``SUFFIX_ROWS`` deals is dealt over several digits; the sums are linear in
-the counts, so deals that give out more copies than there are fail one
-more tested row per such type, copies - dealt >= 0.
+A ``_Split`` knows its digits by two functions, their gain tables and
+one candidate's gain column, so that only the middle and the suffix are
+tabulated.  ``_Split.of_resources`` has a digit per resource.  Digits of
+their own (mixed radix) carry ``exact.solve_type_ilp``: a digit per
+resource type and a candidate per deal of its copies, adding ``u_a(t) *
+(x[a] - x[b])`` to arc (a, b) and ``u_i(t) * x[i]`` to agent i's profile.
+A type with more than ``SUFFIX_ROWS`` deals is dealt over several digits;
+the sums are linear in the counts, so deals that give out more copies than
+there are fail one more tested row per such type, copies - dealt >= 0.
 
 Tables are of the narrowest signed integer type that holds ``±(2*s + 1)``
-(``_table_type``; for digits of their own ``s`` is the largest sum over
-digits of a quantity's largest gain), and welfare is summed in int64.
+(``sum_type``): ``s`` is the largest row sum of the utilities for
+resources, and for digits of their own a bound on every sum of gains.
+Welfare is summed in int64.
 ``first_fair_efficient`` and ``first_dominating`` walk the same tables.
 """
 
@@ -67,7 +70,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -82,11 +84,16 @@ def backend() -> str:
 SUFFIX_ROWS = 1 << 13
 
 
-def _table_type(util, cover=0):
-    """The narrowest signed integer type that holds ``±(2*s + 1)``, ``s``
-    the largest of ``cover`` and the row sums of ``util``."""
-    s = max(int(util.sum(axis=1).max(initial=0)), cover)
+def sum_type(s):
+    """The narrowest signed integer type that holds ``±(2*s + 1)``, object
+    (Python integers) past int64."""
     return np.min_scalar_type(-2 * s - 1)
+
+
+def _table_type(util, cover=0):
+    """``sum_type`` of the largest of ``cover`` and the row sums of
+    ``util``."""
+    return sum_type(max(int(util.sum(axis=1).max(initial=0)), cover))
 
 
 def _sums(gains, table):
@@ -127,66 +134,62 @@ def work_bound(counts):
 
 
 class _Split:
-    """The assignments of digits to candidates, split into ``outer`` slow
-    digits, middle digits and a suffix (``_layout``); ``prefix`` counts the
-    outer and middle digits.  ``_Split(utilities, arcs, cands)`` has a digit
-    per resource with the entries of ``cands`` as candidates, its tables of
-    ``_table_type(utilities, cover)``; ``of_gains`` takes digits with
-    candidates of their own.  Every quantity is a sum over digits of ``V[r]
-    * S[r][c]``, ``c`` the candidate digit ``r`` takes: on resources the
-    ``A`` arc slacks, then the ``n`` profile entries.  Column ``j`` of
-    ``table`` holds these sums over the suffix's ``j``-th assignment."""
+    """The assignments of ``len(counts)`` digits, digit ``r`` to one of
+    ``counts[r]`` candidates, split into ``outer`` slow digits, middle
+    digits and a suffix (``_layout``); ``prefix`` counts the outer and
+    middle digits.  A candidate taken adds its column of gains to ``rows``
+    sums.  ``tables(lo)`` gives the gain tables of digits ``lo`` onwards, a
+    column per candidate, and ``column(r, c)`` the column of digit ``r``'s
+    candidate ``c``: only the middle and the suffix are tabulated, and the
+    walk asks an outer digit for the columns it moves between.  Tables are
+    of ``dtype``; column ``j`` of ``table`` holds the sums over the
+    suffix's ``j``-th assignment."""
 
-    def __init__(self, utilities, arcs, cands, cover=0):
+    def __init__(self, counts, tables, column, rows, dtype):
+        self.counts, self.m, self.column = list(counts), len(counts), column
+        self.prefix, self.outer = _layout(self.counts)
+        self.total = math.prod(self.counts)
+        self.zero = np.zeros((rows, 1), dtype=dtype)
+        self.inner = [np.asarray(gains, dtype) for gains in tables(self.outer)]
+        # C order, see the module docstring
+        self.table = np.ascontiguousarray(_sums(self.inner[self.prefix - self.outer:], self.zero))
+
+    @classmethod
+    def of_resources(cls, utilities, arcs, cands, cover=0):
+        """A digit per resource with the entries of ``cands`` as candidates,
+        of ``_table_type(utilities, cover)``: the sums are the ``arcs``
+        slacks, then the profile."""
         util = np.asarray(utilities)
         util = util.astype(_table_type(util, cover), copy=False)
         arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
         arc_a, arc_b = arcs[:, 0], arcs[:, 1]
-        self.cands = cands = np.asarray(cands, dtype=np.int64)
+        cands = np.asarray(cands, dtype=np.int64)
         n, m = util.shape
-        self.arcs = len(arcs)
+        # resource r given to candidate c adds V[r] * S[:, c]
         V = np.concatenate((util[arc_a].T, util.T), axis=1)
         # owner indicator per candidate; its zero last row stands for "unassigned"
         owner = np.eye(n + 1, n, dtype=util.dtype)[cands]
-        S = np.concatenate((owner[:, arc_a] - owner[:, arc_b], owner), axis=1)
-        # gains[r - outer][q, c]: V[r][q] * S[c][q], for the middle and suffix
-        self._lay_out(V, [S] * m, [len(cands)] * m,
-                      lambda lo: np.ascontiguousarray(V[lo:, :, None] * S.T))
-
-    @classmethod
-    def of_gains(cls, cols, counts):
-        """``cols`` holds a column of gains per candidate, digit ``r``'s
-        ``counts[r]`` for each digit in turn, and a candidate taken adds its
-        column to the sums; the tables are of the type of ``cols``."""
-        bounds = list(accumulate(counts, initial=0))
-        gains = [cols[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        split = cls.__new__(cls)
-        split._lay_out(np.ones((len(counts), len(cols)), dtype=cols.dtype),
-                       [g.T for g in gains], counts, lambda lo: gains[lo:])
+        S = np.concatenate((owner[:, arc_a] - owner[:, arc_b], owner), axis=1).T
+        split = cls([len(cands)] * m, lambda lo: V[lo:, :, None] * S,
+                    lambda r, c: V[r] * S[:, c], V.shape[1], util.dtype)
+        split.cands, split.arcs = cands, len(arcs)
         return split
-
-    def _lay_out(self, V, S, counts, gains):
-        """Keep the digits and build the suffix table; ``gains(lo)`` gives
-        the gain tables of digits ``lo`` onwards."""
-        self.V, self.S, self.counts, self.m = V, S, counts, len(counts)
-        self.prefix, self.outer = _layout(self.counts)
-        self.total = math.prod(self.counts)
-        self.gains = gains(self.outer)
-        self.zero = np.zeros((V.shape[1], 1), dtype=V.dtype)
-        # C order, see the module docstring
-        self.table = np.ascontiguousarray(_sums(self.gains[self.prefix - self.outer:], self.zero))
 
     def blocks(self, limit):
         """Yield ``(start, block)`` per block, the prefixes of one outer
         assignment, in canonical order while ``start``, its first
         assignment, is below ``limit``; column ``i`` holds the sums of the
         prefix that starts at ``start + i * size``, below ``limit``."""
-        o, V, S, counts = self.outer, self.V, self.S, self.counts
+        o, counts, dtype = self.outer, self.counts, self.zero.dtype
         size = self.table.shape[1]
+
+        def col(r, c):
+            return np.asarray(self.column(r, c), dtype)[:, None]
+
         seed = self.zero
         for r in range(o):  # every outer digit at candidate 0
-            seed = seed + (V[r] * S[r][0])[:, None]
-        block = _sums(self.gains[:self.prefix - o], seed)
+            seed = seed + col(r, 0)
+        block = _sums(self.inner[:self.prefix - o], seed)
         digits, start = [0] * o, 0
         while start < limit:
             # the prefixes that start below limit: ceil((limit - start) / size)
@@ -196,7 +199,7 @@ class _Split:
             while i >= 0:
                 d = digits[i]
                 digits[i] = d + 1 if d + 1 < counts[i] else 0
-                block = block + (V[i] * (S[i][digits[i]] - S[i][d]))[:, None]
+                block = block + (col(i, digits[i]) - col(i, d))
                 if digits[i]:
                     break
                 i -= 1
@@ -294,7 +297,7 @@ def _fair(split, T, need, mode, budget):
 
 def search(utilities, arcs, delta, candidates, mode, limit):
     """The table scan of the search contract; see the module docstring."""
-    split = _Split(utilities, arcs, candidates)
+    split = _Split.of_resources(utilities, arcs, candidates)
     # no candidate owners but resources to place: nothing to enumerate,
     # and an empty suffix table has no slack maximum
     status, index, welfare, nodes = (_fair(split, split.arcs, delta, mode, limit)
@@ -303,19 +306,13 @@ def search(utilities, arcs, delta, candidates, mode, limit):
     return status, owners, welfare, nodes
 
 
-def first_fair_digits(gains, counts, need, limit):
-    """Mode 0 of the search contract over digits with candidates of their
-    own, each digit at least one: the int64 rows of ``gains`` are every
-    digit's candidates in turn, ``counts`` per digit, each added to the sums
-    when taken; the first ``len(need)`` sums are held to ``need``, and the
-    rest are the profile.  Returns ``(status, digits, welfare, nodes)``,
-    ``digits`` the candidate per digit of the first fair assignment or
-    ``None``.  Past int64 the tables hold Python integers."""
-    starts = list(accumulate(counts, initial=0))[:-1]
-    top = np.maximum.reduceat(np.abs(gains), starts, axis=0).T.tolist()
-    dtype = np.min_scalar_type(-2 * max(map(sum, top), default=0) - 1)
-    split = _Split.of_gains(np.ascontiguousarray(gains.T, dtype=dtype), counts)
-    status, index, welfare, nodes = _fair(split, len(need), np.array(need, dtype), 0, limit)
+def first_fair_digits(split, need, limit):
+    """Mode 0 of the search contract over ``split``, fair when each of its
+    first ``len(need)`` sums reaches ``need``, the rest the profile:
+    ``(status, digits, welfare, nodes)``, ``digits`` the candidate per digit
+    of the first fair assignment or ``None``."""
+    need = np.array(need, dtype=split.zero.dtype)
+    status, index, welfare, nodes = _fair(split, len(need), need, 0, limit)
     return status, None if index is None else split.digits(index), welfare, nodes
 
 
@@ -405,7 +402,7 @@ def first_fair_efficient(utilities, arcs, delta, limit):
     unassigned = np.full(m, -1, dtype=np.int64)
     if nodes > limit:
         return 2, unassigned, -1, max(limit, 0)
-    split = _Split(utilities, arcs, range(n) if n else [-1])
+    split = _Split.of_resources(utilities, arcs, range(n) if n else [-1])
     A = split.arcs
     slack, profile = split.table[:A], split.table[A:]
     if split.prefix == 0:
@@ -454,8 +451,8 @@ def first_dominating(utilities, profile, limit):
     among the first ``limit`` in canonical order (agents before unassigned),
     as ``(status, nodes)``: see the module docstring."""
     profile = np.asarray(profile, dtype=np.int64)
-    split = _Split(utilities, (), np.append(np.arange(len(utilities)), -1),
-                   int(np.abs(profile).max(initial=0)))
+    split = _Split.of_resources(utilities, (), np.append(np.arange(len(utilities)), -1),
+                                int(np.abs(profile).max(initial=0)))
     table, size = split.table, split.table.shape[1]
     profile = profile.astype(table.dtype)
 

@@ -124,8 +124,7 @@ def _type_order(table: ResourceTypeTable) -> list[int]:
     return sorted(range(len(table.types)), key=lambda t: -table.multiplicity[t])
 
 
-@lru_cache(maxsize=1024)
-def _deal_plan(copies: int, k: int, cap: int) -> tuple[tuple[int, int, int, int], ...]:
+def _deal_plan(copies: int, k: int, cap: int) -> list[tuple[int, int, int, int]]:
     """``(first, j, unit, total)`` per digit dealing ``copies`` to ``k >= 1``
     agents, the last taking the rest: the digit's candidates give ``unit``
     times each vector of ``j`` counts of sum at most ``total`` to the agents
@@ -149,34 +148,43 @@ def _deal_plan(copies: int, k: int, cap: int) -> tuple[tuple[int, int, int, int]
                 unit //= cap
                 plan.append((i, 1, unit, cap - 1))
         i += j
-    return tuple(plan)
+    return plan
 
 
-def _build_deals(copies: int, agents: tuple[int, ...], n: int,
-                 cap: int) -> tuple[np.ndarray, ...]:
-    """Per digit of ``_deal_plan``, a read-only (candidates x n) matrix of
-    the counts it deals to ``agents``, lexicographic with counts rising (the
-    ``j``-subsets of range(total + j) are their prefix sums); the last
-    agent's column holds what the type's digits leave."""
-    digits = []
-    for first, j, unit, total in _deal_plan(copies, len(agents), cap):
-        sums = np.array(list(combinations(range(total + j), j)), dtype=np.int64)
-        part = unit * np.diff(sums.reshape(comb(total + j, j), j), axis=1, prepend=-1) - unit
-        x = np.zeros((len(part), n), dtype=np.int64)
-        x[:, agents[first:first + j]] = part
-        x[:, agents[-1]] = (0 if digits else copies) - part.sum(axis=1)
-        x.flags.writeable = False
-        digits.append(x)
-    return tuple(digits)
+@lru_cache(maxsize=64)
+def _deal_table(rest: int, agents: tuple[int, ...], n: int,
+                first: int, j: int, unit: int, total: int) -> np.ndarray:
+    """The counts one digit of ``_deal_plan`` deals, a row per candidate,
+    read-only: ``unit`` times each vector of ``j`` counts of sum at most
+    ``total`` to ``agents[first:first + j]``, lexicographic with counts
+    rising, and ``rest`` minus what they take to the last agent.  Cached:
+    small solves deal the same few digits again and again (see
+    ``CHANGES.md``), and a table has at most ``SUFFIX_ROWS`` rows."""
+    # the j-subsets of range(total + j) in lexicographic order; their gaps
+    # are the counts
+    part = np.array(list(combinations(range(total + j), j)),
+                    dtype=np.int64).reshape(comb(total + j, j), j)
+    part[:, 1:] -= part[:, :-1] + 1
+    x = np.zeros((len(part), n), dtype=np.int64)
+    x[:, agents[first:first + j]] = unit * part
+    x[:, agents[-1]] = rest - unit * part.sum(axis=1)
+    x.flags.writeable = False
+    return x
 
 
-_small_deals = lru_cache(maxsize=256)(_build_deals)
-
-
-def _deals(copies: int, agents: tuple[int, ...], n: int, cap: int) -> tuple[np.ndarray, ...]:
-    # small solves deal the same few shapes again and again: keep small ones
-    small = n * comb(copies + len(agents) - 1, len(agents) - 1) <= 4096
-    return (_small_deals if small else _build_deals)(copies, agents, n, cap)
+def _deal(c: int, rest: int, agents: tuple[int, ...], n: int,
+          first: int, j: int, unit: int, total: int) -> list[int]:
+    """Row ``c`` of ``_deal_table``, made alone."""
+    x = [0] * n
+    for pos, i in enumerate(agents[first:first + j]):
+        left, k = j - 1 - pos, 0
+        # C(total - k + left, left) vectors go on from count k
+        while c >= comb(total - k + left, left):
+            c -= comb(total - k + left, left)
+            k += 1
+        x[i], total = unit * k, total - k
+    x[agents[-1]] = rest - sum(x)
+    return x
 
 
 def solve_type_ilp(
@@ -196,37 +204,66 @@ def solve_type_ilp(
     ..., x[n-1]) with counts rising and the last agent taking the rest
     (``_deal_plan``; a type dealt over several digits gets a tested row).
     The first fair column is the first fair count vector in that order.
+    Only the middle's and the suffix's digits are dealt as tables; an outer
+    digit deals the one candidate the walk moves to.
     """
-    n, arcs = inst.n, inst.arcs
-    cap = max(_kernels.SUFFIX_ROWS, 2)
-    owner, dealt, tested = [], [], []   # per digit its type and deals; split types
+    n, arcs, cap = inst.n, inst.arcs, max(_kernels.SUFFIX_ROWS, 2)
+    a, b = arcs[:, 0], arcs[:, 1]
+    # per digit: its type, its type's tested row or -1, and the arguments
+    # of ``_deal_table``
+    digits, counts, tested = [], [], 0
+    # the most a sum can reach: a digit that deals at most ``most`` copies
+    # to an agent adds at most u * most to a profile entry, most to a
+    # tested row and u * 2 * most to an arc, or u * most when it deals the
+    # rest (every count lies in [0, most] then)
+    top = 0
     for t in _type_order(table):
         agents = tuple(i for i in range(n) if (i, t) not in forbidden)
         if not agents:              # a type no one may take
             return SolveResult.infeasible(0)
-        deals = _deals(table.multiplicity[t], agents, n, cap)
-        if len(deals) > 1:          # the last agent's count over these digits stays >= 0
-            tested.append((agents[-1], len(dealt), len(dealt) + len(deals)))
-        owner += [t] * len(deals)
-        dealt += deals
-    counts = [len(d) for d in dealt]
-    starts = list(accumulate(counts, initial=0))
-    x = np.concatenate([np.zeros((0, n), dtype=np.int64), *dealt])
-    rows = np.zeros((starts[-1], len(tested)), dtype=np.int64)
-    for r, (last, i, j) in enumerate(tested):
-        rows[starts[i]:starts[j], r] = x[starts[i]:starts[j], last]
-    # each candidate's row of the type column it deals
-    u = np.repeat(np.array(table.types, dtype=np.int64).reshape(len(table.types), n)[owner],
-                  counts, axis=0)
-    a, b = arcs[:, 0], arcs[:, 1]
-    gains = np.concatenate((u[:, a] * (x[:, a] - x[:, b]), rows, u * x), axis=1)
-    need = [delta] * len(arcs) + [0] * len(tested)
-    status, choice, welfare, nodes = _kernels.first_fair_digits(gains, counts, need, budget)
+        plan = _deal_plan(table.multiplicity[t], len(agents), cap)
+        row = -1 if len(plan) == 1 else tested
+        tested += row >= 0
+        for step, (first, j, unit, total) in enumerate(plan):
+            most = unit * total if step else table.multiplicity[t]
+            top += max(1, *table.types[t]) * most * (2 if step else 1)
+            digits.append((t, row, (0 if step else most, agents, n, first, j, unit, total)))
+            counts.append(comb(total + j, j))
+    # every count fits too: the first digits' ``most`` sum to m
+    dtype = _kernels.sum_type(top)
+    u = np.array(table.types, dtype=dtype).reshape(len(table.types), n)
+
+    def gains(rs, deals):
+        """The gain columns of ``deals``, the rows of each digit of ``rs``."""
+        x = np.concatenate([np.zeros((0, n), dtype), *deals]).astype(dtype, copy=False)
+        ux = np.repeat(u[[digits[r][0] for r in rs]].reshape(-1, n), [len(d) for d in deals],
+                       axis=0)
+        checks = np.zeros((len(x), tested), dtype)
+        lo = 0
+        for r, d in zip(rs, deals):
+            _, row, (_, agents, *_) = digits[r]
+            if row >= 0:            # the last agent's count over the type stays >= 0
+                checks[lo:lo + len(d), row] = d[:, agents[-1]]
+            lo += len(d)
+        return np.concatenate((ux[:, a] * (x[:, a] - x[:, b]), checks, ux * x), axis=1).T
+
+    def tables(lo):
+        rs = range(lo, len(digits))
+        cols = gains(rs, [_deal_table(*digits[r][2]) for r in rs])
+        bounds = list(accumulate(counts[lo:], initial=0))
+        return [cols[:, i:j] for i, j in zip(bounds, bounds[1:])]
+
+    def column(r, c):
+        return gains([r], [np.array([_deal(c, *digits[r][2])], dtype=np.int64)])[:, 0]
+
+    split = _kernels._Split(counts, tables, column, len(arcs) + tested + n, dtype)
+    status, choice, welfare, nodes = _kernels.first_fair_digits(
+        split, [delta] * len(arcs) + [0] * tested, budget)
     if status != 0:
         return SolveResult.budget(nodes) if status == 2 else SolveResult.infeasible(nodes)
     count = [[0] * n for _ in table.types]
-    for t, row in zip(owner, x[[lo + c for lo, c in zip(starts, choice)]].tolist()):
-        count[t] = [p + q for p, q in zip(count[t], row)]
+    for (t, _, args), c in zip(digits, choice):
+        count[t] = [p + q for p, q in zip(count[t], _deal(c, *args))]
     # deal concrete resources in (type, agent-index) order
     held = [iter([i for i, c in enumerate(row) for _ in range(c)]) for row in count]
     return SolveResult.feasible(

@@ -3,6 +3,8 @@ from math import comb
 import itertools
 import random
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -20,7 +22,9 @@ from gefalloc import (
 )
 from gefalloc.exact import (
     ResourceTypeTable,
+    _deal,
     _deal_plan,
+    _deal_table,
     _sgef_owners,
     brute_force,
     sgef_fpt_search_size,
@@ -249,13 +253,17 @@ class TestTypeScan:
     def test_digits_and_tables_fit_the_suffix(self, monkeypatch):
         """The 14-copy type among 6 agents is dealt over digits of at most
         ``SUFFIX_ROWS`` candidates (a run of four agents and one of one, the
-        last agent taking the rest), and neither the suffix table nor a block
-        holds more than ``SUFFIX_ROWS`` columns: the memory bound
-        O((A+n)·(2·SUFFIX_ROWS+m)) holds with m the number of digits."""
+        last agent taking the rest), and no gain table, neither the suffix
+        table nor a block holds more than ``SUFFIX_ROWS`` columns: the memory
+        bound O((A+n)·(2·SUFFIX_ROWS+m)) holds with m the number of digits."""
         splits = []
-        of_gains = _kernels._Split.of_gains.__func__
-        monkeypatch.setattr(_kernels._Split, "of_gains", classmethod(
-            lambda cls, *args: splits.append(of_gains(cls, *args)) or splits[-1]))
+
+        class Spy(_kernels._Split):
+            def __init__(self, *args):
+                super().__init__(*args)
+                splits.append(self)
+
+        monkeypatch.setattr(_kernels, "_Split", Spy)
         inst = TYPE_CORPUS[-1]
         res = solve_ilp(inst, WEAK)
         assert res.allocation.assignment == type_reference(len(TYPE_CORPUS) - 1, WEAK,
@@ -263,8 +271,35 @@ class TestTypeScan:
         (split,) = splits
         rows = _kernels.SUFFIX_ROWS
         assert split.counts == [comb(18, 4), 15, 6]
+        assert all(gains.shape[1] <= rows for gains in split.inner)
         assert split.table.shape[1] <= rows
         assert all(block.shape[1] <= rows for _, block in split.blocks(split.total))
+
+    def test_one_deal_is_its_row_of_the_table(self):
+        """``_deal`` makes row ``c`` of ``_deal_table`` alone: runs of one to
+        three agents, a place digit of unit 8, the one digit of a single
+        agent, and digits that deal the rest or do not."""
+        for args in [(5, (0, 1, 2, 3), 4, 0, 3, 1, 5), (0, (1, 3), 4, 0, 1, 8, 3),
+                     (7, (2,), 3, 0, 0, 1, 7), (0, (0, 1, 2), 3, 1, 1, 1, 4),
+                     (6, (0, 2, 3, 4), 5, 1, 2, 1, 6)]:
+            table = _deal_table(*args).tolist()
+            assert [_deal(c, *args) for c in range(len(table))] == table, args
+
+    def test_outer_digits_are_never_tabulated(self):
+        """40 agents on a cycle share one type of 30 copies: 13 digits of
+        C(33, 3) = 5,456 deals each.  At a budget of one the scan tabulates
+        the suffix's and the middle's digit alone, and answers within a
+        second and 32 MB."""
+        inst = make([[1] * 30] * 40, [(i, (i + 1) % 40) for i in range(40)])
+        tracemalloc.start()
+        start = time.perf_counter()
+        res = solve(inst, WEAK, EfficiencyGoal.COMPLETE, algorithm="ilp", budget=1)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert (res.status, res.nodes) == (Status.BUDGET, 1)
+        assert elapsed < 1.0
+        assert peak < 32 * 2**20
 
 
 class TestIdenticalEnum:

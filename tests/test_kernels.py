@@ -232,7 +232,7 @@ def test_table_backend_matches_counter(monkeypatch, rows):
             (a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.4
         ]
         total = len(cands) ** m
-        split = _kernels._Split(util, (), cands)
+        split = _kernels._Split.of_resources(util, (), cands)
         size = split.table.shape[1]
         block = size * len(cands) ** (split.prefix - split.outer)
         spans += split.outer > 0 and block < total
@@ -274,7 +274,7 @@ def test_one_table_scans_skip_the_walk(monkeypatch):
                         dtype=np.int64).reshape(n, m)
         arcs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.5]
         cands = list(range(n)) + ([-1] if trial % 2 else [])
-        assert _kernels._Split(util, arcs, cands).prefix == 0
+        assert _kernels._Split.of_resources(util, arcs, cands).prefix == 0
         total = len(cands) ** m
         for limit in sorted({-1, 0, 1, total // 2, total, total + 1}):
             for delta in (0, 1):
@@ -357,7 +357,7 @@ def test_table_layout(n, m, cands, arcs, prefix):
     rng = random.Random(n * 100 + m)
     util = np.array([[rng.randint(0, 5) for _ in range(m)] for _ in range(n)],
                     dtype=np.int64).reshape(n, m)
-    split = _kernels._Split(util, arcs, cands)
+    split = _kernels._Split.of_resources(util, arcs, cands)
     assert split.prefix == prefix
     assert split.table.flags.c_contiguous
     assert np.array_equal(split.table, reference_table(util, arcs, cands, prefix))
@@ -443,7 +443,7 @@ def test_type_boundaries(monkeypatch, rows):
     cases.append((3 * ((UTILITY_BOUND - 1) // 6), near_utility_bound()))
     for s, (util, arcs) in cases:
         n, m = util.shape
-        assert _kernels._Split(util, arcs, range(n)).table.dtype == table_type(s)
+        assert _kernels._Split.of_resources(util, arcs, range(n)).table.dtype == table_type(s)
         plain = util.tolist()
         for cands in (list(range(n)), [1, -1, 0], [1]):
             for delta in (0, 1):
@@ -475,7 +475,7 @@ def test_kernels_read_the_stored_type():
                           util, arcs).utilities
         widths.add(stored.dtype.name)
         for cands in (range(n), [1, -1, 0]):
-            want, got = (_kernels._Split(u, arcs, cands).table for u in (util, stored))
+            want, got = (_kernels._Split.of_resources(u, arcs, cands).table for u in (util, stored))
             assert got.dtype == want.dtype and np.array_equal(got, want)
             for delta in (0, 1):
                 for mode in (0, 1):
@@ -518,14 +518,15 @@ def test_first_fair_on_frontier_matches_oracle(monkeypatch, rows):
 
 
 def spy_tables(monkeypatch):
-    """The candidates of every ``_Split`` built from now on, one list each."""
-    cands, split = [], _kernels._Split
+    """The candidates of every resource ``_Split`` built from now on, one
+    list each."""
+    cands, of_resources = [], _kernels._Split.of_resources
 
     def spy_split(utilities, arcs, candidates, cover=0):
         cands.append(list(candidates))
-        return split(utilities, arcs, candidates, cover)
+        return of_resources(utilities, arcs, candidates, cover)
 
-    monkeypatch.setattr(_kernels, "_Split", spy_split)
+    monkeypatch.setattr(_kernels._Split, "of_resources", spy_split)
     return cands
 
 
@@ -605,11 +606,11 @@ def test_one_table_witness_matches_the_walk(monkeypatch):
         n = len(util)
         for delta in (0, 1):
             monkeypatch.setattr(_kernels, "SUFFIX_ROWS", 1 << 13)
-            assert _kernels._Split(util, arcs, range(n) if n else [-1]).prefix == 0
+            assert _kernels._Split.of_resources(util, arcs, range(n) if n else [-1]).prefix == 0
             limit = (n + 1) ** util.shape[1]
             status, got, welfare, nodes = _kernels.first_fair_efficient(util, arcs, delta, limit)
             monkeypatch.setattr(_kernels, "SUFFIX_ROWS", 64)
-            walked += _kernels._Split(util, arcs, range(n) if n else [-1]).prefix > 0
+            walked += _kernels._Split.of_resources(util, arcs, range(n) if n else [-1]).prefix > 0
             want = _kernels.first_fair_efficient(util, arcs, delta, limit)
             assert (status, welfare, nodes) == (want[0], want[2], want[3]), (util, arcs, delta)
             assert np.array_equal(got, want[1]), (util, arcs, delta)

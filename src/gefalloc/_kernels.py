@@ -44,10 +44,15 @@ per block screens the prefixes some suffix could make fair (``prefix_slack
 + max(slack) >= delta`` on every arc), one unit of work each, and in mode 1
 one sum keeps those that can beat the best welfare.  Each surviving prefix
 tests all its suffix assignments in one comparison, a unit each.  When the
-suffix holds every assignment the scan is that one test.  No table spans
-more than ``SUFFIX_ROWS`` columns, whatever the budget, and the suffix
-table is C-contiguous, one row per quantity (another order made a welfare
-scan 3.4 times slower).
+suffix holds every assignment the scan is that one test.  Memory is
+``O((A + n) * (2 * SUFFIX_ROWS + m))`` for ``A`` arcs and ``m`` digits: no
+table spans more than ``SUFFIX_ROWS`` columns, whatever the budget, and the
+work before the first unit grows only with the input.
+
+The suffix table must stay C-contiguous, one row per quantity, so that a
+test of one quantity reads contiguous memory: in another memory order a
+welfare scan at n=3, m=7 ran 3.4 times slower.  A broadcast does not
+promise C order, so the build ends with ``np.ascontiguousarray``.
 
 A ``_Split`` knows its digits by two functions, their gain tables and
 one candidate's gain column, so that only the middle and the suffix are
@@ -59,11 +64,41 @@ A type with more than ``SUFFIX_ROWS`` deals is dealt over several digits;
 the sums are linear in the counts, so deals that give out more copies than
 there are fail one more tested row per such type, copies - dealt >= 0.
 
-Tables are of the narrowest signed integer type that holds ``±(2*s + 1)``
-(``sum_type``): ``s`` is the largest row sum of the utilities for
-resources, and for digits of their own a bound on every sum of gains.
-Welfare is summed in int64.
-``first_fair_efficient`` and ``first_dominating`` walk the same tables.
+Every table, and the Pareto frontier, is held in the narrowest signed
+integer type (int8, int16, int32 or int64) that holds ``±(2*s + 1)``
+(``sum_type``), ``s`` the largest row sum of the utilities (and, in
+``first_dominating``, of the caller's profile), or for digits of their own
+a bound on every sum of gains.  Every value a scan forms fits: an arc slack
+or a profile entry is a signed sum over one agent's row, an outer digit's
+shift is at most twice a gain, and ``delta - x`` adds one.  Welfare is
+summed in int64, and so are the row sums that pick the type.  The
+utilities are cast to the table type from the type they arrive in (an
+``Instance`` stores them in the narrowest type that holds its largest
+value), with no int64 copy between.  On small utilities the comparisons
+then read an eighth of the memory, and the verdicts, witnesses and node
+counts are those of int64.
+
+The same tables and walk serve the Pareto goal.  ``first_fair_efficient``
+finds the Pareto brute-force witness among the complete assignments.
+Utilities are non-negative, so some complete allocation covers every
+partial one: the frontier of partial allocations is the set of maximal
+complete profiles, and a complete profile lies on it iff no complete
+profile covers it with a larger total.  When one table holds every complete
+assignment, the fair ones are thus checked, a few at a time in canonical
+order, against the whole table, and no frontier is built; a checked one's
+cover of largest total lies on the frontier (the presorting argument of
+skyline queries), so it drops the later fair assignments it dominates.
+Otherwise ``pareto_frontier`` builds the undominated profiles, pruning in
+batches so that numpy's fixed cost is paid a few times per frontier rather
+than once per resource, and the walk seeks a fair assignment on it (the
+block test is the arcs' reach, as above).  ``first_dominating`` decides
+Pareto efficiency (the block test is whether a prefix plus the most each
+agent can still gain reaches the profile).  Frontier membership goes by a
+linear key, ``k(p) = sum(p[i] * w[i])`` modulo 2**64 with fixed odd
+multipliers ``w``: the frontier's keys are sorted once, the suffix table's
+keys built once, a prefix adds one scalar, and one ``searchsorted`` tests
+all of a prefix's fair suffixes.  A key hit is checked against the frontier
+rows of that key, so a collision costs one check and never a wrong witness.
 """
 
 from __future__ import annotations

@@ -176,16 +176,16 @@ class _Split:
     sums.  ``tables(lo)`` gives the gain tables of digits ``lo`` onwards, a
     column per candidate, and ``column(r, c)`` the column of digit ``r``'s
     candidate ``c``: only the middle and the suffix are tabulated, and the
-    walk asks an outer digit for the columns it moves between.  Tables are
-    of ``dtype``; column ``j`` of ``table`` holds the sums over the
-    suffix's ``j``-th assignment."""
+    walk asks an outer digit for the columns it moves between.  Both give
+    gains of ``dtype``, the type of every table; column ``j`` of ``table``
+    holds the sums over the suffix's ``j``-th assignment."""
 
     def __init__(self, counts, tables, column, rows, dtype):
         self.counts, self.m, self.column = list(counts), len(counts), column
         self.prefix, self.outer = _layout(self.counts)
         self.total = math.prod(self.counts)
         self.zero = np.zeros((rows, 1), dtype=dtype)
-        self.inner = [np.asarray(gains, dtype) for gains in tables(self.outer)]
+        self.inner = tables(self.outer)
         # C order, see the module docstring
         self.table = np.ascontiguousarray(_sums(self.inner[self.prefix - self.outer:], self.zero))
 
@@ -204,7 +204,8 @@ class _Split:
         V = np.concatenate((util[arc_a].T, util.T), axis=1)
         # owner indicator per candidate; its zero last row stands for "unassigned"
         owner = np.eye(n + 1, n, dtype=util.dtype)[cands]
-        S = np.concatenate((owner[:, arc_a] - owner[:, arc_b], owner), axis=1).T
+        # C order, so that the gain tables are too
+        S = np.ascontiguousarray(np.concatenate((owner[:, arc_a] - owner[:, arc_b], owner), axis=1).T)
         split = cls([len(cands)] * m, lambda lo: V[lo:, :, None] * S,
                     lambda r, c: V[r] * S[:, c], V.shape[1], util.dtype)
         split.cands, split.arcs = cands, len(arcs)
@@ -215,15 +216,11 @@ class _Split:
         assignment, in canonical order while ``start``, its first
         assignment, is below ``limit``; column ``i`` holds the sums of the
         prefix that starts at ``start + i * size``, below ``limit``."""
-        o, counts, dtype = self.outer, self.counts, self.zero.dtype
+        o, counts, col = self.outer, self.counts, self.column
         size = self.table.shape[1]
-
-        def col(r, c):
-            return np.asarray(self.column(r, c), dtype)[:, None]
-
         seed = self.zero
         for r in range(o):  # every outer digit at candidate 0
-            seed = seed + col(r, 0)
+            seed = seed + col(r, 0)[:, None]
         block = _sums(self.inner[:self.prefix - o], seed)
         digits, start = [0] * o, 0
         while start < limit:
@@ -234,7 +231,7 @@ class _Split:
             while i >= 0:
                 d = digits[i]
                 digits[i] = d + 1 if d + 1 < counts[i] else 0
-                block = block + (col(i, digits[i]) - col(i, d))
+                block = block + (col(i, digits[i]) - col(i, d))[:, None]
                 if digits[i]:
                     break
                 i -= 1

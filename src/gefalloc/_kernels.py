@@ -1,7 +1,8 @@
 """Hot enumeration kernels behind the exhaustive solvers.
 
-``search`` enumerates assignments by one numpy table scan (below), and
-``first_fair_digits`` runs it over digits with candidates of their own.
+``search`` enumerates assignments by one numpy table scan (below);
+``_fair`` runs the scan over any ``_Split``, such as the type scan's digits
+with candidates of their own.
 ``tests/oracle.py`` keeps the references: ``counter_search``, a plain
 mixed-radix counter under the same contract, and ``type_search``.
 
@@ -336,16 +337,6 @@ def search(utilities, arcs, delta, candidates, mode, limit):
                                      if split.total else (1, None, -1, 0))
     owners = np.full(split.m, -1, dtype=np.int64) if index is None else split.assignment(index)
     return status, owners, welfare, nodes
-
-
-def first_fair_digits(split, need, limit):
-    """Mode 0 of the search contract over ``split``, fair when each of its
-    first ``len(need)`` sums reaches ``need``, the rest the profile:
-    ``(status, digits, welfare, nodes)``, ``digits`` the candidate per digit
-    of the first fair assignment or ``None``."""
-    need = np.array(need, dtype=split.zero.dtype)
-    status, index, welfare, nodes = _fair(split, len(need), need, 0, limit)
-    return status, None if index is None else split.digits(index), welfare, nodes
 
 
 # Pareto pruning compares at most this many (candidate, rival) pairs at once.

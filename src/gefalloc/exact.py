@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
@@ -152,24 +152,31 @@ def _deal_plan(copies: int, k: int, cap: int) -> list[tuple[int, int, int, int]]
 
 
 @lru_cache(maxsize=64)
-def _deal_table(rest: int, agents: tuple[int, ...], n: int,
-                first: int, j: int, unit: int, total: int) -> np.ndarray:
-    """The counts one digit of ``_deal_plan`` deals, a row per candidate,
-    read-only: ``unit`` times each vector of ``j`` counts of sum at most
-    ``total`` to ``agents[first:first + j]``, lexicographic with counts
-    rising, and ``rest`` minus what they take to the last agent.  Cached,
-    a table of at most ``SUFFIX_ROWS`` rows each: a pass of the benchmark's
-    routed-mix corpus asks for 77 tables of some 47 digits, and the cache
-    takes about 30 us off each of its 25 ilp solves (of about 125 us)."""
+def _gaps(total: int, j: int) -> np.ndarray:
+    """Each vector of ``j`` counts of sum at most ``total``, a row each,
+    lexicographic with counts rising, read-only.  Cached, at most
+    ``SUFFIX_ROWS`` rows of ``j`` counts each, whatever the agents: the
+    benchmark's routed-mix corpus repeats its small solves pass after pass,
+    and rebuilding each digit's table cost its passes about 5 % of their
+    solves per second."""
     # the j-subsets of range(total + j) in lexicographic order; their gaps
     # are the counts
     part = np.array(list(combinations(range(total + j), j)),
                     dtype=np.int64).reshape(comb(total + j, j), j)
     part[:, 1:] -= part[:, :-1] + 1
+    part.flags.writeable = False
+    return part
+
+
+def _deal_table(rest: int, agents: tuple[int, ...], n: int,
+                first: int, j: int, unit: int, total: int) -> np.ndarray:
+    """The counts one digit of ``_deal_plan`` deals, a row per candidate:
+    ``unit`` times each row of ``_gaps(total, j)`` to ``agents[first:first
+    + j]``, and ``rest`` minus what they take to the last agent."""
+    part = _gaps(total, j)
     x = np.zeros((len(part), n), dtype=np.int64)
     x[:, agents[first:first + j]] = unit * part
     x[:, agents[-1]] = rest - unit * part.sum(axis=1)
-    x.flags.writeable = False
     return x
 
 
@@ -177,13 +184,8 @@ def _deal(c: int, rest: int, agents: tuple[int, ...], n: int,
           first: int, j: int, unit: int, total: int) -> list[int]:
     """Row ``c`` of ``_deal_table``, made alone."""
     x = [0] * n
-    for pos, i in enumerate(agents[first:first + j]):
-        left, k = j - 1 - pos, 0
-        # C(total - k + left, left) vectors go on from count k
-        while c >= comb(total - k + left, left):
-            c -= comb(total - k + left, left)
-            k += 1
-        x[i], total = unit * k, total - k
+    for i, k in zip(agents[first:first + j], _gaps(total, j)[c].tolist()):
+        x[i] = unit * k
     x[agents[-1]] = rest - sum(x)
     return x
 
@@ -234,36 +236,25 @@ def solve_type_ilp(
     dtype = _kernels.sum_type(top)
     u = np.array(table.types, dtype=dtype).reshape(len(table.types), n)
 
-    def gains(rs, deals):
-        """The gain columns of ``deals``, the rows of each digit of ``rs``."""
-        x = np.concatenate([np.zeros((0, n), dtype), *deals]).astype(dtype, copy=False)
-        ux = np.repeat(u[[digits[r][0] for r in rs]].reshape(-1, n), [len(d) for d in deals],
-                       axis=0)
+    def gains(r, x):
+        """The gain columns of digit ``r``'s deals, a row of ``x`` each."""
+        t, row, (_, agents, *_) = digits[r]
+        x = x.astype(dtype, copy=False)
         checks = np.zeros((len(x), tested), dtype)
-        lo = 0
-        for r, d in zip(rs, deals):
-            _, row, (_, agents, *_) = digits[r]
-            if row >= 0:            # the last agent's count over the type stays >= 0
-                checks[lo:lo + len(d), row] = d[:, agents[-1]]
-            lo += len(d)
-        return np.concatenate((ux[:, a] * (x[:, a] - x[:, b]), checks, ux * x), axis=1).T
+        if row >= 0:                # the last agent's count over the type stays >= 0
+            checks[:, row] = x[:, agents[-1]]
+        return np.concatenate((u[t, a] * (x[:, a] - x[:, b]), checks, u[t] * x), axis=1).T
 
-    def tables(lo):
-        rs = range(lo, len(digits))
-        cols = gains(rs, [_deal_table(*digits[r][2]) for r in rs])
-        bounds = list(accumulate(counts[lo:], initial=0))
-        return [cols[:, i:j] for i, j in zip(bounds, bounds[1:])]
-
-    def column(r, c):
-        return gains([r], [np.array([_deal(c, *digits[r][2])], dtype=np.int64)])[:, 0]
-
-    split = _kernels._Split(counts, tables, column, len(arcs) + tested + n, dtype)
-    status, choice, welfare, nodes = _kernels.first_fair_digits(
-        split, [delta] * len(arcs) + [0] * tested, budget)
+    split = _kernels._Split(
+        counts, lambda lo: [gains(r, _deal_table(*digits[r][2])) for r in range(lo, len(digits))],
+        lambda r, c: gains(r, np.array([_deal(c, *digits[r][2])]))[:, 0],
+        len(arcs) + tested + n, dtype)
+    need = np.array([delta] * len(arcs) + [0] * tested, dtype=dtype)
+    status, index, welfare, nodes = _kernels._fair(split, len(need), need, 0, budget)
     if status != 0:
         return SolveResult.budget(nodes) if status == 2 else SolveResult.infeasible(nodes)
     count = [[0] * n for _ in table.types]
-    for (t, _, args), c in zip(digits, choice):
+    for (t, _, args), c in zip(digits, split.digits(index)):
         count[t] = [p + q for p, q in zip(count[t], _deal(c, *args))]
     # deal concrete resources in (type, agent-index) order
     held = [iter([i for i, c in enumerate(row) for _ in range(c)]) for row in count]

@@ -152,6 +152,8 @@ def _layout(counts):
     ``SUFFIX_ROWS``, the middle the next ones that do, and ``outer`` the
     digits before the middle; ``prefix`` counts the outer and middle
     digits."""
+    if math.prod(counts) <= SUFFIX_ROWS:   # one table, as for most small solves
+        return 0, 0
     bounds, d = [], len(counts)
     for _ in range(2):
         size = 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Optional, Sequence
 
@@ -152,41 +152,22 @@ def _deal_plan(copies: int, k: int, cap: int) -> list[tuple[int, int, int, int]]
 
 
 @lru_cache(maxsize=64)
-def _gaps(total: int, j: int) -> np.ndarray:
-    """Each vector of ``j`` counts of sum at most ``total``, a row each,
-    lexicographic with counts rising, read-only.  Cached, at most
-    ``SUFFIX_ROWS`` rows of ``j`` counts each, whatever the agents: the
-    benchmark's routed-mix corpus repeats its small solves pass after pass,
-    and rebuilding each digit's table cost its passes about 5 % of their
-    solves per second."""
+def _deals(rest: int, j: int, unit: int, total: int) -> np.ndarray:
+    """The counts one digit of ``_deal_plan`` deals to its run of ``j``
+    agents and to the last agent, a row per candidate, read-only: ``unit``
+    times each vector of ``j`` counts of sum at most ``total``,
+    lexicographic with counts rising, then ``rest`` minus what they take.
+    Cached, at most ``SUFFIX_ROWS`` rows of ``j + 1`` counts each, whatever
+    the agents: the benchmark's routed-mix corpus repeats its small solves
+    pass after pass, and rebuilding each digit's rows cost its passes about
+    5 % of their solves per second."""
     # the j-subsets of range(total + j) in lexicographic order; their gaps
     # are the counts
     part = np.array(list(combinations(range(total + j), j)),
                     dtype=np.int64).reshape(comb(total + j, j), j)
     part[:, 1:] -= part[:, :-1] + 1
-    part.flags.writeable = False
-    return part
-
-
-def _deal_table(rest: int, agents: tuple[int, ...], n: int,
-                first: int, j: int, unit: int, total: int) -> np.ndarray:
-    """The counts one digit of ``_deal_plan`` deals, a row per candidate:
-    ``unit`` times each row of ``_gaps(total, j)`` to ``agents[first:first
-    + j]``, and ``rest`` minus what they take to the last agent."""
-    part = _gaps(total, j)
-    x = np.zeros((len(part), n), dtype=np.int64)
-    x[:, agents[first:first + j]] = unit * part
-    x[:, agents[-1]] = rest - unit * part.sum(axis=1)
-    return x
-
-
-def _deal(c: int, rest: int, agents: tuple[int, ...], n: int,
-          first: int, j: int, unit: int, total: int) -> list[int]:
-    """Row ``c`` of ``_deal_table``, made alone."""
-    x = [0] * n
-    for i, k in zip(agents[first:first + j], _gaps(total, j)[c].tolist()):
-        x[i] = unit * k
-    x[agents[-1]] = rest - sum(x)
+    x = np.concatenate((unit * part, rest - unit * part.sum(axis=1, keepdims=True)), axis=1)
+    x.flags.writeable = False
     return x
 
 
@@ -207,13 +188,13 @@ def solve_type_ilp(
     ..., x[n-1]) with counts rising and the last agent taking the rest
     (``_deal_plan``; a type dealt over several digits gets a tested row).
     The first fair column is the first fair count vector in that order.
-    Only the middle's and the suffix's digits are dealt as tables; an outer
-    digit deals the one candidate the walk moves to.
+    Only the middle's and the suffix's digits get gain tables; an outer
+    digit's gains are formed for the one candidate the walk moves to.
     """
     n, arcs, cap = inst.n, inst.arcs, max(_kernels.SUFFIX_ROWS, 2)
     a, b = arcs[:, 0], arcs[:, 1]
-    # per digit: its type, its type's tested row or -1, and the arguments
-    # of ``_deal_table``
+    # per digit: its type, its type's tested row or -1, the agents it deals
+    # to (its run, then the last agent) and the arguments of ``_deals``
     digits, counts, tested = [], [], 0
     # the most a sum can reach: a digit that deals at most ``most`` copies
     # to an agent adds at most u * most to a profile entry, most to a
@@ -221,7 +202,7 @@ def solve_type_ilp(
     # rest (every count lies in [0, most] then)
     top = 0
     for t in _type_order(table):
-        agents = tuple(i for i in range(n) if (i, t) not in forbidden)
+        agents = [i for i in range(n) if (i, t) not in forbidden]
         if not agents:              # a type no one may take
             return SolveResult.infeasible(0)
         plan = _deal_plan(table.multiplicity[t], len(agents), cap)
@@ -230,32 +211,45 @@ def solve_type_ilp(
         for step, (first, j, unit, total) in enumerate(plan):
             most = unit * total if step else table.multiplicity[t]
             top += max(1, *table.types[t]) * most * (2 if step else 1)
-            digits.append((t, row, (0 if step else most, agents, n, first, j, unit, total)))
+            digits.append((t, row, agents[first:first + j] + agents[-1:],
+                           (0 if step else most, j, unit, total)))
             counts.append(comb(total + j, j))
     # every count fits too: the first digits' ``most`` sum to m
     dtype = _kernels.sum_type(top)
     u = np.array(table.types, dtype=dtype).reshape(len(table.types), n)
 
-    def gains(r, x):
-        """The gain columns of digit ``r``'s deals, a row of ``x`` each."""
-        t, row, (_, agents, *_) = digits[r]
-        x = x.astype(dtype, copy=False)
+    def gains(rs, deals):
+        """The gain columns of ``deals``, the rows of each digit of ``rs``."""
+        x = np.zeros((sum(map(len, deals)), n), dtype)
         checks = np.zeros((len(x), tested), dtype)
-        if row >= 0:                # the last agent's count over the type stays >= 0
-            checks[:, row] = x[:, agents[-1]]
-        return np.concatenate((u[t, a] * (x[:, a] - x[:, b]), checks, u[t] * x), axis=1).T
+        lo = 0
+        for r, d in zip(rs, deals):
+            _, row, cols, _ = digits[r]
+            x[lo:lo + len(d), cols] = d
+            if row >= 0:            # the last agent's count over the type stays >= 0
+                checks[lo:lo + len(d), row] = d[:, -1]
+            lo += len(d)
+        ux = np.repeat(u[[digits[r][0] for r in rs]], [len(d) for d in deals], axis=0)
+        return np.concatenate((ux[:, a] * (x[:, a] - x[:, b]), checks, ux * x), axis=1).T
 
-    split = _kernels._Split(
-        counts, lambda lo: [gains(r, _deal_table(*digits[r][2])) for r in range(lo, len(digits))],
-        lambda r, c: gains(r, np.array([_deal(c, *digits[r][2])]))[:, 0],
-        len(arcs) + tested + n, dtype)
+    def tables(lo):
+        rs = range(lo, len(digits))
+        cols = gains(rs, [_deals(*digits[r][3]) for r in rs])
+        bounds = list(accumulate(counts[lo:], initial=0))
+        return [cols[:, i:j] for i, j in zip(bounds, bounds[1:])]
+
+    def column(r, c):
+        return gains([r], [_deals(*digits[r][3])[c:c + 1]])[:, 0]
+
+    split = _kernels._Split(counts, tables, column, len(arcs) + tested + n, dtype)
     need = np.array([delta] * len(arcs) + [0] * tested, dtype=dtype)
     status, index, welfare, nodes = _kernels._fair(split, len(need), need, 0, budget)
     if status != 0:
         return SolveResult.budget(nodes) if status == 2 else SolveResult.infeasible(nodes)
     count = [[0] * n for _ in table.types]
-    for (t, _, args), c in zip(digits, split.digits(index)):
-        count[t] = [p + q for p, q in zip(count[t], _deal(c, *args))]
+    for (t, _, cols, deal), c in zip(digits, split.digits(index)):
+        for i, k in zip(cols, _deals(*deal)[c].tolist()):
+            count[t][i] += k
     # deal concrete resources in (type, agent-index) order
     held = [iter([i for i, c in enumerate(row) for _ in range(c)]) for row in count]
     return SolveResult.feasible(

@@ -22,9 +22,7 @@ from gefalloc import (
 )
 from gefalloc.exact import (
     ResourceTypeTable,
-    _deal,
     _deal_plan,
-    _deal_table,
     _sgef_owners,
     brute_force,
     sgef_fpt_search_size,
@@ -274,16 +272,6 @@ class TestTypeScan:
         assert all(gains.shape[1] <= rows for gains in split.inner)
         assert split.table.shape[1] <= rows
         assert all(block.shape[1] <= rows for _, block in split.blocks(split.total))
-
-    def test_one_deal_is_its_row_of_the_table(self):
-        """``_deal`` makes row ``c`` of ``_deal_table`` alone: runs of one to
-        three agents, a place digit of unit 8, the one digit of a single
-        agent, and digits that deal the rest or do not."""
-        for args in [(5, (0, 1, 2, 3), 4, 0, 3, 1, 5), (0, (1, 3), 4, 0, 1, 8, 3),
-                     (7, (2,), 3, 0, 0, 1, 7), (0, (0, 1, 2), 3, 1, 1, 1, 4),
-                     (6, (0, 2, 3, 4), 5, 1, 2, 1, 6)]:
-            table = _deal_table(*args).tolist()
-            assert [_deal(c, *args) for c in range(len(table))] == table, args
 
     def test_outer_digits_are_never_tabulated(self):
         """80 agents on a cycle share one type of 30 copies: 26 digits of

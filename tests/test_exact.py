@@ -278,7 +278,7 @@ class TestTypeScan:
         C(33, 3) = 5,456 deals each and one of 31.  At a budget of one the
         scan tabulates the suffix's and the middle's digit alone, and
         answers within a second and 16 MB; gain tables for every digit
-        would take about 46 MB."""
+        would take about 130 MB."""
         inst = make([[1] * 30] * 80, [(i, (i + 1) % 80) for i in range(80)])
         tracemalloc.start()
         start = time.perf_counter()

@@ -238,6 +238,9 @@ class SolveResult:
         return SolveResult(Status.BUDGET, None, 0, nodes)
 
 
+_SHAPE_MISMATCH = "utility matrix shape does not match agents x resources"
+
+
 def _utility_rows(rows: Sequence, n: int, m: int) -> np.ndarray:
     """Nested lists (or tuples) of utilities as an (n, m) int64 array: the
     one check of such input, for ``Instance`` and ``parse_validate``.
@@ -245,7 +248,7 @@ def _utility_rows(rows: Sequence, n: int, m: int) -> np.ndarray:
     (bools are not) that fits in 64 bits; numpy integer scalars count, for
     library callers."""
     if len(rows) != n or any(len(row) != m for row in rows):
-        raise ValidationError("utility matrix shape does not match agents x resources")
+        raise ValidationError(_SHAPE_MISMATCH)
     types = set(map(type, itertools.chain.from_iterable(rows)))
     if any(not issubclass(t, (int, np.integer)) or issubclass(t, bool) for t in types):
         raise ValidationError("utilities must be integers")
@@ -256,7 +259,9 @@ def _utility_rows(rows: Sequence, n: int, m: int) -> np.ndarray:
 
 
 def parse_validate(doc: dict) -> Instance:
-    """Build an Instance from a plain-dict document, with field checks."""
+    """Build an Instance from a plain-dict document, with field checks.
+    ``"utilities"`` is a list of rows, or an (n, m) array, as
+    ``cli._load_json`` reads a grid of integers."""
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be a JSON object")
     for key in ("agents", "resources", "utilities", "arcs"):
@@ -269,9 +274,14 @@ def parse_validate(doc: dict) -> Instance:
     if not isinstance(resources, list) or not all(isinstance(r, str) for r in resources):
         raise ValidationError("resources must be a list of strings")
     util = doc["utilities"]
-    if not isinstance(util, list) or not all(isinstance(row, list) for row in util):
+    if isinstance(util, np.ndarray):  # a grid as cli._load_json reads one
+        if util.shape != (len(agents), len(resources)):
+            raise ValidationError(_SHAPE_MISMATCH)
+        matrix = util
+    elif not isinstance(util, list) or not all(isinstance(row, list) for row in util):
         raise ValidationError("utilities must be a list of rows")
-    matrix = _utility_rows(util, len(agents), len(resources))
+    else:
+        matrix = _utility_rows(util, len(agents), len(resources))
     index = {a: i for i, a in enumerate(agents)}
     arcs = []
     if not isinstance(doc["arcs"], list):

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gefalloc
@@ -30,7 +32,9 @@ class TestSolve:
     def test_feasible_exit_and_document(self, tmp_path, capsys):
         path = write_instance(tmp_path, "i.json", [[1, 2], [2, 1]], [(0, 1)])
         assert main(["solve", path]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert len(out.splitlines()) == 2 + len(doc)  # braces, one line per key
         assert doc["verdict"] == "feasible"
         assert doc["allocation"] is not None
         assert doc["algorithm"]
@@ -499,3 +503,141 @@ class TestMalformedFuzz:
     @given(doc=BAD_ALLOCATION | NOT_JSON)
     def test_malformed_allocation(self, doc):
         _exits_malformed("verify", BASE, doc)
+
+
+# cell texts json.loads rejects, or reads as something other than an int64
+# grid cell, or reads at the edge of the grid reader's range
+ODD_CELLS = st.sampled_from([
+    "true", "false", "null", "1.5", "1.0", "1e3", "01", "00", "-01", "-0", "--1",
+    "-", "+1", "1 2", "1\n2", "- 1", "1-2", '"1"', "", "[1]", "[]", "NaN", "0x1",
+    "9" * 18, "-" + "9" * 18, "1" + "0" * 18, "9" * 19, "-" + "9" * 19, "9" * 20,
+])
+CELLS = st.one_of(st.integers(0, 300), st.integers(-2, 10**18 - 1)).map(str)
+# text spliced into a document at a random place
+SPLICES = st.sampled_from([
+    " ", "\t", "\r\n", "\x0b", "\u00a0", ",", "[", "]", "-", "0", "7", "e", ".", '"', "}",
+])
+# keys added to the document's object
+EXTRA_KEYS = st.sampled_from([
+    '"utilities": [[1, 2], [3, 4]]', '"utilities": [[5]]', '"utilities": "[[1]]"',
+    '"note": {"utilities": [[1, 2], [3, 4]]}', '"note": "[[1, 2], [3, 4]]"',
+    '"utilities": [[1, 2], [3, 4]], "utilities": [[0, 1], [1, 0]]',
+])
+TRAILERS = st.sampled_from(["", "\n", " x", "{}", "]", ", 1", "\n\n  "])
+
+
+def _rarely(strategy, default, odds=3):
+    """``default`` about ``odds`` times out of ``odds + 1``, else a draw of
+    ``strategy``."""
+    return st.one_of(*[st.just(default)] * odds, strategy)
+
+
+@st.composite
+def grid_documents(draw):
+    """The text of an instance document, in the compact, the default or
+    ``generate``'s layout; a cell, the rows' lengths, the agents, the keys
+    or the text itself may be mutated, each now and then."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [[draw(CELLS) for _ in range(m)] for _ in range(n)]
+    odd = draw(_rarely(ODD_CELLS, None, odds=1))
+    if odd is not None:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = odd
+    shape = draw(_rarely(st.sampled_from(["short", "long", "[]", "[[]]", "+[]"]), None, 9))
+    if shape in ("short", "long"):
+        row = rows[draw(st.integers(0, n - 1))]
+        row[:] = row[:-1] if shape == "short" else row + ["1"]
+    elif shape is not None:
+        rows = {"[]": [], "[[]]": [[]], "+[]": rows + [[]]}[shape]
+    agents = [f"a{i}" for i in range(n + draw(_rarely(st.sampled_from([-1, 1]), 0, 7)))]
+    names = st.sampled_from(agents or ["z"])
+    arcs = draw(st.lists(st.tuples(names, names).map(list), max_size=3))
+    head = {"agents": agents, "resources": [f"r{j}" for j in range(m)], "arcs": arcs}
+    layout = draw(st.sampled_from(["compact", "default", "generate"]))
+    item = "," if layout == "compact" else ", "
+    text = json.dumps({**head, "utilities": "GRID"}, sort_keys=layout == "generate",
+                      separators=(item, ":" if layout == "compact" else ": "),
+                      indent=2 if layout == "generate" else None)
+    lines = ("[" + item.join(row) + "]" for row in rows)
+    grid = ("[\n    " + ",\n    ".join(lines) + "\n  ]" if layout == "generate"
+            else "[" + item.join(lines) + "]")
+    text = text.replace('"GRID"', grid)
+    extra = draw(_rarely(EXTRA_KEYS, None))
+    if extra is not None:
+        text = "{" + extra + item + text[1:]
+    for _ in range(draw(_rarely(st.integers(1, 2), 0))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(SPLICES) + text[at + draw(st.integers(0, 1)):]
+    return text + draw(_rarely(TRAILERS, ""))
+
+
+def _outcome(read):
+    """What ``parse_validate`` makes of the document ``read()`` returns: the
+    instance's fields, or the type and message of what was raised."""
+    try:
+        inst = parse_validate(read())
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        return type(exc), str(exc)
+    return (inst.agents, inst.resources, inst.utilities.tolist(),
+            inst.utilities.dtype, inst.arcs.tolist())
+
+
+def _one_odd_cell(cell):
+    """A compact instance document whose grid holds ``cell``."""
+    return ('{"agents":["a0","a1"],"resources":["r0","r1"],"arcs":[["a0","a1"]],'
+            f'"utilities":[[1,{cell}],[2,3]]}}')
+
+
+class TestGridReader:
+    @settings(max_examples=300, deadline=None)
+    @given(text=grid_documents())
+    @example(text=_one_odd_cell("01"))
+    @example(text=_one_odd_cell("1 2"))
+    @example(text=_one_odd_cell("9" * 19))
+    def test_reads_as_json_loads(self, text):
+        """``_load_json`` with its grid reader and ``json.loads`` give
+        ``parse_validate`` documents with one outcome: equal instances, or
+        the same exception and message."""
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "i.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            got = _outcome(lambda: gefalloc.cli._load_json(path))
+            with open(path, encoding="utf-8") as fh:  # newlines read as the CLI reads them
+                assert got == _outcome(lambda: json.load(fh)), text
+
+    @pytest.mark.parametrize("layout", ["compact", "generate"])
+    def test_benchmark_and_generate_layouts_take_the_grid_reader(self, tmp_path, layout):
+        """The benchmark's compact files and ``generate``'s files, one row a
+        line, are read by the grid reader, not by ``json.loads``; 300 rows of
+        1,000 cells span several blocks."""
+        util = np.random.default_rng(1).integers(0, 10**6, (300, 1000))
+        inst = Instance([f"a{i}" for i in range(300)], [f"r{j}" for j in range(1000)],
+                        util, [(0, 1), (2, 1)])
+        path = tmp_path / "i.json"
+        if layout == "compact":
+            path.write_text(json.dumps(inst.to_document(), separators=(",", ":")))
+        else:
+            gefalloc.cli._dump_instance(inst, str(path))
+        assert path.stat().st_size > 3 * gefalloc.cli._GRID_BLOCK
+        doc = gefalloc.cli._load_json(str(path))
+        assert isinstance(doc["utilities"], np.ndarray)
+        assert parse_validate(doc) == inst
+
+    def test_grid_read_in_bounded_blocks(self, tmp_path):
+        """A 100 x 5,000 grid is read with no more memory than its int64
+        array and the file's text, plus a fixed allowance for the block in
+        hand."""
+        util = np.random.default_rng(2).integers(0, 4, (100, 5000))
+        doc = {"agents": [f"a{i}" for i in range(100)],
+               "resources": [f"r{j}" for j in range(5000)],
+               "utilities": util.tolist(), "arcs": []}
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc, separators=(",", ":")))
+        tracemalloc.start()
+        try:
+            got = gefalloc.cli._load_json(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got["utilities"], util)
+        assert peak < util.size * 8 + path.stat().st_size + (4 << 20)

@@ -24,9 +24,11 @@ from .generators import (
     CLIQUE_VARIANTS,
     BinPackingInput,
     CliqueInput,
+    check_random,
     gen_from_binpacking,
     gen_from_clique,
     gen_random,
+    instance_shape,
 )
 from .graphs import GraphKind
 from .model import (
@@ -51,9 +53,9 @@ EXIT_BUDGET = 3
 _WS = re.compile(r"[ \t\n\r]*")  # JSON whitespace, as the json module skips it
 _GRID_END = re.compile(r"\][ \t\n\r]*\]")
 _SCAN = json.JSONDecoder().scan_once
-_UNBRACKET = bytes.maketrans(b"[]", b"  ")
 _GRID_BLOCK = 1 << 16  # characters of grid text checked and parsed at a time
 _DIGITS = 18  # a cell of at most 18 digits is below 10**18 in magnitude
+_MAX_CELLS = 10 ** 8  # the most utility cells (agents x resources) generate builds
 
 
 def _load_json(path: str):
@@ -150,8 +152,8 @@ def _grid_rows(chunk: str):
     """The rows of ``chunk``, one or more JSON arrays of m >= 1 integers
     (each below 10**18 in magnitude) separated by commas, as a (rows, m)
     int64 array; None where the text is anything else.  Every check is a
-    comparison of bytes, and ``np.fromstring`` parses the checked bytes,
-    whitespace removed."""
+    comparison of bytes, and the cells are summed from the checked digits,
+    one gather per digit position up to the block's longest cell."""
     if not chunk.isascii():
         return None
     b = np.frombuffer(chunk.encode(), dtype=np.uint8)
@@ -178,12 +180,24 @@ def _grid_rows(chunk: str):
         return None  # a sign not at the start of a cell
     if ((b[1:-1] == 48) & ~digit[:-2] & digit[2:]).any():
         return None  # a leading zero
-    if np.diff(np.flatnonzero(~digit)).max() > _DIGITS + 1:
+    bound = np.flatnonzero(~digit)  # a cell's digits lie between two of these
+    runs = np.diff(bound) - 1
+    longest = runs.max()
+    if longest > _DIGITS:
         return None  # a cell of 10**18 or more in magnitude
     width = np.add.reduceat(comma, lead, dtype=np.intp)
     if (width[:-1] != width[-1] + 1).any():
         return None  # rows of unequal length
-    cells = np.fromstring(b.tobytes().translate(_UNBRACKET), dtype=np.int64, sep=",")
+    last = bound[1:][runs > 0] - 1  # each cell's last digit
+    runs = runs[runs > 0]
+    digits = b - np.uint8(48)
+    cells = digits[last].astype(np.int64)
+    for k in range(1, longest):  # the digit k places before the last; a shorter
+        # cell's index falls on an earlier byte (or wraps to the end), dropped by a
+        # zero place value; the place values are an int64 array, so the product is
+        # int64 under numpy 1's value-based promotion as well as numpy 2's
+        cells += digits[last - k] * np.where(runs > k, np.int64(10 ** k), 0)
+    np.negative(cells, out=cells, where=b[last - runs] == 45)  # a cell after a '-'
     return cells.reshape(len(lead), width[-1] + 1)
 
 
@@ -282,19 +296,31 @@ def _parse_edges(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _refuse_large(variant: str, n: int, m: int) -> None:
+    """Refuse an instance of more than ``_MAX_CELLS`` utility cells; the
+    family's own input checks have run before."""
+    if n * m > _MAX_CELLS:
+        raise ValidationError(f"{variant} instance of {n:,} agents x {m:,} resources "
+                              f"is over the cap of {_MAX_CELLS:,} utility cells")
+
+
 def _cmd_generate(args) -> int:
     variant = args.variant
     extra = {}
     if variant in CLIQUE_VARIANTS:
         inp = CliqueInput(args.graph_n, _parse_edges(args.edges), args.k)
+        _refuse_large(variant, *instance_shape(inp, variant))
         inst = gen_from_clique(inp, variant)
         if variant == "prop63":
             inst, extra["threshold"] = inst
     elif variant in BINPACKING_VARIANTS:
         sizes = tuple(int(s) for s in args.items.split(",")) if args.items else ()
         inp = BinPackingInput(sizes, args.capacity, args.bins)
+        _refuse_large(variant, *instance_shape(inp, variant))
         inst = gen_from_binpacking(inp, variant)
     elif variant == "random":
+        check_random(args.n, args.m, args.max_utility)
+        _refuse_large(variant, args.n, args.m)
         inst = gen_random(
             args.n,
             args.m,

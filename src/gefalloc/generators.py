@@ -96,14 +96,17 @@ def _cycle_arcs(members: Sequence[int]) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _thm44_x(inp: CliqueInput, outdeg2: bool) -> int:
+def _thm44_layout(inp: CliqueInput, outdeg2: bool):
+    if inp.m < inp.k2:
+        raise ValidationError("needs at least as many edges as a k-clique has")
     x = inp.n * inp.m if outdeg2 else inp.k * inp.k
     if x < inp.k * inp.k:
         raise ValidationError("scale parameter must be at least k^2")
-    return x
+    root = x ** 4
+    return x, root, root + inp.n * x + inp.m, root + inp.k * x + inp.k2
 
 
-def _gen_thm44(inp: CliqueInput, outdeg2: bool) -> Instance:
+def _gen_thm44(inp: CliqueInput, layout) -> Instance:
     """Identical all-ones instance whose complete fair allocations mirror
     k-cliques of the input graph.
 
@@ -113,11 +116,7 @@ def _gen_thm44(inp: CliqueInput, outdeg2: bool) -> Instance:
     components plus C(k,2) edge singletons can be served one resource
     per agent.
     """
-    if inp.m < inp.k2:
-        raise ValidationError("needs at least as many edges as a k-clique has")
-    x = _thm44_x(inp, outdeg2)
-    root = x ** 4
-    n_agents = root + inp.n * x + inp.m
+    x, root, n_agents, m_res = layout
 
     def vcomp(v: int, j: int) -> int:
         return root + v * x + j
@@ -139,7 +138,6 @@ def _gen_thm44(inp: CliqueInput, outdeg2: bool) -> Instance:
             used[end] += 1
     arcs_arr = np.concatenate([cycle, np.array(arcs, dtype=np.int64)])
 
-    m_res = root + inp.k * x + inp.k2
     agents = [f"a{i}" for i in range(n_agents)]
     resources = [f"r{i}" for i in range(m_res)]
     utilities = np.ones((n_agents, m_res), dtype=np.int8)
@@ -155,6 +153,12 @@ _SEP = 10  # dummy-group size is k**_SEP
 
 def _thm48_layout(inp: CliqueInput):
     k = inp.k
+    if k <= 2:
+        raise ValidationError("this family needs k > 2")
+    if inp.m <= inp.k2:
+        raise ValidationError("needs more edges than a k-clique has")
+    if inp.m > k ** 3:
+        raise ValidationError("needs at most k^3 edges (one constraint agent each)")
     group = k ** _SEP
     n, m = inp.n, inp.m
     d0 = n + m
@@ -164,10 +168,10 @@ def _thm48_layout(inp: CliqueInput):
     # the constraint block are the distinguished ones)
     rv0, re0, rc0 = 0, k, k + inp.k2
     m_res = rc0 + k ** 4
-    return group, d0, c0, n_agents, rv0, re0, rc0, m_res
+    return group, d0, c0, rv0, re0, rc0, n_agents, m_res
 
 
-def _gen_thm48(inp: CliqueInput) -> Instance:
+def _gen_thm48(inp: CliqueInput, layout) -> Instance:
     """0/1 instance on a strongly connected graph whose complete fair
     allocations mirror k-cliques.
 
@@ -179,13 +183,7 @@ def _gen_thm48(inp: CliqueInput) -> Instance:
     the selected clique edges.
     """
     k = inp.k
-    if k <= 2:
-        raise ValidationError("this family needs k > 2")
-    if inp.m <= inp.k2:
-        raise ValidationError("needs more edges than a k-clique has")
-    if inp.m > k ** 3:
-        raise ValidationError("needs at most k^3 edges (one constraint agent each)")
-    group, d0, c0, n_agents, rv0, re0, rc0, m_res = _thm48_layout(inp)
+    group, d0, c0, rv0, re0, rc0, n_agents, m_res = layout
     n, m = inp.n, inp.m
 
     def dummy(g: int, j: int) -> int:
@@ -233,6 +231,12 @@ def _gen_thm48(inp: CliqueInput) -> Instance:
 
 def _prop56_layout(inp: CliqueInput, cyclic: bool):
     n, m, k = inp.n, inp.m, inp.k
+    if m < inp.k2:
+        raise ValidationError("needs at least as many edges as a k-clique has")
+    if cyclic and inp.degree(n - 1) == 0:
+        raise ValidationError(
+            "cyclic flavor needs the last vertex to have an incident edge"
+        )
     # agents: vertices, edges, separating agents, source s, sink t
     sep0 = n + m
     a_s = sep0 + n
@@ -243,10 +247,10 @@ def _prop56_layout(inp: CliqueInput, cyclic: bool):
     rs0 = rv0 + n + k
     r_tri = rs0 + n
     m_res = r_tri + 1 + (1 if cyclic else 0)
-    return sep0, a_s, a_t, re0, rv0, rs0, r_tri, m_res
+    return cyclic, sep0, a_s, a_t, re0, rv0, rs0, r_tri, a_t + 1, m_res
 
 
-def _gen_prop56(inp: CliqueInput, cyclic: bool) -> Instance:
+def _gen_prop56(inp: CliqueInput, layout) -> Instance:
     """0/1 instance whose complete strictly-fair allocations mirror
     k-cliques; acyclic, or strongly connected with the closing arc.
 
@@ -254,14 +258,8 @@ def _gen_prop56(inp: CliqueInput, cyclic: bool) -> Instance:
     which holds exactly when the last input vertex has at least one
     incident edge.
     """
-    if inp.m < inp.k2:
-        raise ValidationError("needs at least as many edges as a k-clique has")
-    n, m, k = inp.n, inp.m, inp.k
-    if cyclic and inp.degree(n - 1) == 0:
-        raise ValidationError(
-            "cyclic flavor needs the last vertex to have an incident edge"
-        )
-    sep0, a_s, a_t, re0, rv0, rs0, r_tri, m_res = _prop56_layout(inp, cyclic)
+    n, m = inp.n, inp.m
+    cyclic, sep0, a_s, a_t, re0, rv0, rs0, r_tri, n_agents, m_res = layout
 
     arcs: list[tuple[int, int]] = []
     for j, (u, v) in enumerate(inp.edges):
@@ -274,7 +272,6 @@ def _gen_prop56(inp: CliqueInput, cyclic: bool) -> Instance:
     if cyclic:
         arcs.append((a_t, a_s))
 
-    n_agents = a_t + 1
     utilities = np.zeros((n_agents, m_res), dtype=np.int8)
     utilities[:n, re0 : re0 + inp.k2] = 1  # vertices like distinguished edges
     utilities[:n, rv0:rs0] = 1  # ... and vertex resources
@@ -301,7 +298,11 @@ def _gen_prop56(inp: CliqueInput, cyclic: bool) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-def _gen_prop63(inp: CliqueInput) -> tuple[Instance, int]:
+def _prop63_layout(inp: CliqueInput):
+    return 1 + inp.n + inp.m, 1 + inp.k + inp.k2
+
+
+def _gen_prop63(inp: CliqueInput, layout) -> tuple[Instance, int]:
     """Three-valued acyclic instance plus a welfare threshold that a fair
     allocation can reach exactly when the input graph has a k-clique.
 
@@ -310,8 +311,7 @@ def _gen_prop63(inp: CliqueInput) -> tuple[Instance, int]:
     one item per fan, which spells out a clique selection.
     """
     n, m, k = inp.n, inp.m, inp.k
-    n_agents = 1 + n + m
-    m_res = 1 + k + inp.k2
+    n_agents, m_res = layout
     utilities = np.zeros((n_agents, m_res), dtype=np.int8)
     utilities[0, :] = 1
     utilities[1 : 1 + n, 1 : 1 + k] = 2  # vertex agents on vertex resources
@@ -329,13 +329,15 @@ def _gen_prop63(inp: CliqueInput) -> tuple[Instance, int]:
     return inst, threshold
 
 
+# each family's layout checks its input and ends in the agent and resource
+# counts; its builder takes the input and that layout
 _CLIQUE_FAMILIES = {
-    "thm44-outdeg2": lambda inp: _gen_thm44(inp, outdeg2=True),
-    "thm44-fewres": lambda inp: _gen_thm44(inp, outdeg2=False),
-    "thm48": _gen_thm48,
-    "prop56-dag": lambda inp: _gen_prop56(inp, cyclic=False),
-    "prop56-scc": lambda inp: _gen_prop56(inp, cyclic=True),
-    "prop63": _gen_prop63,
+    "thm44-outdeg2": (lambda inp: _thm44_layout(inp, outdeg2=True), _gen_thm44),
+    "thm44-fewres": (lambda inp: _thm44_layout(inp, outdeg2=False), _gen_thm44),
+    "thm48": (_thm48_layout, _gen_thm48),
+    "prop56-dag": (lambda inp: _prop56_layout(inp, cyclic=False), _gen_prop56),
+    "prop56-scc": (lambda inp: _prop56_layout(inp, cyclic=True), _gen_prop56),
+    "prop63": (_prop63_layout, _gen_prop63),
 }
 CLIQUE_VARIANTS = tuple(_CLIQUE_FAMILIES)
 
@@ -348,7 +350,8 @@ def gen_from_clique(inp: CliqueInput, variant: str):
     """
     if variant not in _CLIQUE_FAMILIES:
         raise ValidationError(f"unknown clique variant: {variant}")
-    return _CLIQUE_FAMILIES[variant](inp)
+    layout, build = _CLIQUE_FAMILIES[variant]
+    return build(inp, layout(inp))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +359,11 @@ def gen_from_clique(inp: CliqueInput, variant: str):
 # ---------------------------------------------------------------------------
 
 
-def _gen_thm58(inp: BinPackingInput, cyclic: bool) -> Instance:
+def _thm58_layout(inp: BinPackingInput, cyclic: bool):
+    return cyclic, inp.bins + 2, len(inp.sizes) + inp.bins + 1 + (1 if cyclic else 0)
+
+
+def _gen_thm58(inp: BinPackingInput, layout) -> Instance:
     """Path (or cycle) of k+2 agents whose complete strictly-fair
     allocations are exactly the perfect packings.
 
@@ -369,8 +376,7 @@ def _gen_thm58(inp: BinPackingInput, cyclic: bool) -> Instance:
     forcing chain.
     """
     k, cap, n = inp.bins, inp.capacity, len(inp.sizes)
-    n_agents = k + 2
-    m_res = n + k + 1 + (1 if cyclic else 0)
+    cyclic, n_agents, m_res = layout
     utilities = np.zeros((n_agents, m_res), dtype=np.int64)
     for i, s in enumerate(inp.sizes):
         utilities[:k, i] = s
@@ -388,13 +394,16 @@ def _gen_thm58(inp: BinPackingInput, cyclic: bool) -> Instance:
     return Instance(agents, resources, utilities, np.array(arcs, dtype=np.int64))
 
 
-def _gen_prop53(inp: BinPackingInput) -> Instance:
+def _prop53_layout(inp: BinPackingInput):
+    return 2 * inp.bins + inp.capacity, inp.capacity + len(inp.sizes) + inp.bins
+
+
+def _gen_prop53(inp: BinPackingInput, layout) -> Instance:
     """Identical-preferences variant: k bin agents all watch the top of a
     chain of capacity-many dummies with staircase resources, and one
     special agent per bin agent keeps the bins honest."""
     k, cap, n = inp.bins, inp.capacity, len(inp.sizes)
-    n_agents = 2 * k + cap
-    m_res = cap + n + k
+    n_agents, m_res = layout
     row = np.empty(m_res, dtype=np.int64)
     row[:cap] = np.arange(cap)  # staircase: 0, 1, ..., cap-1
     row[cap : cap + n] = inp.sizes
@@ -415,10 +424,10 @@ def _gen_prop53(inp: BinPackingInput) -> Instance:
     return Instance(agents, resources, utilities, np.array(arcs, dtype=np.int64))
 
 
-_BINPACKING_FAMILIES = {
-    "thm58-path": lambda inp: _gen_thm58(inp, cyclic=False),
-    "thm58-cycle": lambda inp: _gen_thm58(inp, cyclic=True),
-    "prop53": _gen_prop53,
+_BINPACKING_FAMILIES = {  # layouts and builders as for the clique families
+    "thm58-path": (lambda inp: _thm58_layout(inp, cyclic=False), _gen_thm58),
+    "thm58-cycle": (lambda inp: _thm58_layout(inp, cyclic=True), _gen_thm58),
+    "prop53": (_prop53_layout, _gen_prop53),
 }
 BINPACKING_VARIANTS = tuple(_BINPACKING_FAMILIES)
 
@@ -426,12 +435,28 @@ BINPACKING_VARIANTS = tuple(_BINPACKING_FAMILIES)
 def gen_from_binpacking(inp: BinPackingInput, variant: str) -> Instance:
     if variant not in _BINPACKING_FAMILIES:
         raise ValidationError(f"unknown bin-packing variant: {variant}")
-    return _BINPACKING_FAMILIES[variant](inp)
+    layout, build = _BINPACKING_FAMILIES[variant]
+    return build(inp, layout(inp))
+
+
+def instance_shape(inp: CliqueInput | BinPackingInput, variant: str) -> tuple[int, int]:
+    """The agent and resource counts of the instance ``variant`` builds from
+    ``inp``, by its layout's arithmetic alone, so that a size can be refused
+    before anything is allocated; an input the family rejects raises its
+    ``ValidationError`` here, as it would in the builder."""
+    layout, _ = {**_CLIQUE_FAMILIES, **_BINPACKING_FAMILIES}[variant]
+    return layout(inp)[-2:]
 
 
 # ---------------------------------------------------------------------------
 # random instances and tiny oracles
 # ---------------------------------------------------------------------------
+
+
+def check_random(n: int, m: int, max_utility: int) -> None:
+    """Raise ``ValidationError`` unless ``gen_random`` accepts these sizes."""
+    if n < 1 or m < 0 or max_utility < 1:
+        raise ValidationError("need n >= 1, m >= 0, max_utility >= 1")
 
 
 def gen_random(
@@ -452,8 +477,7 @@ def gen_random(
     higher agent indices; STRONGLY_CONNECTED lays a random cycle first;
     None draws an unconstrained digraph.
     """
-    if n < 1 or m < 0 or max_utility < 1:
-        raise ValidationError("need n >= 1, m >= 0, max_utility >= 1")
+    check_random(n, m, max_utility)
     rng = random.Random(seed)
     if pref_class is PreferenceKind.IDENTICAL_ZERO_ONE:
         row = [rng.randint(0, 1) for _ in range(m)]

@@ -16,7 +16,7 @@ from gefalloc.generators import (
     BinPackingInput,
     CliqueInput,
     _prop56_layout,
-    _thm44_x,
+    _thm44_layout,
     _thm48_layout,
 )
 
@@ -28,8 +28,7 @@ def _clique_edges(inp: CliqueInput, clique: Sequence[int]) -> list[int]:
 
 
 def _planted_thm44(inp: CliqueInput, outdeg2: bool, clique: Sequence[int]) -> Allocation:
-    x = _thm44_x(inp, outdeg2)
-    root = x ** 4
+    x, root, _, _ = _thm44_layout(inp, outdeg2)
     assignment = {r: r for r in range(root)}  # root cycle, one each
     nxt = root
     for v in sorted(clique):
@@ -44,7 +43,7 @@ def _planted_thm44(inp: CliqueInput, outdeg2: bool, clique: Sequence[int]) -> Al
 
 def _planted_thm48(inp: CliqueInput, clique: Sequence[int]) -> Allocation:
     k = inp.k
-    group, d0, c0, n_agents, rv0, re0, rc0, m_res = _thm48_layout(inp)
+    group, d0, c0, rv0, re0, rc0, n_agents, m_res = _thm48_layout(inp)
     ce = _clique_edges(inp, clique)
     assignment: dict[int, int] = {}
     # distinguished constraint resources to the constraint agents watched
@@ -70,7 +69,7 @@ def _planted_thm48(inp: CliqueInput, clique: Sequence[int]) -> Allocation:
 def _planted_prop56(inp: CliqueInput, cyclic: bool, clique: Sequence[int]) -> Allocation:
     n = inp.n
     ce = _clique_edges(inp, clique)
-    sep0, a_s, a_t, re0, rv0, rs0, r_tri, m_res = _prop56_layout(inp, cyclic)
+    _, sep0, a_s, a_t, re0, rv0, rs0, r_tri, _, _ = _prop56_layout(inp, cyclic)
     assignment = {r_tri: a_s}
     if cyclic:
         assignment[r_tri + 1] = a_t

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -366,15 +367,62 @@ class TestGenerate:
         ("", "error: out of memory"),
     ])
     def test_instance_too_large_to_build(self, monkeypatch, capsys, message, line):
-        # thm44-outdeg2 on K4 with k = 3 asks for a 331,878 x 331,851 matrix;
-        # the builder is replaced, so that no such allocation is tried
+        # README's thm44-fewres example (6,591 x 6,591) passes the size cap;
+        # the builder is replaced by one that runs out of memory
         def too_large(inp, variant):
             raise MemoryError(message)
 
         monkeypatch.setattr(gefalloc.cli, "gen_from_clique", too_large)
-        code = main(["generate", "--variant", "thm44-outdeg2", "--graph-n", "4",
-                     "--edges", "0-1,0-2,0-3,1-2,1-3,2-3", "--k", "3"])
+        code = main(["generate", "--variant", "thm44-fewres", "--graph-n", "3",
+                     "--edges", "0-1,0-2,1-2", "--k", "3"])
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
+    @pytest.mark.parametrize("argv, shape", [
+        # K4 with k = 3: the scale x is n * m = 24
+        (["--variant", "thm44-outdeg2", "--graph-n", "4",
+          "--edges", "0-1,0-2,0-3,1-2,1-3,2-3", "--k", "3"], (331_878, 331_851)),
+        # k = 4 needs more than 6 edges: 5 + 7 agents, each guarded by 4**10
+        # dummies, and 4**3 constraint agents; 4 + 6 + 4**4 resources
+        (["--variant", "thm48", "--graph-n", "5",
+          "--edges", "0-1,0-2,0-3,0-4,1-2,1-3,1-4", "--k", "4"], (12_582_988, 266)),
+        (["--variant", "random", "--n", "10001", "--m", "10000"], (10_001, 10_000)),
+    ])
+    def test_size_cap_refuses_before_building(self, monkeypatch, capsys, argv, shape):
+        """An instance over the cap exits 2 with one ``error:`` line, sized by
+        arithmetic: no builder is called."""
+        def unreachable(*args):
+            raise AssertionError("the builder was called")
+
+        for builder in ("gen_from_clique", "gen_from_binpacking", "gen_random"):
+            monkeypatch.setattr(gefalloc.cli, builder, unreachable)
+        assert main(["generate", *argv]) == 2
+        captured = capsys.readouterr()
+        n, m = shape
+        assert captured.out == ""
+        assert captured.err == (f"error: {argv[1]} instance of {n:,} agents x {m:,} resources "
+                                f"is over the cap of 100,000,000 utility cells\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        # K8 has 28 edges, one more than k^3 at k = 3; its layout would be
+        # 2,125,827 agents x 87 resources, over the cap as well
+        (["--variant", "thm48", "--graph-n", "8", "--edges",
+          ",".join(f"{u}-{v}" for u in range(8) for v in range(u + 1, 8)), "--k", "3"],
+         "error: needs at most k^3 edges (one constraint agent each)"),
+        (["--variant", "random", "--n", "10001", "--m", "10000", "--max-utility", "0"],
+         "error: need n >= 1, m >= 0, max_utility >= 1"),
+    ])
+    def test_invalid_input_is_named_before_the_size_cap(self, monkeypatch, capsys, argv, line):
+        """An input the family rejects gets the family's own message, even
+        when its size would be over the cap too."""
+        def unreachable(*args):
+            raise AssertionError("the builder was called")
+
+        for builder in ("gen_from_clique", "gen_random"):
+            monkeypatch.setattr(gefalloc.cli, builder, unreachable)
+        assert main(["generate", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == line + "\n"
@@ -587,6 +635,32 @@ def _one_odd_cell(cell):
             f'"utilities":[[1,{cell}],[2,3]]}}')
 
 
+def _signed_grid_text(layout: str) -> str:
+    """An instance document in the compact or ``generate``'s layout whose
+    grid holds cells of every digit count from 1 to 18, of both signs, and
+    ``-0``.  Row r's cells have at most 1 + 17r/59 digits, so the longest
+    cell grows from one block of the grid reader to the next."""
+    rng = random.Random(7)
+    n, m = 60, 600
+    rows = []
+    for r in range(n):
+        top = 1 + 17 * r // (n - 1)
+        kinds = [(sign, d) for d in range(1, top + 1) for sign in ("", "-")]
+        kinds += [(rng.choice(["", "-"]), rng.randint(1, top)) for _ in range(m - len(kinds))]
+        row = [sign + str(rng.randrange(10 ** (d - 1) if d > 1 else 0, 10 ** d))
+               for sign, d in kinds]
+        row[rng.randrange(m)] = "-0"
+        rows.append(row)
+    agents = json.dumps([f"a{i}" for i in range(n)])
+    resources = json.dumps([f"r{j}" for j in range(m)])
+    if layout == "compact":
+        grid = ",".join("[" + ",".join(row) + "]" for row in rows)
+        return f'{{"agents":{agents},"resources":{resources},"arcs":[],"utilities":[{grid}]}}'
+    grid = ",\n    ".join("[" + ", ".join(row) + "]" for row in rows)
+    return (f'{{\n  "agents": {agents},\n  "arcs": [],\n  "resources": {resources},\n'
+            f'  "utilities": [\n    {grid}\n  ]\n}}\n')
+
+
 class TestGridReader:
     @settings(max_examples=300, deadline=None)
     @given(text=grid_documents())
@@ -622,6 +696,21 @@ class TestGridReader:
         doc = gefalloc.cli._load_json(str(path))
         assert isinstance(doc["utilities"], np.ndarray)
         assert parse_validate(doc) == inst
+
+    @pytest.mark.parametrize("layout", ["compact", "generate"])
+    def test_grid_array_is_json_loads_array(self, tmp_path, layout):
+        """The grid reader's array is ``json.loads``'s grid as int64: the
+        same values, shape and dtype, negative cells and ``-0`` included,
+        which ``parse_validate`` would reject before comparing them."""
+        text = _signed_grid_text(layout)
+        path = tmp_path / "i.json"
+        path.write_text(text)
+        assert path.stat().st_size > 3 * gefalloc.cli._GRID_BLOCK
+        got = gefalloc.cli._load_json(str(path))["utilities"]
+        want = np.array(json.loads(text)["utilities"], dtype=np.int64)
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_grid_read_in_bounded_blocks(self, tmp_path):
         """A 100 x 5,000 grid is read with no more memory than its int64

@@ -26,6 +26,7 @@ from gefalloc.generators import (
     gen_from_binpacking,
     gen_from_clique,
     gen_random,
+    instance_shape,
 )
 from gefalloc.graphs import GraphKind
 from gefalloc.model import (
@@ -102,7 +103,10 @@ class TestPinnedOutput:
     def test_every_variant_builds_its_pinned_instance(self, variant):
         inp, digest = PINNED[variant]
         build = gen_from_clique if variant in CLIQUE_VARIANTS else gen_from_binpacking
-        assert instance_digest(build(inp, variant)) == digest
+        built = build(inp, variant)
+        assert instance_digest(built) == digest
+        inst = built[0] if isinstance(built, tuple) else built
+        assert (inst.n, inst.m) == instance_shape(inp, variant)
 
 
 class TestInputs:

@@ -8,11 +8,11 @@ mixed-radix counter under the same contract, and ``type_search``.
 
 Search contract
 ---------------
-``search(utilities, arcs, delta, candidates, mode, limit)`` enumerates every
-assignment of each resource to one entry of ``candidates`` (entry ``-1``
-means "leave unassigned"), in lexicographic order with resource 0 varying
-slowest and candidates tried in array order.  ``delta`` is 0 for the weak
-fairness notion, 1 for the strict one.
+``search(utilities, arcs, delta, candidates, mode, budget)`` enumerates
+every assignment of each resource to one entry of ``candidates`` (entry
+``-1`` means "leave unassigned"), in lexicographic order with resource 0
+varying slowest and candidates tried in array order.  ``delta`` is 0 for
+the weak fairness notion, 1 for the strict one.
 
 mode 0  stop at the first fair assignment.
 mode 1  scan everything, keep the maximum-welfare fair assignment
@@ -21,16 +21,13 @@ mode 1  scan everything, keep the maximum-welfare fair assignment
 Returns ``(status, assignment, welfare, nodes)`` with status 0 = found,
 1 = exhausted without a fair assignment, 2 = node budget exceeded.  The
 assignment array holds the owning agent per resource, ``-1`` if unassigned.
-Nodes are work, the prefixes screened plus the assignments tested (below),
-so they depend on ``SUFFIX_ROWS``, and are at most ``work_bound``.  The
-scan stops before a block or test that would take its work past ``limit``
-and answers status 2 with ``max(limit, 0)`` nodes (mode 1 with the best
-fair assignment it tested); a scan not stopped does the same work at every
-budget.  The Pareto scans count the (n+1)^m partial allocations instead:
-``first_fair_efficient`` answers under this contract, at once with status
-2 when they pass ``limit``, and ``first_dominating`` returns ``(status,
-nodes)``, the 1-based position of the first dominating allocation, or 1
-with (n+1)^m, or 2 with ``max(limit, 0)``.
+Every scan counts one node unit, work: the prefixes screened plus the
+assignments tested (below), so nodes depend on ``SUFFIX_ROWS`` and are at
+most ``work_bound``.  ``budget`` caps the work: a scan stops before a block
+or test that would take it past ``budget`` and answers status 2 with
+``max(budget, 0)`` nodes (mode 1 with the best fair assignment it tested);
+a scan not stopped does the same work at every budget.  The one other
+refusal is Pareto brute force's gate, ``pareto_bound``.
 
 Table scan
 ----------
@@ -93,8 +90,8 @@ Otherwise ``pareto_frontier`` builds the undominated profiles, pruning in
 batches so that numpy's fixed cost is paid a few times per frontier rather
 than once per resource, and the walk seeks a fair assignment on it (the
 block test is the arcs' reach, as above).  ``first_dominating`` decides
-Pareto efficiency (the block test is whether a prefix plus the most each
-agent can still gain reaches the profile).  Frontier membership goes by a
+Pareto efficiency on the complete assignments (the block test is whether a
+prefix plus the most each agent can still gain reaches the profile).  Frontier membership goes by a
 linear key, ``k(p) = sum(p[i] * w[i])`` modulo 2**64 with fixed odd
 multipliers ``w``: the frontier's keys are sorted once, the suffix table's
 keys built once, a prefix adds one scalar, and one ``searchsorted`` tests
@@ -214,11 +211,11 @@ class _Split:
         split.cands, split.arcs = cands, len(arcs)
         return split
 
-    def blocks(self, limit):
+    def blocks(self):
         """Yield ``(start, block)`` per block, the prefixes of one outer
-        assignment, in canonical order while ``start``, its first
-        assignment, is below ``limit``; column ``i`` holds the sums of the
-        prefix that starts at ``start + i * size``, below ``limit``."""
+        assignment, in canonical order, ``start`` its first assignment;
+        column ``i`` holds the sums of the prefix that starts at ``start + i
+        * size``."""
         o, counts, col = self.outer, self.counts, self.column
         size = self.table.shape[1]
         seed = self.zero
@@ -226,9 +223,8 @@ class _Split:
             seed = seed + col(r, 0)[:, None]
         block = _sums(self.inner[:self.prefix - o], seed)
         digits, start = [0] * o, 0
-        while start < limit:
-            # the prefixes that start below limit: ceil((limit - start) / size)
-            yield start, block[:, :-((start - limit) // size)]
+        while True:
+            yield start, block
             start += size * block.shape[1]
             i = o - 1
             while i >= 0:
@@ -241,24 +237,22 @@ class _Split:
             if i < 0:
                 return
 
-    def scan(self, floor, test, keep=None, budget=math.inf, limit=None):
+    def scan(self, floor, test, keep=None, budget=math.inf):
         """``(answer, work)``: the first answer other than ``None`` and
-        ``False`` of ``test(first, sums)`` on the prefixes that start below
-        ``limit`` (all by default) in canonical order, ``first`` a prefix's
-        first assignment and ``sums`` its column, and the columns of the
-        blocks screened and tests run, stopping before a block or test that
-        would take the work past ``budget`` (the work returned is then
-        above it).  A block keeps the prefixes whose sums reach ``floor()``
-        and, with ``keep(block)``, those its pick keeps, again whenever
-        ``test`` returns ``False``.  One table is one test: no walk."""
+        ``False`` of ``test(first, sums)`` on the prefixes in canonical
+        order, ``first`` a prefix's first assignment and ``sums`` its
+        column, and the columns of the blocks screened and tests run,
+        stopping before a block or test that would take the work past
+        ``budget`` (the work returned is then above it).  A block keeps the
+        prefixes whose sums reach ``floor()`` and, with ``keep(block)``,
+        those its pick keeps, again whenever ``test`` returns ``False``.
+        One table is one test: no walk."""
         size = self.table.shape[1]
-        limit = self.total if limit is None else limit
         if self.prefix == 0:
-            work = min(size, max(limit, 0))
-            answer = test(0, self.zero[:, 0]) if 0 < work <= budget else None
-            return (None if answer is False else answer), work
+            answer = test(0, self.zero[:, 0]) if size <= budget else None
+            return (None if answer is False else answer), size
         work, floor = 0, floor()[:, None]
-        for start, block in self.blocks(limit):
+        for start, block in self.blocks():
             work += block.shape[1]
             if work > budget:
                 return None, work
@@ -266,11 +260,10 @@ class _Split:
             rest = prune((block[:len(floor)] >= floor).all(axis=0).nonzero()[0])
             while len(rest):
                 i, rest = int(rest[0]), rest[1:]
-                first = start + i * size
-                work += min(size, limit - first)
+                work += size
                 if work > budget:
                     return None, work
-                answer = test(first, block[:, i])
+                answer = test(start + i * size, block[:, i])
                 if answer is False:
                     rest = prune(rest)
                 elif answer is not None:
@@ -294,7 +287,7 @@ def _fair(split, T, need, mode, budget):
     """The search contract over ``split``, fair when each of its first
     ``T`` quantities reaches ``need`` (one value or one each), the rest the
     profile: ``(status, index, welfare, nodes)``, ``index`` the answer's
-    position or ``None``."""
+    index in canonical order or ``None``."""
     slack, profile = split.table[:T], split.table[T:]
     # mode 0 needs the welfare of the one assignment it returns
     wel = profile.sum(axis=0, dtype=np.int64) if mode == 1 else None
@@ -330,12 +323,12 @@ def _fair(split, T, need, mode, budget):
     return (1 if best is None else 0), best, best_wel, work
 
 
-def search(utilities, arcs, delta, candidates, mode, limit):
+def search(utilities, arcs, delta, candidates, mode, budget):
     """The table scan of the search contract; see the module docstring."""
     split = _Split.of_resources(utilities, arcs, candidates)
     # no candidate owners but resources to place: nothing to enumerate,
     # and an empty suffix table has no slack maximum
-    status, index, welfare, nodes = (_fair(split, split.arcs, delta, mode, limit)
+    status, index, welfare, nodes = (_fair(split, split.arcs, delta, mode, budget)
                                      if split.total else (1, None, -1, 0))
     owners = np.full(split.m, -1, dtype=np.int64) if index is None else split.assignment(index)
     return status, owners, welfare, nodes
@@ -414,23 +407,33 @@ def _keys(cols, w):
     return (cols.astype(np.uint64) * w).sum(axis=0, dtype=np.uint64)
 
 
-def first_fair_efficient(utilities, arcs, delta, limit):
+def pareto_bound(n, m):
+    """Pareto brute force's node bound and gate on ``n`` agents and ``m``
+    resources: the (n+1)^m partial allocations, or its scan's work bound
+    where larger (past ``SUFFIX_ROWS`` agents).  It refuses at once above
+    the budget because ``pareto_frontier`` and its quadratic ``_maximal``
+    run before the scan and are not budgeted."""
+    return max((n + 1) ** m, work_bound([n] * m))
+
+
+def first_fair_efficient(utilities, arcs, delta, budget):
     """The first fair partial allocation in canonical order (agents before
     unassigned) that no partial allocation dominates, under the search
-    contract (see the module docstring).  It scans the complete assignments
-    only ("unassigned" alone when there is no agent): an unassigned valued
-    resource leaves the profile dominated, and an unassigned worthless one
-    can sit on agent 0 instead, with the same profile and slacks and earlier
-    in canonical order.  When one table holds them, no frontier is built."""
+    contract, or status 2 at once when ``pareto_bound`` passes ``budget``.
+    It scans the complete assignments only ("unassigned" alone when there
+    is no agent): an unassigned valued resource leaves the profile
+    dominated, and an unassigned worthless one can sit on agent 0 instead,
+    with the same profile and slacks and earlier in canonical order."""
     n, m = np.shape(utilities)
-    nodes = (n + 1) ** m
     unassigned = np.full(m, -1, dtype=np.int64)
-    if nodes > limit:
-        return 2, unassigned, -1, max(limit, 0)
+    if pareto_bound(n, m) > budget:
+        return 2, unassigned, -1, max(budget, 0)
     split = _Split.of_resources(utilities, arcs, range(n) if n else [-1])
     A = split.arcs
     slack, profile = split.table[:A], split.table[A:]
-    if split.prefix == 0:
+
+    def cover(first, sums):
+        """One table: its fair columns, a batch at a time, against all."""
         total = profile.sum(axis=0, dtype=np.int64)
         rest = np.flatnonzero((slack >= delta).all(axis=0))
         while len(rest):
@@ -443,20 +446,16 @@ def first_fair_efficient(utilities, arcs, delta, limit):
             free = np.flatnonzero(total[best] <= total[batch])
             if len(free):
                 j = int(batch[free[0]])
-                return 0, split.assignment(j), int(total[j]), nodes
+                return split.assignment(j), int(total[j])
             # the learned frontier points: drop the later fair ones they dominate
             beaten = total[best] > total[rest][:, None]
             for row in profile:
                 beaten &= row[best] >= row[rest][:, None]
             rest = rest[~beaten.any(axis=1)]
-        return 1, unassigned, -1, nodes
-    frontier = pareto_frontier(utilities)
-    w = _key_weights(len(profile))
-    front_keys = _keys(frontier.T, w)
-    ordered = np.sort(front_keys)
-    suffix_keys = _keys(profile, w)
+        return None
 
-    def test(first, sums):
+    def member(first, sums):
+        """A walk: the prefix's fair suffixes on the frontier, by key."""
         fair = np.flatnonzero((slack >= (delta - sums[:A])[:, None]).all(axis=0))
         keys = suffix_keys[fair] + _keys(sums[A:, None], w)
         found = np.take(ordered, np.searchsorted(ordered, keys), mode="clip") == keys
@@ -464,30 +463,34 @@ def first_fair_efficient(utilities, arcs, delta, limit):
             # a key can collide: check the profile against its key's rows
             full = profile[:, fair[j]] + sums[A:]
             if (frontier[front_keys == keys[j]] == full).all(axis=1).any():
-                welfare = int(full.sum(dtype=np.int64))
-                return 0, split.assignment(first + int(fair[j])), welfare, nodes
+                return split.assignment(first + int(fair[j])), int(full.sum(dtype=np.int64))
         return None
 
-    return split.scan(lambda: delta - slack.max(axis=1), test)[0] or (1, unassigned, -1, nodes)
+    if split.prefix:
+        frontier = pareto_frontier(utilities)
+        w = _key_weights(len(profile))
+        front_keys = _keys(frontier.T, w)
+        ordered = np.sort(front_keys)
+        suffix_keys = _keys(profile, w)
+    answer, nodes = split.scan(lambda: delta - slack.max(axis=1), member if split.prefix else cover)
+    return (1, unassigned, -1, nodes) if answer is None else (0, *answer, nodes)
 
 
-def first_dominating(utilities, profile, limit):
-    """Whether a partial allocation's utility profile dominates ``profile``,
-    among the first ``limit`` in canonical order (agents before unassigned),
-    as ``(status, nodes)``: see the module docstring."""
+def first_dominating(utilities, profile, budget):
+    """Status 0 when some partial allocation's utility profile dominates
+    ``profile``, 1 when none does, 2 when the scan's work would pass
+    ``budget`` first.  Utilities are non-negative, so a dominating partial
+    allocation extends to a dominating complete one: it scans those."""
     profile = np.asarray(profile, dtype=np.int64)
-    split = _Split.of_resources(utilities, (), np.append(np.arange(len(utilities)), -1),
+    n = len(utilities)
+    split = _Split.of_resources(utilities, (), range(n) if n else [-1],
                                 int(np.abs(profile).max(initial=0)))
-    table, size = split.table, split.table.shape[1]
+    table = split.table
     profile = profile.astype(table.dtype)
 
     def test(first, sums):
-        margin = table[:, :min(size, limit - first)] + (sums - profile)[:, None]
-        hit = (margin >= 0).all(axis=0) & (margin > 0).any(axis=0)
-        j = int(hit.argmax())
-        return (0, first + j + 1) if hit[j] else None
+        margin = table + (sums - profile)[:, None]
+        return bool(((margin >= 0).all(axis=0) & (margin > 0).any(axis=0)).any()) or None
 
-    answer, _ = split.scan(lambda: profile - table.max(axis=1), test, limit=limit)
-    if answer is None:
-        answer = (2, max(limit, 0)) if split.total > limit else (1, split.total)
-    return answer
+    answer, work = split.scan(lambda: profile - table.max(axis=1), test, budget=budget)
+    return 0 if answer else 2 if work > budget else 1

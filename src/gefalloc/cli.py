@@ -321,6 +321,9 @@ def _cmd_generate(args) -> int:
     elif variant == "random":
         check_random(args.n, args.m, args.max_utility)
         _refuse_large(variant, args.n, args.m)
+        if args.n ** 2 > _MAX_CELLS:    # the arc draw visits every agent pair
+            raise ValidationError(f"random instance of {args.n:,} agents draws {args.n ** 2:,} "
+                                  f"agent pairs, over the cap of {_MAX_CELLS:,}")
         inst = gen_random(
             args.n,
             args.m,

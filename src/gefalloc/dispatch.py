@@ -258,7 +258,7 @@ ROUTES = (
     Route("brute",
           lambda a, notion, goal: True,
           lambda a, notion, goal, budget: a.brute(notion, goal, budget),
-          bound=lambda a, goal: (a.stripped.n + 1) ** a.stripped.m if goal is PARETO
+          bound=lambda a, goal: _kernels.pareto_bound(a.stripped.n, a.stripped.m) if goal is PARETO
           else _kernels.work_bound([a.stripped.n + (goal is WELFARE)] * a.stripped.m),
           cost=lambda goal: (400e-6, 200e-9) if goal is PARETO else (90e-6, 2e-9),
           final=lambda a: True),

@@ -21,9 +21,9 @@ from .model import (
 def is_pareto_efficient(
     inst: Instance, alloc: Allocation, budget: int = DEFAULT_BUDGET
 ) -> Optional[bool]:
-    """Whether no partial allocation dominates ``alloc``; ``None`` when
-    none of the first ``budget`` in canonical order does and more remain."""
-    status, _ = _kernels.first_dominating(inst.utilities, utility_profile(inst, alloc), budget)
+    """Whether no partial allocation dominates ``alloc``; ``None`` when the
+    scan's work would pass ``budget`` before it can tell."""
+    status = _kernels.first_dominating(inst.utilities, utility_profile(inst, alloc), budget)
     return None if status == 2 else status == 1
 
 

@@ -57,13 +57,11 @@ def search_complete(
     candidates: Optional[Sequence[int]] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> SolveResult:
-    """First fair complete assignment with owners drawn from ``candidates``."""
-    if candidates is None:
-        candidates = range(inst.n)
-    cands = np.asarray(list(candidates), dtype=np.int64)
+    """First fair complete assignment with owners drawn from ``candidates``
+    (every agent by default)."""
+    cands = range(inst.n) if candidates is None else candidates
     return _result_from_kernel(inst, *_kernels.search(
-        inst.utilities, inst.arcs, _delta(notion), cands, 0, budget
-    ))
+        inst.utilities, inst.arcs, _delta(notion), cands, 0, budget))
 
 
 def brute_force(
@@ -72,28 +70,23 @@ def brute_force(
     goal: EfficiencyGoal,
     budget: int = DEFAULT_BUDGET,
 ) -> SolveResult:
-    """Oracle solver: one kernel scan under the search contract.
+    """Oracle solver: one kernel scan under the search contract, its work
+    the nodes.
 
     Complete goal: first fair total assignment in canonical order (resource 0
     varies slowest, agents in index order).  MaxWelfare: fair partial
     assignment of maximum welfare, lexicographically first among ties, with
     "unassigned" ordered after the last agent.  Pareto: first fair partial
-    assignment not dominated by any assignment at all; the (n+1)^m partial
-    assignments count as nodes, a rule that lives in ``_kernels``.  The
-    witness is complete, and since utilities are non-negative a complete
-    profile is undominated iff no complete profile covers it with a larger
-    total: when the n^m complete assignments fit one table, the fair ones
-    are checked against that table and no frontier is built.
+    assignment not dominated by any assignment at all, sought among the
+    complete ones, or ``BUDGET`` at once when ``_kernels.pareto_bound``
+    passes ``budget`` (``_kernels.first_fair_efficient``).
     """
-    args = (inst.utilities, inst.arcs, _delta(notion))
-    agents = np.arange(inst.n, dtype=np.int64)
     if goal is EfficiencyGoal.COMPLETE:
-        answer = _kernels.search(*args, agents, 0, budget)
-    elif goal is EfficiencyGoal.MAX_WELFARE:
-        answer = _kernels.search(*args, np.append(agents, -1), 1, budget)
-    else:
-        answer = _kernels.first_fair_efficient(*args, budget)
-    return _result_from_kernel(inst, *answer)
+        return search_complete(inst, notion, None, budget)
+    args = (inst.utilities, inst.arcs, _delta(notion))
+    if goal is EfficiencyGoal.MAX_WELFARE:
+        return _result_from_kernel(inst, *_kernels.search(*args, [*range(inst.n), -1], 1, budget))
+    return _result_from_kernel(inst, *_kernels.first_fair_efficient(*args, budget))
 
 
 # ---------------------------------------------------------------------------

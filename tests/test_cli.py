@@ -204,13 +204,17 @@ class TestVerify:
     def test_pareto_check_over_budget(self, tmp_path, capsys):
         inst = write_instance(tmp_path, "i.json", [[2, 1, 2], [1, 2, 1]], [])
         alloc = self.write_alloc(tmp_path, {"r0": "a0", "r1": "a1", "r2": "a0"})
-        assert main(["verify", "--goal", "pareto", inst, alloc]) == 0
+        # one test of the 2^3 complete allocations decides
+        assert main(["verify", "--goal", "pareto", "--budget", "8", inst, alloc]) == 0
         # the budget itself, as solve reports it, and none below zero
-        for budget, nodes in (("10", 10), ("0", 0), ("-1", 0)):
+        for budget, nodes in (("7", 7), ("0", 0), ("-1", 0)):
             capsys.readouterr()
             assert main(["verify", "--goal", "pareto", "--budget", budget, inst, alloc]) == 3
             assert capsys.readouterr().err == (
                 f"error: search budget exceeded after {nodes} nodes\n")
+        # r0->a0, r1->a1, r2->a0 dominates leaving r1 out, though a0 gains nothing
+        partial = self.write_alloc(tmp_path, {"r0": "a0", "r2": "a0"})
+        assert main(["verify", "--goal", "pareto", "--budget", "8", inst, partial]) == 1
 
     def test_welfare_reference_over_budget(self, tmp_path, capsys):
         inst = write_instance(tmp_path, "i.json", [[2, 1, 1, 1], [1, 2, 1, 1]], [])
@@ -389,10 +393,13 @@ class TestGenerate:
         (["--variant", "thm48", "--graph-n", "5",
           "--edges", "0-1,0-2,0-3,0-4,1-2,1-3,1-4", "--k", "4"], (12_582_988, 266)),
         (["--variant", "random", "--n", "10001", "--m", "10000"], (10_001, 10_000)),
+        # 10^5 cells, but the arc draw would visit 10^10 agent pairs
+        (["--variant", "random", "--n", "100000", "--m", "1"], None),
     ])
     def test_size_cap_refuses_before_building(self, monkeypatch, capsys, argv, shape):
         """An instance over the cap exits 2 with one ``error:`` line, sized by
-        arithmetic: no builder is called."""
+        arithmetic: no builder is called.  A random instance whose arc draw
+        passes the cap in agent pairs is refused the same way."""
         def unreachable(*args):
             raise AssertionError("the builder was called")
 
@@ -400,8 +407,12 @@ class TestGenerate:
             monkeypatch.setattr(gefalloc.cli, builder, unreachable)
         assert main(["generate", *argv]) == 2
         captured = capsys.readouterr()
-        n, m = shape
         assert captured.out == ""
+        if shape is None:
+            assert captured.err == ("error: random instance of 100,000 agents draws "
+                                    "10,000,000,000 agent pairs, over the cap of 100,000,000\n")
+            return
+        n, m = shape
         assert captured.err == (f"error: {argv[1]} instance of {n:,} agents x {m:,} resources "
                                 f"is over the cap of 100,000,000 utility cells\n")
 

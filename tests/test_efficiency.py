@@ -84,13 +84,21 @@ def small_instances():
 
 
 def check_pareto_witnesses():
-    """Pareto brute force against the oracle: witness, verdict and nodes."""
+    """Pareto brute force against the oracle: witness and verdict at a
+    budget of its gate, ``pareto_bound``, with at most that many nodes and
+    all n^m complete assignments when one table holds them; and status
+    ``BUDGET`` one below the gate."""
     for inst in small_instances():
         util, arcs = oracle.instance_args(inst)
+        gate = _kernels.pareto_bound(inst.n, inst.m)
+        complete = max(inst.n, 1) ** inst.m
         for notion in (WEAK, STRICT):
-            res = brute_force(inst, notion, PARETO)
+            cut = brute_force(inst, notion, PARETO, gate - 1)
+            assert (cut.status, cut.nodes) == (Status.BUDGET, max(gate - 1, 0))
+            res = brute_force(inst, notion, PARETO, gate)
             want = oracle.first_fair_pareto(util, arcs, notion is STRICT, inst.m)
-            assert res.nodes == (inst.n + 1) ** inst.m
+            assert res.nodes <= gate
+            assert res.nodes == complete or complete > _kernels.SUFFIX_ROWS
             if want is None:
                 assert res.status is Status.INFEASIBLE, inst.to_document()
             else:
@@ -124,17 +132,19 @@ class TestParetoAgainstOracle:
 
     def test_efficiency_check_budget_boundary(self):
         inst = make([[0], [1]], [])
-        # partial allocations in order: r0->a0, r0->a1, unassigned; the
-        # second is the first to dominate r0->a0
-        assert is_pareto_efficient(inst, Allocation({0: 0}), budget=2) is False
-        assert is_pareto_efficient(inst, Allocation({0: 0}), budget=1) is None
-        # nothing dominates r0->a1: deciding that takes all three
-        assert is_pareto_efficient(inst, Allocation({0: 1}), budget=3)
-        assert is_pareto_efficient(inst, Allocation({0: 1}), budget=2) is None
+        # one table holds the complete allocations r0->a0 and r0->a1, and
+        # one test of both decides: r0->a1 dominates r0->a0 and the empty
+        # allocation, and nothing dominates r0->a1
+        for asg, want in (({0: 0}, False), ({}, False), ({0: 1}, True)):
+            assert is_pareto_efficient(inst, Allocation(asg), budget=2) is want
+            assert is_pareto_efficient(inst, Allocation(asg), budget=1) is None
 
     def test_brute_force_budget_boundary(self):
+        # the gate is the 3^2 partial allocations; the scan tests the 2^2
+        # complete ones
         inst = make([[1, 2], [2, 1]], [(0, 1)])
-        assert brute_force(inst, WEAK, PARETO, budget=9).status is Status.FEASIBLE
+        res = brute_force(inst, WEAK, PARETO, budget=9)
+        assert res.status is Status.FEASIBLE and res.nodes == 4
         res = brute_force(inst, WEAK, PARETO, budget=8)
         assert res.status is Status.BUDGET and res.nodes == 8
 

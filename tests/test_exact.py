@@ -271,7 +271,7 @@ class TestTypeScan:
         assert split.counts == [comb(18, 4), 15, 6]
         assert all(gains.shape[1] <= rows for gains in split.inner)
         assert split.table.shape[1] <= rows
-        assert all(block.shape[1] <= rows for _, block in split.blocks(split.total))
+        assert all(block.shape[1] <= rows for _, block in split.blocks())
 
     def test_outer_digits_are_never_tabulated(self):
         """80 agents on a cycle share one type of 30 copies: 26 digits of

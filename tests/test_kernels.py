@@ -65,43 +65,61 @@ def run_both(utilities, arcs, delta, candidates, mode, limit=10**7, counter=True
     return got
 
 
+def one_table_work(n, m):
+    """The work of a Pareto scan over the complete assignments of ``n``
+    agents and ``m`` resources when one table holds them ("unassigned"
+    alone without agents), else ``None``: one test of every column."""
+    k = max(n, 1)
+    return k**m if k**m <= _kernels.SUFFIX_ROWS else None
+
+
 def run_pareto(utilities, arcs, delta):
-    """``first_fair_efficient`` against the reference at limits -1, 0,
-    (n+1)^m - 1 and (n+1)^m: below (n+1)^m status 2 with ``max(limit, 0)``
-    nodes, at it the reference's witness or status 1, with (n+1)^m nodes.
+    """``first_fair_efficient`` against the reference at budgets -1, 0 and
+    on both sides of its gate, ``pareto_bound``: below it status 2 with
+    ``max(budget, 0)`` nodes; at it the reference's witness or status 1,
+    and the scan's work as nodes, which never passes the gate (the ``brute``
+    row's Pareto bound) and is ``one_table_work`` when that is not ``None``.
     Returns the reference's witness."""
     n, m = np.shape(utilities)
-    total = (n + 1) ** m
+    gate = _kernels.pareto_bound(n, m)
+    # the partial allocations, unless the scan's work can pass them
+    assert gate == (n + 1) ** m or n > _kernels.SUFFIX_ROWS
     plain = np.asarray(utilities).tolist()
     want = oracle.first_fair_pareto(plain, arcs, bool(delta), m)
-    for limit in (-1, 0, total - 1, total):
-        got = _kernels.first_fair_efficient(utilities, arcs, delta, limit)
+    for budget in (-1, 0, gate - 1, gate):
+        got = _kernels.first_fair_efficient(utilities, arcs, delta, budget)
         assert [type(x) for x in got] == [int, np.ndarray, int, int]
         status, assignment, welfare, nodes = got
-        if limit < total:
-            assert (status, nodes) == (2, max(limit, 0)), limit
-        elif want is None:
-            assert (status, nodes) == (1, total), (utilities, arcs)
+        if budget < gate:
+            assert (status, nodes) == (2, max(budget, 0)), budget
+            continue
+        assert nodes <= gate and one_table_work(n, m) in (None, nodes), (utilities, nodes)
+        if want is None:
+            assert status == 1, (utilities, arcs)
         else:
-            assert (status, nodes) == (0, total), (utilities, arcs)
+            assert status == 0, (utilities, arcs)
             assert {r: a for r, a in enumerate(assignment.tolist()) if a >= 0} == want
             assert welfare == oracle.welfare(plain, want)
     return want
 
 
-def check_dominating(utilities, target, limits):
-    """``first_dominating`` against the reference at each of ``limits`` and
-    at -1, 0, (n+1)^m - 1 and (n+1)^m: the first dominator's position, else
-    status 1 with (n+1)^m nodes once the limit reaches them, else status 2
-    with ``max(limit, 0)``."""
+def check_dominating(utilities, target, budgets):
+    """``first_dominating`` against the reference's verdict over every
+    partial allocation, at each of ``budgets``, -1 and 0, at the scan's
+    ``work_bound`` and, when one table holds the complete allocations, on
+    both sides of ``one_table_work``: status 2 below some budget and the
+    reference's verdict from there on, at the work bound at the latest and
+    at ``one_table_work`` exactly when that is not ``None``."""
     n, m = np.shape(utilities)
-    total = (n + 1) ** m
     plain = np.asarray(utilities).tolist()
-    for limit in sorted({*limits, -1, 0, total - 1, total}):
-        pos = oracle.first_dominating(plain, target, m, limit)
-        want = ((0, pos) if pos is not None else
-                (1, total) if limit >= total else (2, max(limit, 0)))
-        assert _kernels.first_dominating(utilities, target, limit) == want, (target, limit)
+    want = 1 if oracle.first_dominating(plain, target, m, (n + 1) ** m) is None else 0
+    whole, one = _kernels.work_bound([max(n, 1)] * m), one_table_work(n, m)
+    edges = () if one is None else (one - 1, one)
+    tried = sorted({*budgets, -1, 0, whole, *edges})
+    got = [_kernels.first_dominating(utilities, target, b) for b in tried]
+    answered = [b for b, status in zip(tried, got) if status != 2]
+    assert got == [2] * (len(tried) - len(answered)) + [want] * len(answered), (target, tried)
+    assert whole in answered and one in (None, answered[0]), (target, tried)
 
 
 def test_backend_flag():
@@ -261,8 +279,8 @@ def test_one_table_scans_skip_the_walk(monkeypatch):
     """When one suffix table holds every assignment, ``search`` in both
     modes, ``first_fair_efficient`` and ``first_dominating`` test the
     empty prefix alone and never enter the block walk; they still answer
-    as the references do, also at limits that cut the table and at limits
-    of zero and below."""
+    as the references do, also at budgets that cut the table and at
+    budgets of zero and below."""
     def walk(*args):
         raise AssertionError("a one-table scan entered the block walk")
 
@@ -574,13 +592,17 @@ def test_one_table_pareto_brute_force_builds_no_frontier(monkeypatch):
 
 def test_no_fair_complete_assignment_needs_no_frontier(monkeypatch):
     """Agents a and b watch each other and value three resources alike, so
-    no complete assignment is fair under either notion: Pareto brute force
-    answers infeasible, with the nominal 3^3 nodes, without a frontier."""
+    no complete assignment is fair under either notion: at a budget of its
+    gate, the 3^3 partial allocations, Pareto brute force answers
+    infeasible without a frontier, after one test of the 2^3 complete
+    assignments, and one below the gate it refuses."""
     monkeypatch.setattr(_kernels, "pareto_frontier", refuse)
     inst = Instance(["a", "b"], ["r0", "r1", "r2"], [[1, 1, 1], [1, 1, 1]], [(0, 1), (1, 0)])
     for notion in FairnessNotion:
-        res = brute_force(inst, notion, EfficiencyGoal.PARETO)
-        assert (res.status, res.nodes) == (Status.INFEASIBLE, 27)
+        res = brute_force(inst, notion, EfficiencyGoal.PARETO, 3**3)
+        assert (res.status, res.nodes) == (Status.INFEASIBLE, 2**3)
+        res = brute_force(inst, notion, EfficiencyGoal.PARETO, 3**3 - 1)
+        assert (res.status, res.nodes) == (Status.BUDGET, 3**3 - 1)
 
 
 def test_one_table_witness_matches_the_walk(monkeypatch):
@@ -588,7 +610,9 @@ def test_one_table_witness_matches_the_walk(monkeypatch):
     suffixes of 64 rows) over n 1-7 with n^m at most 8192, every preference
     kind and graph shape, utilities up to 1 or 3 and both notions: 0/1 and
     identical rows give many equal profiles.  With no agent or no resource
-    too."""
+    too.  Nodes are each scan's work, so they depend on the suffix size:
+    the one table's test counts all its columns, and the walk at most the
+    gate's bound."""
     rng = random.Random(67)
     kinds, shapes = list(PreferenceKind), [GraphKind.ACYCLIC, GraphKind.STRONGLY_CONNECTED, None]
     cases = [(np.zeros((0, m), dtype=np.int64), []) for m in (0, 3)]
@@ -607,13 +631,15 @@ def test_one_table_witness_matches_the_walk(monkeypatch):
         for delta in (0, 1):
             monkeypatch.setattr(_kernels, "SUFFIX_ROWS", 1 << 13)
             assert _kernels._Split.of_resources(util, arcs, range(n) if n else [-1]).prefix == 0
-            limit = (n + 1) ** util.shape[1]
-            status, got, welfare, nodes = _kernels.first_fair_efficient(util, arcs, delta, limit)
+            gate = _kernels.pareto_bound(n, util.shape[1])
+            status, got, welfare, nodes = _kernels.first_fair_efficient(util, arcs, delta, gate)
+            assert nodes == one_table_work(n, util.shape[1])
             monkeypatch.setattr(_kernels, "SUFFIX_ROWS", 64)
             walked += _kernels._Split.of_resources(util, arcs, range(n) if n else [-1]).prefix > 0
-            want = _kernels.first_fair_efficient(util, arcs, delta, limit)
-            assert (status, welfare, nodes) == (want[0], want[2], want[3]), (util, arcs, delta)
+            want = _kernels.first_fair_efficient(util, arcs, delta, gate)
+            assert (status, welfare) == (want[0], want[2]), (util, arcs, delta)
             assert np.array_equal(got, want[1]), (util, arcs, delta)
+            assert want[3] <= gate
     assert walked >= 200
 
 

@@ -42,22 +42,44 @@ def test_compare_groups_by_algorithm_route_change_and_fields(tmp_path, capsys):
         ("alg1", "-", "removed"): 1,
         ("auto", "-", "added"): 1,
     }
-    route_dump.main(["--compare", str(old), str(new)])
+    # a welfare and a witness changed, and lines came and went
+    assert route_dump.main(["--compare", str(old), str(new)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "5 of 6 lines differ (6 before)"
     assert len(out) == 6
 
 
+# OLD with only nodes, routes and an analysis fact changed
+SAME_RESULTS = """\
+i0 analysis general 3 acyclic 0 1 - 1 0,1
+i0 strict welfare auto ilp feasible 3 7 0,1,0,0
+i0 strict welfare ilp ilp->brute infeasible 0 91 -
+i0 strict welfare brute brute feasible 3 81 0,1,0,0
+i0 weak complete auto brute feasible 9 4 1,1,0,0
+i1 strict welfare alg1 alg1->brute infeasible 0 16 -
+"""
+
+
+def test_compare_exits_zero_when_only_routes_and_nodes_differ(tmp_path, capsys):
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text(OLD)
+    new.write_text(SAME_RESULTS)
+    assert route_dump.main(["--compare", str(old), str(new)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "4 of 6 lines differ (6 before)"
+    assert sorted(line.split()[-1] for line in out[1:]) == ["facts", "nodes", "nodes", "nodes"]
+
+
 def test_compare_runs_without_the_package_on_the_path(tmp_path):
     """``--compare`` reads two files only, so it runs where ``gefalloc``
-    cannot be imported."""
+    cannot be imported; its exit code says whether a result changed."""
     old, new = tmp_path / "old.txt", tmp_path / "new.txt"
     old.write_text(OLD)
     new.write_text(NEW)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run([sys.executable, str(TOOL), "--compare", str(old), str(new)],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    assert (done.returncode, done.stderr) == (1, "")
     assert done.stdout.splitlines()[0] == "5 of 6 lines differ (6 before)"
 
 

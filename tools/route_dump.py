@@ -24,7 +24,9 @@ to row order.
 ``--compare OLD NEW`` reads two dumps and counts the lines that differ,
 grouped by requested algorithm, route change (``old => new``, or the one
 route when it did not change) and changed fields among ``FIELDS``; a line
-found in one dump only counts as ``added`` or ``removed``.  It reads the
+found in one dump only counts as ``added`` or ``removed``.  It exits 1 when
+a line differs in status, welfare or witness, or is added or removed, and
+0 when only routes, nodes or analysis facts differ.  It reads the
 two files only and runs no solve; ``gefalloc`` is imported by the functions
 that build or solve instances, so it runs without the package on the path.
 """
@@ -32,6 +34,7 @@ that build or solve instances, so it runs without the package on the path.
 import argparse
 import math
 import random
+import sys
 from collections import Counter
 
 BUDGET = 10**6
@@ -182,6 +185,8 @@ def solve_line(name, inst, notion, goal, algo):
 
 
 FIELDS = ("status", "welfare", "nodes", "witness")
+# the changes that make ``--compare`` exit 1: a result that differs or is gone
+BREAKING = {"status", "welfare", "witness", "added", "removed"}
 
 
 def read_dump(path):
@@ -217,11 +222,14 @@ def compare(old, new):
 
 
 def print_comparison(old_path, new_path):
+    """Print the comparison of two dumps; the exit code, 1 when a result
+    changed (``BREAKING``), else 0."""
     old, new = read_dump(old_path), read_dump(new_path)
     groups = compare(old, new)
     print(f"{sum(groups.values())} of {len(new)} lines differ ({len(old)} before)")
     for (algo, route, fields), count in sorted(groups.items(), key=lambda g: (-g[1], g[0])):
         print(f"{count:7d}  {algo:<21} {route:<32} {fields}")
+    return int(any(BREAKING.intersection(fields.split(",")) for _, _, fields in groups))
 
 
 def lines(families=None):
@@ -259,11 +267,11 @@ def main(argv=None):
                         help="count the differing lines of two dumps instead of dumping")
     args = parser.parse_args(argv)
     if args.compare:
-        print_comparison(*args.compare)
-    else:
-        for fields in lines():
-            print(*fields)
+        return print_comparison(*args.compare)
+    for fields in lines():
+        print(*fields)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -176,7 +176,7 @@ class _Split:
     sums.  ``tables(lo)`` gives the gain tables of digits ``lo`` onwards, a
     column per candidate, and ``column(r, c)`` the column of digit ``r``'s
     candidate ``c``: only the middle and the suffix are tabulated, and the
-    walk asks an outer digit for the columns it moves between.  Both give
+    walk asks an outer digit for the column it moves to.  Both give
     gains of ``dtype``, the type of every table; column ``j`` of ``table``
     holds the sums over the suffix's ``j``-th assignment."""
 
@@ -216,11 +216,14 @@ class _Split:
         assignment, in canonical order, ``start`` its first assignment;
         column ``i`` holds the sums of the prefix that starts at ``start + i
         * size``."""
-        o, counts, col = self.outer, self.counts, self.column
+        o, counts = self.outer, self.counts
         size = self.table.shape[1]
+        # each outer digit's column at candidate 0, and its current one
+        firsts = [self.column(r, 0) for r in range(o)]
+        cols = list(firsts)
         seed = self.zero
-        for r in range(o):  # every outer digit at candidate 0
-            seed = seed + col(r, 0)[:, None]
+        for c in cols:
+            seed = seed + c[:, None]
         block = _sums(self.inner[:self.prefix - o], seed)
         digits, start = [0] * o, 0
         while True:
@@ -230,7 +233,9 @@ class _Split:
             while i >= 0:
                 d = digits[i]
                 digits[i] = d + 1 if d + 1 < counts[i] else 0
-                block = block + (col(i, digits[i]) - col(i, d))[:, None]
+                new = self.column(i, digits[i]) if digits[i] else firsts[i]
+                block = block + (new - cols[i])[:, None]
+                cols[i] = new
                 if digits[i]:
                     break
                 i -= 1

@@ -19,17 +19,18 @@ exact bound is over the budget.
 Complete-goal rows also serve Pareto and MaxWelfare under identical
 preferences: there a fair allocation is complete (once worthless resources
 are stripped) iff it is Pareto-efficient iff it is welfare-maximal.  Under
-0/1 preferences the type program with every non-maximiser pair forbidden
-finds exactly the fair allocations that reach the column-maximum bound,
-which are welfare-maximal and Pareto-efficient; when there are none, no
-fair allocation is Pareto-efficient, while a welfare optimum may still exist
-below the bound.  So a MaxWelfare solve whose route answers infeasible falls
-through to brute force, which gets what that route left of the budget; the
-result counts the nodes of both, unless the answer settles the solve
-(``Route.settles``).  Brute force under auto, as a row or as the fallback,
-scans the stripped instance and lifts its answer: worthless resources change
-neither fairness nor welfare and sit on agent 0 in canonical order, so only
-``nodes`` differs from forced ``brute``, the oracle on the original instance.
+0/1 preferences the type program that deals each type to its column's
+maximisers only finds exactly the fair allocations that reach the
+column-maximum bound, which are welfare-maximal and Pareto-efficient; when
+there are none, no fair allocation is Pareto-efficient, while a welfare
+optimum may still exist below the bound.  So a MaxWelfare solve whose route
+answers infeasible falls through to brute force, which gets what that route
+left of the budget; the result counts the nodes of both, unless the answer
+settles the solve (``Route.settles``).  Brute force under auto, as a row or
+as the fallback, scans the stripped instance and lifts its answer: worthless
+resources change neither fairness nor welfare and sit on agent 0 in
+canonical order, so only ``nodes`` differs from forced ``brute``, the oracle
+on the original instance.
 """
 
 from __future__ import annotations
@@ -223,8 +224,10 @@ ROUTES = (
     # bound, but (90 us, 500 ns) still picks the rows of least total time on
     # seeds 1 and 3.  A bound is the most work a search can count, and
     # pruning skips most of it, so the kernel's and the ilp's costs per unit
-    # of the bound are far below those of work done; struct-fpt's (about
-    # 100 us per pattern) only sizes its record.  Pareto brute force's
+    # of the bound are far below those of work done.  struct-fpt's bound is
+    # infinite once there is a resource, so its 100 us per unit of work (set
+    # when its one unit was an embedded pattern; a partition or a split
+    # scan's unit costs far less) only sizes its record.  Pareto brute force's
     # (400 us, 200 ns) overstate its one-table scan about fourfold until the
     # search costs are re-fitted.
     Route("sgef-fpt",

@@ -164,20 +164,31 @@ def _deals(rest: int, j: int, unit: int, total: int) -> np.ndarray:
     return x
 
 
+def _takers(n: int, col: tuple[int, ...], goal: EfficiencyGoal) -> Sequence[int]:
+    """The agents a type of utility column ``col`` may go to in the type
+    program under ``goal``: every agent under the complete goal, else the
+    column's maximisers (see the ``dispatch`` docstring)."""
+    if goal is EfficiencyGoal.COMPLETE:
+        return range(n)
+    top = max(col)
+    return [i for i, v in enumerate(col) if v == top]
+
+
 def solve_type_ilp(
     inst: Instance,
     table: ResourceTypeTable,
     delta: int,
-    forbidden: frozenset[tuple[int, int]] = frozenset(),
+    goal: EfficiencyGoal = EfficiencyGoal.COMPLETE,
     budget: int = DEFAULT_BUDGET,
 ) -> SolveResult:
-    """One kernel scan over the counts x[agent][type] of ``table``.
+    """One kernel scan over the counts x[agent][type] of ``table``, at
+    least one agent.
 
     Per type the counts sum to the multiplicity; per attention arc (a, b) of
     ``inst`` a's bundle must beat b's bundle by ``delta``, both valued through
-    a's utility row; an (agent, type) pair in ``forbidden`` gets count 0.
+    a's utility row; a type goes only to its ``_takers`` under ``goal``.
     The digits are the types by falling multiplicity (stable), a type's
-    candidates its deals to the agents it may go to, lexicographic in (x[0],
+    candidates its deals to its takers, lexicographic in (x[0],
     ..., x[n-1]) with counts rising and the last agent taking the rest
     (``_deal_plan``; a type dealt over several digits gets a tested row).
     The first fair column is the first fair count vector in that order.
@@ -195,16 +206,14 @@ def solve_type_ilp(
     # rest (every count lies in [0, most] then)
     top = 0
     for t in _type_order(table):
-        agents = [i for i in range(n) if (i, t) not in forbidden]
-        if not agents:              # a type no one may take
-            return SolveResult.infeasible(0)
+        agents = _takers(n, table.types[t], goal)
         plan = _deal_plan(table.multiplicity[t], len(agents), cap)
         row = -1 if len(plan) == 1 else tested
         tested += row >= 0
         for step, (first, j, unit, total) in enumerate(plan):
             most = unit * total if step else table.multiplicity[t]
             top += max(1, *table.types[t]) * most * (2 if step else 1)
-            digits.append((t, row, agents[first:first + j] + agents[-1:],
+            digits.append((t, row, [*agents[first:first + j], agents[-1]],
                            (0 if step else most, j, unit, total)))
             counts.append(comb(total + j, j))
     # every count fits too: the first digits' ``most`` sum to m
@@ -251,14 +260,13 @@ def solve_type_ilp(
 
 def type_scan_size(n: int, table: ResourceTypeTable, goal: EfficiencyGoal) -> int:
     """Most work ``solve_ilp`` counts over ``table`` and ``n`` agents
-    (``_kernels.work_bound`` of its digits), a type going to every agent
-    under the complete goal, to the column's maximisers otherwise."""
+    (``_kernels.work_bound`` of its digits), each type dealt to its
+    ``_takers``."""
     cap, counts = max(_kernels.SUFFIX_ROWS, 2), []
     for t in _type_order(table):
-        col = table.types[t]
-        k = n if goal is EfficiencyGoal.COMPLETE else col.count(max(col))
+        k = len(_takers(n, table.types[t], goal))
         counts += [comb(total + j, j) for _, j, _, total in
-                   _deal_plan(table.multiplicity[t], k, cap)] if k else [0]
+                   _deal_plan(table.multiplicity[t], k, cap)]
     return _kernels.work_bound(counts)
 
 
@@ -270,16 +278,11 @@ def solve_ilp(
     table: Optional[ResourceTypeTable] = None,
 ) -> SolveResult:
     """The type program of ``inst`` (its ``table``, built here when not
-    given); under the Pareto and MaxWelfare goals every (agent, type) pair
-    whose agent is not a maximiser of the type's column is at count 0."""
+    given) under ``goal``: under the Pareto and MaxWelfare goals a type goes
+    only to the maximisers of its column (``_takers``)."""
     if table is None:
         table = ResourceTypeTable.build(inst)
-    forbidden = set()
-    if goal is not EfficiencyGoal.COMPLETE:
-        for t, col in enumerate(table.types):
-            top = max(col, default=0)
-            forbidden.update((i, t) for i, v in enumerate(col) if v < top)
-    return solve_type_ilp(inst, table, _delta(notion), frozenset(forbidden), budget)
+    return solve_type_ilp(inst, table, _delta(notion), goal, budget)
 
 
 # ---------------------------------------------------------------------------

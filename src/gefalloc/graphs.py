@@ -177,7 +177,8 @@ def classify_graph(inst: Instance) -> GraphClass:
     inner = tuple([v for v in range(n) if pred[v] and succ[v]])
     if len(order) == n:
         kind = GraphKind.ACYCLIC
-    elif sources or sinks or not (_reaches_all(succ) and _reaches_all(pred)):
+    elif (sources or sinks or len(reachable_from(succ, [0])) < n
+          or len(reachable_from(pred, [0])) < n):
         kind = GraphKind.GENERAL
     else:
         kind = GraphKind.STRONGLY_CONNECTED
@@ -185,27 +186,12 @@ def classify_graph(inst: Instance) -> GraphClass:
                       succ, pred, order, inst)
 
 
-def _reaches_all(adj: list[list[int]]) -> bool:
-    """Whether agent 0 reaches every agent along ``adj``."""
-    seen = [False] * len(adj)
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        for w in adj[frontier.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                frontier.append(w)
-    return count == len(adj)
-
-
-def reachable_from(graph: GraphClass, starts) -> set[int]:
-    """Agents reachable from ``starts`` along the arcs of ``graph``."""
-    seen = set(int(s) for s in starts)
+def reachable_from(adj: list[list[int]], starts) -> set[int]:
+    """Agents reachable from ``starts`` along the adjacency lists ``adj``."""
+    seen = set(starts)
     frontier = list(seen)
     while frontier:
-        for w in graph.succ[frontier.pop()]:
+        for w in adj[frontier.pop()]:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)

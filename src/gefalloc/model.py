@@ -69,9 +69,8 @@ class Instance:
     iteration order is deterministic.
 
     The constructor checks every field.  ``Instance._derived`` skips the
-    checks; only code of this package that builds an instance from data
-    already known valid (``strip_zero_resources``, the clique of
-    ``structures._equal_split``) may call it.
+    checks; its one caller, ``strip_zero_resources``, builds an instance
+    from data already known valid.
     """
 
     def __init__(

@@ -12,21 +12,16 @@ component has no incoming arcs from outside the matched picture.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .exact import DEFAULT_BUDGET, solve_identical_enum
+from . import _kernels
+from .exact import DEFAULT_BUDGET
 from .graphs import GraphClass, arc_lists, kahn_order, reachable_from
-from .model import (
-    Allocation,
-    FairnessNotion,
-    Instance,
-    SolveResult,
-    Status,
-    verify_fairness,
-)
+from .model import Allocation, FairnessNotion, Instance, SolveResult, verify_fairness
 
 
 @dataclass(frozen=True)
@@ -47,29 +42,25 @@ class ColoredDigraph:
     colors: tuple[int, ...]
 
 
-def _partitions(items: list[int]):
-    """Set partitions in restricted-growth-string order."""
-    m = len(items)
+def _partitions(m: int, k: int):
+    """The partitions of ``range(m)`` into at most ``k`` packs, in
+    restricted-growth-string order."""
     if m == 0:
         return
     rgs = [0] * m
     while True:
-        q = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(q)]
-        for i, b in enumerate(rgs):
-            blocks[b].append(items[i])
-        yield [tuple(b) for b in blocks]
-        # next RGS
+        packs: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
+        for r, b in enumerate(rgs):
+            packs[b].append(r)
+        yield [tuple(p) for p in packs]
+        # the next string: raise the last digit that may rise, zero the rest
         i = m - 1
-        while i > 0:
-            if rgs[i] <= max(rgs[:i]):
-                rgs[i] += 1
-                for j in range(i + 1, m):
-                    rgs[j] = 0
-                break
+        while i > 0 and (rgs[i] > max(rgs[:i]) or rgs[i] + 1 >= k):
             i -= 1
-        else:
+        if i == 0:
             return
+        rgs[i] += 1
+        rgs[i + 1:] = [0] * (m - 1 - i)
 
 
 def _pair_list(q: int) -> list[tuple[int, int]]:
@@ -80,72 +71,81 @@ def _is_dag(q: int, arcs: Iterable[tuple[int, int]]) -> bool:
     return len(kahn_order(*arc_lists(q, arcs))) == q
 
 
-def _equal_split(inst: Instance, pack: tuple[int, ...], rho: int) -> Optional[list[list[int]]]:
-    """Split a pack into rho bundles of equal value under the shared utility
-    row, or None.  Realized as a fair allocation on a clique of rho agents."""
-    row = inst.utilities[0]
-    total = int(sum(int(row[r]) for r in pack))
-    if rho <= 0 or total % rho != 0:
-        return None
-    clique = tuple((i, j) for i in range(rho) for j in range(rho) if i != j)
-    sub = Instance._derived(
-        tuple(f"v{i}" for i in range(rho)),
-        tuple(inst.resources[r] for r in pack),
-        np.repeat(row[None, list(pack)], rho, axis=0),
-        np.array(clique, dtype=np.int64).reshape(-1, 2),
-        clique,
-    )
-    res = solve_identical_enum(sub, FairnessNotion.WEAK)
-    if res.status is not Status.FEASIBLE:
-        return None
-    bundles = res.allocation.bundles(rho)
-    return [[pack[j] for j in b] for b in bundles]
+def _equal_split(row, pack: tuple[int, ...], rho: int,
+                 budget) -> tuple[Optional[list[list[int]]], int]:
+    """``(bundles, work)``: ``pack`` split into ``rho`` bundles of equal
+    value under the shared utility ``row``, or None, and the work of the
+    kernel scan that seeks it, past ``budget`` when the scan stopped.  The
+    split is the first fair complete assignment, in the kernel's canonical
+    order, of the pack to a clique of ``rho`` agents.  Positive utilities
+    give no ``rho`` agents equal shares of fewer than ``rho`` resources."""
+    if len(pack) < rho or int(row[list(pack)].sum(dtype=np.int64)) % rho:
+        return None, 0
+    status, owners, _, work = _kernels.search(
+        np.repeat(row[None, list(pack)], rho, axis=0), _pair_list(rho), 0, range(rho), 0, budget)
+    if status:
+        # a stopped kernel reports ``max(budget, 0)``: one more marks the stop
+        return None, work + (status == 2)
+    return [[r for r, a in zip(pack, owners.tolist()) if a == i] for i in range(rho)], work
 
 
 def sane_structures(
-    inst: Instance, sizes: Sequence[int]
-) -> Iterator[tuple[Structure, list[list[list[int]]]]]:
+    row, sizes: Sequence[int], budget=math.inf
+) -> Iterator[tuple[int, Optional[Structure], Optional[list[list[list[int]]]]]]:
     """Every sane structure with at most ``len(sizes)`` packs and weights
-    among ``sizes``, with its pack splits (one bundle per agent sharing the
-    pack).  Sane: every pack splits evenly among its weight worth of agents,
-    and every arc points from a pack with at least as large a per-agent
-    share.  Needs identical positive preferences.
+    among ``sizes`` for the shared positive utility ``row``, with its pack
+    splits (one bundle per agent sharing the pack).  Sane: every pack splits
+    evenly among its weight worth of agents, and every arc points from a
+    pack with at least as large a per-agent share.
 
     Order: resource partitions by restricted-growth string; per pack, the
     weights over the sorted sizes that split it evenly; arc subsets of the
     share-respecting pairs as ``itertools.product([0, 1])`` bit vectors,
     acyclic ones only.
+
+    Yields ``(work, structure, splits)``, then ``(work, None, None)``.  The
+    work is counted as a kernel scan counts it: one unit per resource
+    partition, the work of each split scan (``_equal_split``, once per pack
+    and weight) and one unit per structure, up to the one yielded.  The
+    last work is the whole search's, or past ``budget`` when the search
+    stopped before a unit that would take it there.
     """
-    row = inst.utilities[0]
     size_options = sorted(set(sizes))
-    split_cache: dict[tuple[tuple[int, ...], int], Optional[list[list[int]]]] = {}
+    cache: dict[tuple[tuple[int, ...], int], Optional[list[list[int]]]] = {}
+    work = 0
 
     def split(pack: tuple[int, ...], rho: int):
-        key = (pack, rho)
-        if key not in split_cache:
-            split_cache[key] = _equal_split(inst, pack, rho)
-        return split_cache[key]
+        """The pack's split among ``rho`` agents, scanned on first use while
+        the budget lasts."""
+        nonlocal work
+        if (pack, rho) not in cache and work <= budget:
+            cache[pack, rho], nodes = _equal_split(row, pack, rho, budget - work)
+            work += nodes
+        return cache.get((pack, rho))
 
-    for packs in _partitions(list(range(inst.m))):
-        q = len(packs)
-        if q > len(sizes):
-            continue
+    for packs in _partitions(len(row), len(sizes)):
+        work += 1
         options = [[rho for rho in size_options if split(pack, rho) is not None]
                    for pack in packs]
+        if work > budget:
+            break
         if not all(options):
             continue
-        pairs = _pair_list(q)
+        q, pairs = len(packs), _pair_list(len(packs))
         for weights in itertools.product(*options):
-            shares = [
-                int(sum(int(row[r]) for r in pack)) // rho
-                for pack, rho in zip(packs, weights)
-            ]
+            shares = [int(row[list(pack)].sum(dtype=np.int64)) // rho
+                      for pack, rho in zip(packs, weights)]
             allowed = [(a, b) for a, b in pairs if shares[a] >= shares[b]]
             for picks in itertools.product([0, 1], repeat=len(allowed)):
                 arcs = frozenset(pair for bit, pair in zip(picks, allowed) if bit)
                 if _is_dag(q, arcs):
-                    yield (Structure(tuple(packs), weights, arcs),
+                    work += 1
+                    if work > budget:
+                        yield work, None, None
+                        return
+                    yield (work, Structure(tuple(packs), weights, arcs),
                            [split(pack, rho) for pack, rho in zip(packs, weights)])
+    yield work, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def _kept_components(inst: Instance, graph: GraphClass) -> list[int]:
     m, cond = inst.m, graph.condensation
     seeds = [v for ci, comp in enumerate(cond.components)
              if len(comp) > m or cond.in_degree(ci) > m for v in comp]
-    doomed = reachable_from(graph, seeds)
+    doomed = reachable_from(graph.succ, seeds)
     return [ci for ci, comp in enumerate(cond.components) if comp[0] not in doomed]
 
 
@@ -228,9 +228,9 @@ def solve_gef_identical_structures(
     Drops the components that cannot hold resources, embeds each sane
     structure into the condensation of the rest by colored subgraph
     isomorphism, and reconstructs the allocation from the pack splits.
-    Components left out of the embedding hold nothing.  Each pattern handed
-    to the embedding is one node; past ``budget`` nodes the search stops
-    with a budget result.
+    Components left out of the embedding hold nothing.  Its nodes are the
+    work ``sane_structures`` counts, and it stops with a budget result
+    before that work would pass ``budget``.
     """
     if inst.m == 0:
         return SolveResult.feasible(inst, Allocation({}))
@@ -247,8 +247,10 @@ def solve_gef_identical_structures(
         tuple(sorted((pos[a], pos[b]) for a, b in cond.arcs if b in pos)),
         tuple(s * color_base + cond.in_degree(ci) for s, ci in zip(sizes, kept)),
     )
-    nodes = 0
-    for structure, splits in sane_structures(inst, sizes):
+    for nodes, structure, splits in sane_structures(inst.utilities[0], sizes, budget):
+        if structure is None:
+            return (SolveResult.budget(max(budget, 0)) if nodes > budget
+                    else SolveResult.infeasible(nodes))
         indeg = [0] * structure.q
         for _, b in structure.arcs:
             indeg[b] += 1
@@ -257,9 +259,6 @@ def solve_gef_identical_structures(
             tuple(sorted(structure.arcs)),
             tuple(w * color_base + d for w, d in zip(structure.weights, indeg)),
         )
-        nodes += 1
-        if nodes > budget:
-            return SolveResult.budget(nodes - 1)
         phi = directed_colored_subiso(pattern, host)
         if phi is None:
             continue
@@ -271,4 +270,3 @@ def solve_gef_identical_structures(
         alloc = Allocation(assignment)
         assert verify_fairness(inst, alloc, FairnessNotion.WEAK) is None
         return SolveResult.feasible(inst, alloc, nodes)
-    return SolveResult.infeasible(nodes)

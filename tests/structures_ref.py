@@ -11,6 +11,7 @@ route to its FPT bound, checked against the direct matcher.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,7 +20,7 @@ from gefalloc import (ColoredDigraph, GuardError, Instance, Structure, classify_
                       scc_condensation)
 from gefalloc.graphs import reachable_from
 from gefalloc.model import classify_preferences
-from gefalloc.structures import _equal_split, _is_dag, _pair_list, _partitions
+from gefalloc.structures import _is_dag, _pair_list, _partitions
 
 
 def require(cond: bool, msg: str) -> None:
@@ -37,7 +38,7 @@ def enumerate_structures(inst: Instance):
     m = inst.m
     if m == 0:
         return
-    for packs in _partitions(list(range(m))):
+    for packs in _partitions(m, m):
         q = len(packs)
         pairs = _pair_list(q)
         dags = [
@@ -61,16 +62,29 @@ def check_structure_sanity(inst: Instance, structure: Structure) -> bool:
     prefs = classify_preferences(inst)
     require(prefs.identical, "identical preferences required")
     require(bool((inst.utilities > 0).all()), "zero-valued resources must be stripped")
-    row = inst.utilities[0]
+    row = inst.utilities[0].tolist()
     shares = []
     for pack, rho in zip(structure.packs, structure.weights):
-        if _equal_split(inst, pack, rho) is None:
+        if not splits_evenly(tuple(row[r] for r in pack), rho):
             return False
-        shares.append(int(sum(int(row[r]) for r in pack)) // rho)
+        shares.append(sum(row[r] for r in pack) // rho)
     for a, b in structure.arcs:
         if shares[a] < shares[b]:
             return False
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def splits_evenly(values: tuple[int, ...], rho: int) -> bool:
+    """Whether resources of ``values`` can be dealt to ``rho`` agents so
+    that every agent's bundle has the same value, by trying every deal."""
+    for owners in itertools.product(range(rho), repeat=len(values)):
+        bundles = [0] * rho
+        for value, owner in zip(values, owners):
+            bundles[owner] += value
+        if len(set(bundles)) == 1:
+            return True
+    return False
 
 
 def induced(inst: Instance, keep: Sequence[int]) -> Instance:
@@ -100,7 +114,7 @@ def prune_fixed_point(inst: Instance) -> tuple[int, ...]:
         ]
         if not bad:
             return tuple(alive)
-        doomed = reachable_from(classify_graph(sub),
+        doomed = reachable_from(classify_graph(sub).succ,
                                 [v for ci in bad for v in cond.components[ci]])
         alive = [alive[v] for v in range(sub.n) if v not in doomed]
 

@@ -116,7 +116,7 @@ class TestSolve:
         )
         argv = ["solve", "--algo", "struct-fpt", path]
         assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["nodes"] == 6
+        assert json.loads(capsys.readouterr().out)["nodes"] == 15
         assert main(argv[:1] + ["--budget", "1"] + argv[1:]) == 3
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "budget" and doc["nodes"] == 1

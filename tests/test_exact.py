@@ -181,11 +181,16 @@ class TestIlp:
         assert set(res.allocation.assignment.values()) == {49}
         assert verify_fairness(inst, res.allocation, WEAK) is None
 
-    def test_forbidden_pairs_respected(self):
+    def test_only_maximisers_take_a_type(self):
+        # the deal order's first count vector gives every copy to the last
+        # agent; under Pareto only agent 0, the column's maximiser, may take
+        # the type
         inst = make([[2, 2], [1, 1]], [])
-        res = solve_type_ilp(inst, ResourceTypeTable.build(inst), 0, frozenset({(0, 0)}))
-        assert res.status is Status.FEASIBLE
-        assert all(a == 1 for a in res.allocation.assignment.values())
+        table = ResourceTypeTable.build(inst)
+        for goal, owner in ((COMPLETE, 1), (EfficiencyGoal.PARETO, 0)):
+            res = solve_type_ilp(inst, table, 0, goal)
+            assert res.status is Status.FEASIBLE
+            assert set(res.allocation.assignment.values()) == {owner}
 
 
 def type_corpus():

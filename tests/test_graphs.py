@@ -215,8 +215,8 @@ class TestClassifyAgainstCondensation:
             gc = classify_graph(inst)
             if gc.sources or gc.sinks or gc.kind is not GraphKind.GENERAL:
                 continue
-            reach = reachable_from(gc, [0])
-            back = reachable_from(classify_graph(make(n, [(b, a) for a, b in arcs])), [0])
+            reach = reachable_from(gc.succ, [0])
+            back = reachable_from(classify_graph(make(n, [(b, a) for a, b in arcs])).succ, [0])
             forward_only += len(reach) == n
             backward_only += len(back) == n
         assert forward_only > 20 and backward_only > 20
@@ -268,8 +268,8 @@ def test_is_acyclic_and_reachability():
     inst = make(4, [(0, 1), (1, 2)])
     graph = classify_graph(inst)
     assert graph.kind is GraphKind.ACYCLIC
-    assert reachable_from(graph, [0]) == {0, 1, 2}
-    assert reachable_from(graph, [3]) == {3}
+    assert reachable_from(graph.succ, [0]) == {0, 1, 2}
+    assert reachable_from(graph.succ, [3]) == {3}
 
 
 def reference_order(n, arcs):

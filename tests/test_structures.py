@@ -1,6 +1,8 @@
 import itertools
 import random
+import time
 
+import numpy as np
 import pytest
 
 from gefalloc import (
@@ -20,6 +22,7 @@ from gefalloc.structures import (
     ColoredDigraph,
     Structure,
     directed_colored_subiso,
+    _equal_split,
     sane_structures,
     solve_gef_identical_structures,
 )
@@ -120,7 +123,8 @@ class TestSaneStructures:
             every = list(enumerate_structures(identical([1] * m, 1, [])))
             for sizes in size_lists[:8] if m == 4 else size_lists:
                 inst = identical([rng.randint(1, 4) for _ in range(m)], 1, [])
-                got = list(sane_structures(inst, sizes))
+                got = [(s, splits) for _, s, splits
+                       in sane_structures(inst.utilities[0], sizes) if s is not None]
                 structures = [s for s, _ in got]
                 assert len(set(structures)) == len(structures)
                 want = {
@@ -137,6 +141,15 @@ class TestSaneStructures:
                         assert len({sum(int(row[r]) for r in b) for b in bundles}) == 1
                 yielded += len(got)
         assert yielded >= 200
+
+    def test_short_pack_is_not_scanned(self):
+        # fewer resources than agents: no equal positive shares, and no work,
+        # even where the sum divides evenly
+        row = np.array([1, 2])
+        assert _equal_split(row, (1,), 2, 10**8) == (None, 0)
+        assert _equal_split(np.array([2, 2]), (0, 1), 4, 10**8) == (None, 0)
+        bundles, work = _equal_split(np.array([1, 1]), (0, 1), 2, 10**8)
+        assert bundles == [[0], [1]] and work > 0
 
 
 def brute_subiso(pattern: ColoredDigraph, host: ColoredDigraph) -> bool:
@@ -289,16 +302,36 @@ class TestStructureSolver:
 
     def test_honours_budget_and_reports_nodes(self):
         # a 2-cycle with a pendant watched agent: neither acyclic nor
-        # strongly connected; one pattern is embedded per node
+        # strongly connected.  Nodes: 2 partitions of the 2 resources, 3
+        # units of split scans (packs (0, 1), (0,) and (1,) to one agent, 1
+        # each; no pack is scanned for two agents, each having an odd sum or
+        # a single resource) and 3 patterns embedded
         arcs = [(0, 1), (1, 0), (1, 2)]
         inst = identical([1, 2], 3, arcs)
         res = solve(inst, WEAK, COMPLETE, algorithm="struct-fpt")
-        assert res.status is Status.INFEASIBLE and res.nodes == 3
-        assert solve(inst, WEAK, COMPLETE, algorithm="struct-fpt", budget=3) == res
+        assert res.status is Status.INFEASIBLE and res.nodes == 8
+        assert solve(inst, WEAK, COMPLETE, algorithm="struct-fpt", budget=8) == res
         res = solve(inst, WEAK, COMPLETE, algorithm="struct-fpt", budget=1)
         assert res.status is Status.BUDGET and res.nodes == 1
         res = solve(identical([1, 1, 1], 3, arcs), WEAK, COMPLETE, algorithm="struct-fpt")
-        assert res.status is Status.FEASIBLE and res.nodes == 6
+        assert res.status is Status.FEASIBLE and res.nodes == 15
+
+    def test_budget_binds_when_no_structure_is_sane(self):
+        # two 3-cycles and 11 resources of value 1: no partition into at
+        # most two packs splits evenly among three agents per pack, so the
+        # search tries every such partition; it stops before the first unit
+        # past the budget, and counts the same work at every budget it fits
+        inst = identical([1] * 11, 6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        start = time.perf_counter()
+        res = solve(inst, WEAK, COMPLETE, algorithm="struct-fpt", budget=1)
+        assert time.perf_counter() - start < 0.5
+        assert (res.status, res.nodes) == (Status.BUDGET, 1)
+        res = solve(inst, WEAK, COMPLETE, algorithm="struct-fpt")
+        assert res.status is Status.INFEASIBLE
+        assert solve(inst, WEAK, COMPLETE, algorithm="struct-fpt") == res
+        assert solve(inst, WEAK, COMPLETE, algorithm="struct-fpt", budget=res.nodes) == res
+        cut = solve(inst, WEAK, COMPLETE, algorithm="struct-fpt", budget=res.nodes - 1)
+        assert (cut.status, cut.nodes) == (Status.BUDGET, res.nodes - 1)
 
     def test_worthless_resources_are_parked(self):
         inst = identical([0, 0], 2, [(0, 1), (1, 0)])
